@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro import datasets
+from repro import datasets, obs
 from repro.bench import format_table
 from repro.mcb import MMReport, mm_mcb
 from repro.decomposition import biconnected_components, reduce_graph
@@ -32,10 +32,11 @@ def test_block_size_sweep(benchmark, reduced):
     for block in (16, 128, 512, 4096):
         rep = MMReport()
         t0 = time.perf_counter()
-        cycles = mm_mcb(reduced, block_size=block, report=rep)
+        with obs.tracing() as tr:
+            cycles = mm_mcb(reduced, block_size=block, report=rep)
         wall = time.perf_counter() - t0
         weights.append(sum(c.weight for c in cycles))
-        rows.append((block, wall, rep.t_scan, rep.n_candidates))
+        rows.append((block, wall, tr.total_ns("mm.scan") / 1e9, rep.n_candidates))
     print()
     print(
         format_table(

@@ -18,7 +18,6 @@ Key facts the composition relies on (both hold for any graph):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,8 +59,6 @@ class ComponentTables:
     ap_ids: np.ndarray
     ap_index: dict[int, int]
     ap_matrix: np.ndarray
-    solve_seconds: float = 0.0
-    compose_seconds: float = 0.0
     vertex_local: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
     def component_of(self, v: int) -> list[tuple[int, int]]:
@@ -102,7 +99,6 @@ def build_component_tables(
             )
     if bcc is None:
         bcc = biconnected_components(g)
-    t0 = time.perf_counter()
     tables: list[np.ndarray] = []
     vertex_local: dict[int, list[tuple[int, int]]] = {}
     for cid in range(bcc.count):
@@ -110,7 +106,6 @@ def build_component_tables(
         tables.append(solver(sub))
         for local, v in enumerate(vmap):
             vertex_local.setdefault(int(v), []).append((cid, local))
-    t1 = time.perf_counter()
 
     ap_ids = bcc.articulation_points
     ap_index = {int(v): i for i, v in enumerate(ap_ids)}
@@ -150,7 +145,6 @@ def build_component_tables(
         np.fill_diagonal(ap_matrix, 0.0)
     else:
         ap_matrix = np.zeros((0, 0), dtype=np.float64)
-    t2 = time.perf_counter()
 
     return ComponentTables(
         bcc=bcc,
@@ -158,8 +152,6 @@ def build_component_tables(
         ap_ids=ap_ids,
         ap_index=ap_index,
         ap_matrix=ap_matrix,
-        solve_seconds=t1 - t0,
-        compose_seconds=t2 - t1,
         vertex_local=vertex_local,
     )
 

@@ -21,13 +21,13 @@ component organisation of Section 2.2 — which is what gives the
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
+from ..obs.trace import phase
 from ..sssp.engine import all_pairs
 from .dijkstra_apsp import dijkstra_apsp
 
@@ -36,19 +36,16 @@ __all__ = ["EarAPSPReport", "extend_reduced_distances", "ear_apsp_full", "solve_
 
 @dataclass
 class EarAPSPReport:
-    """Phase instrumentation for one Algorithm-1 run."""
+    """Reduction counts of one Algorithm-1 run.
+
+    Phase times are not stored here: :func:`ear_apsp_full` emits them as
+    :func:`repro.obs.trace.phase` spans.
+    """
 
     n: int = 0
     n_reduced: int = 0
     n_removed: int = 0
-    t_preprocess: float = 0.0
-    t_process: float = 0.0
-    t_postprocess: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return self.t_preprocess + self.t_process + self.t_postprocess
+    m_reduced: int = 0  # edges of the simple reduced graph Phase II solves
 
 
 def extend_reduced_distances(red: ReducedGraph, s_r: np.ndarray) -> np.ndarray:
@@ -114,29 +111,26 @@ def ear_apsp_full(
     heaps), or ``"parallel"`` (the process-parallel backend of
     :mod:`repro.hetero.parallel` — ``workers`` processes fan out
     ``chunk_size``-source chunks over shared-memory CSR buffers).  Pass a
-    :class:`EarAPSPReport` to collect phase timings and reduction
-    statistics.
+    :class:`EarAPSPReport` to collect the reduction counts.  The three
+    phases are timed as ``obs.phase`` spans with cat ``apsp``.
     """
-    t0 = time.perf_counter()
-    red = reduce_graph(g)
-    t1 = time.perf_counter()
-    simple = red.simple_graph()
-    if engine == "scipy":
-        s_r = all_pairs(simple, chunk_size=chunk_size)
-    else:
-        s_r = dijkstra_apsp(
-            simple, engine=engine, chunk_size=chunk_size, workers=workers
-        )
-    t2 = time.perf_counter()
-    out = extend_reduced_distances(red, s_r)
-    t3 = time.perf_counter()
+    with phase("preprocess", "apsp", stage="reduce", n=g.n):
+        red = reduce_graph(g)
+        simple = red.simple_graph()
+    with phase("process", "apsp", stage="dijkstra", n=simple.n):
+        if engine == "scipy":
+            s_r = all_pairs(simple, chunk_size=chunk_size)
+        else:
+            s_r = dijkstra_apsp(
+                simple, engine=engine, chunk_size=chunk_size, workers=workers
+            )
+    with phase("postprocess", "apsp", stage="extend", n=g.n):
+        out = extend_reduced_distances(red, s_r)
     if report is not None:
         report.n = g.n
         report.n_reduced = red.graph.n
         report.n_removed = red.n_removed
-        report.t_preprocess += t1 - t0
-        report.t_process += t2 - t1
-        report.t_postprocess += t3 - t2
+        report.m_reduced = simple.m
     return out
 
 

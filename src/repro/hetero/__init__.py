@@ -16,7 +16,6 @@ from .device import (
     sequential_device,
 )
 from .executor import HeterogeneousExecutor, Platform, StageReport
-from .live_runner import LiveMCBResult, live_hetero_mcb
 from .mcb_runner import HeteroMCBResult, mcb_with_trace, run_mcb_on_platforms
 from .parallel import (
     ParallelEngine,
@@ -52,8 +51,6 @@ __all__ = [
     "Platform",
     "StageReport",
     "HeteroMCBResult",
-    "LiveMCBResult",
-    "live_hetero_mcb",
     "mcb_with_trace",
     "run_mcb_on_platforms",
     "SIMTDevice",

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..apsp.composition import assemble_full_matrix, build_component_tables
-from ..apsp.ear_apsp import extend_reduced_distances
-from ..decomposition.reduce import reduce_graph
+from ..apsp.ear_apsp import EarAPSPReport, ear_apsp_full
+from ..decomposition.biconnected import biconnected_components
 from ..graph.csr import CSRGraph
-from ..obs import events as _events
 from ..obs import metrics as _metrics
-from ..obs.memory import memory_span as _memory_span, publish_apsp_table_gauges
-from ..obs.trace import span as _span
+from ..obs.memory import publish_apsp_table_gauges
+from ..obs.trace import phase
 from ..sssp.engine import multi_source, resolve_chunk_size
 from .executor import Platform
 from .trace import SimulationResult, WorkTrace, simulate_trace
@@ -52,68 +51,53 @@ def _record_dijkstra(trace: WorkTrace, n: int, m: int, chunk: int) -> None:
 def apsp_with_trace(
     g: CSRGraph, use_ear: bool = True, chunk_size: int | None = None
 ) -> tuple[np.ndarray, WorkTrace]:
-    """Full APSP matrix plus the recorded heterogeneous work trace."""
+    """Full APSP matrix plus the recorded heterogeneous work trace.
+
+    Runs the public per-BCC pipeline — :func:`build_component_tables`
+    with :func:`ear_apsp_full` per component (or plain multi-source
+    Dijkstra when ``use_ear`` is False), then
+    :func:`assemble_full_matrix` — and sizes each trace stage from the
+    counts the calls report.  The Section 2.4 phases are ``obs.phase``
+    spans: ``ear_apsp_full`` emits reduce / dijkstra / extend, this
+    driver only the calls it makes itself (decompose, assemble, and the
+    Dijkstra of the ``use_ear=False`` path).
+    """
     chunk = resolve_chunk_size(chunk_size)
     trace = WorkTrace(meta={"n": g.n, "m": g.m, "use_ear": use_ear, "chunk": chunk})
-    from ..decomposition.biconnected import biconnected_components
-
-    # Wall-clock spans use the paper's Section 2.4 phase names, so a
-    # Chrome trace of this driver reads as the preprocess / process /
-    # post-process split directly.  Memory spans mirror them: with
-    # obs.memory profiling active, each phase also records its tracemalloc
-    # delta/peak and the process RSS high-water (docs/OBSERVABILITY.md).
-    # Phase events (repro.obs.events) bracket the same transitions, so a
-    # live `repro-bench watch` shows which phase a run is in.
-    with _span("preprocess", cat="apsp", stage="decompose", n=g.n, m=g.m), \
-            _memory_span("apsp.preprocess"), \
-            _events.emitting("phase", phase="preprocess", cat="apsp", stage="decompose"):
+    with phase("preprocess", "apsp", stage="decompose", n=g.n, m=g.m):
         bcc = biconnected_components(g)
     trace.new_stage("decompose").add(g.m * BYTES_REDUCE_PER_EDGE, g.m)
 
     # Measured Table 1: the reduced per-component solve matrices actually
-    # allocated this run (Σ nᵢʳ² entries at 8 B), vs the per-BCC tables
-    # and the dense n² matrix published below.
+    # allocated this run (Σ nᵢʳ² entries at 8 B, plus three anchor scalars
+    # per removed vertex), vs the per-BCC tables and the dense n² matrix
+    # published below.
     reduced_bytes = 0
 
     def traced_solver(sub: CSRGraph) -> np.ndarray:
         nonlocal reduced_bytes
-        if use_ear:
-            with _span("preprocess", cat="apsp", stage="reduce", n=sub.n), \
-                    _memory_span("apsp.preprocess"), \
-                    _events.emitting("phase", phase="preprocess", cat="apsp", stage="reduce"):
-                red = reduce_graph(sub)
-            trace.new_stage("reduce").add(sub.m * BYTES_REDUCE_PER_EDGE, sub.m)
-            simple = red.simple_graph()
-            _record_dijkstra(trace, simple.n, simple.m, chunk)
-            with _span("process", cat="apsp", stage="dijkstra", n=simple.n), \
-                    _memory_span("apsp.process"), \
-                    _events.emitting("phase", phase="process", cat="apsp", stage="dijkstra"):
-                s_r = multi_source(simple, np.arange(simple.n), chunk_size=chunk)
-            reduced_bytes += int(s_r.nbytes) + 3 * red.n_removed * 8
-            with _span("postprocess", cat="apsp", stage="extend", n=sub.n), \
-                    _memory_span("apsp.postprocess"), \
-                    _events.emitting("phase", phase="postprocess", cat="apsp", stage="extend"):
-                full = extend_reduced_distances(red, s_r)
-            trace.new_stage("postprocess", divisible=True).add(
-                sub.n * sub.n * BYTES_POSTPROCESS_PER_ENTRY, sub.n * sub.n
-            )
-            return full
-        _record_dijkstra(trace, sub.n, sub.m, chunk)
-        with _span("process", cat="apsp", stage="dijkstra", n=sub.n), \
-                _memory_span("apsp.process"), \
-                _events.emitting("phase", phase="process", cat="apsp", stage="dijkstra"):
-            out = multi_source(sub, np.arange(sub.n), chunk_size=chunk)
-        reduced_bytes += int(out.nbytes)
-        return out
+        if not use_ear:
+            _record_dijkstra(trace, sub.n, sub.m, chunk)
+            with phase("process", "apsp", stage="dijkstra", n=sub.n):
+                out = multi_source(sub, np.arange(sub.n), chunk_size=chunk)
+            reduced_bytes += int(out.nbytes)
+            return out
+        rep = EarAPSPReport()
+        full = ear_apsp_full(sub, chunk_size=chunk, report=rep)
+        trace.new_stage("reduce").add(sub.m * BYTES_REDUCE_PER_EDGE, sub.m)
+        _record_dijkstra(trace, rep.n_reduced, rep.m_reduced, chunk)
+        trace.new_stage("postprocess", divisible=True).add(
+            sub.n * sub.n * BYTES_POSTPROCESS_PER_ENTRY, sub.n * sub.n
+        )
+        reduced_bytes += 8 * (rep.n_reduced * rep.n_reduced + 3 * rep.n_removed)
+        return full
 
     ct = build_component_tables(g, solver=traced_solver, bcc=bcc)
     publish_apsp_table_gauges(ct, g.n)
     _metrics.gauge("memory.apsp.reduced_table_bytes").set(
         reduced_bytes + int(ct.ap_matrix.nbytes)
     )
-    with _span("postprocess", cat="apsp", stage="assemble", n=g.n), \
-            _memory_span("apsp.postprocess"), \
-            _events.emitting("phase", phase="postprocess", cat="apsp", stage="assemble"):
+    with phase("postprocess", "apsp", stage="assemble", n=g.n):
         mat = assemble_full_matrix(g, ct)
     a = len(ct.ap_ids)
     if a:

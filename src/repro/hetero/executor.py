@@ -116,19 +116,3 @@ class HeterogeneousExecutor:
             per_device_units=count,
             n_units=len(units),
         )
-
-    def map(self, fn, items, work, items_width=None, label: str = "") -> list:
-        """Convenience: one work unit per item, results in item order."""
-        units = [
-            WorkUnit(
-                uid=i,
-                fn=(lambda x=x: fn(x)),
-                work=float(work(x) if callable(work) else work),
-                items=int(items_width(x)) if callable(items_width) else int(items_width or 1),
-                label=label,
-            )
-            for i, x in enumerate(items)
-        ]
-        self.results = {}
-        self.run_stage(units)
-        return [self.results[i] for i in range(len(units))]

@@ -1,7 +1,8 @@
 """Heterogeneous MCB driver: Table 2 and Figures 5/6.
 
-Runs the ear-reduced Mehlhorn–Michail pipeline once, recording every work
-unit into a :class:`WorkTrace` with memory-traffic estimates, then replays
+Runs the public ear-reduced Mehlhorn–Michail pipeline
+(:func:`repro.mcb.minimum_cycle_basis`) once, builds a :class:`WorkTrace`
+with memory-traffic estimates from the counts it reports, then replays
 the trace on the four platforms (sequential / multicore / GPU / CPU+GPU).
 Work-byte constants reflect the per-element traffic of each kernel:
 
@@ -17,18 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..decomposition.biconnected import biconnected_components
-from ..decomposition.reduce import reduce_graph
 from ..graph.csr import CSRGraph
 from ..mcb import gf2
 from ..mcb.cycle import Cycle
-from ..mcb.mehlhorn_michail import MMContext
-from ..obs import events as _events
+from ..mcb.ear_mcb import EarMCBReport, minimum_cycle_basis
 from ..obs import metrics as _metrics
-from ..obs.memory import memory_span as _memory_span
-from ..obs.trace import span as _span
 from .executor import Platform
 from .trace import SimulationResult, WorkTrace, simulate_trace
 
@@ -49,8 +43,7 @@ BYTES_UPDATE_PER_WORD = 24.0
 BYTES_REDUCE_PER_EDGE = 24.0
 
 # Per-run peaks of the GF(2) witness matrix and the Horton candidate
-# store, in actual bytes; zeroed at the top of every mcb_with_trace run
-# and raised per component (the biggest BCC dominates).
+# store, in actual bytes: the largest over the run's solved components.
 _G_WITNESS_BYTES = _metrics.gauge("memory.mcb.witness_bytes")
 _G_STORE_BYTES = _metrics.gauge("memory.mcb.candidate_store_bytes")
 
@@ -61,106 +54,46 @@ def mcb_with_trace(
     lca_filter: bool = True,
     block_size: int = 512,
 ) -> tuple[list[Cycle], WorkTrace]:
-    """One real ear-MCB execution plus its recorded work trace."""
-    trace = WorkTrace(meta={"n": g.n, "m": g.m, "use_ear": use_ear})
-    # Same Section 2.4 phase names as the APSP driver: preprocess
-    # (decompose + reduce), process (the MM phases), postprocess (Lemma 3.1
-    # cycle expansion back onto G).
-    _G_WITNESS_BYTES.set(0.0)
-    _G_STORE_BYTES.set(0.0)
-    with _span("preprocess", cat="mcb", stage="decompose", n=g.n, m=g.m), \
-            _memory_span("mcb.preprocess"), \
-            _events.emitting("phase", phase="preprocess", cat="mcb", stage="decompose"):
-        bcc = biconnected_components(g)
-    trace.new_stage("decompose").add(g.m * BYTES_REDUCE_PER_EDGE, g.m)
+    """One :func:`minimum_cycle_basis` run plus its recorded work trace.
 
-    basis: list[Cycle] = []
-    # Biggest components first: the [19] queue serves them to the GPU end.
-    order = sorted(
-        range(bcc.count), key=lambda c: -bcc.component_edges[c].size
+    The Section 2.4 phases (decompose / reduce, Mehlhorn–Michail, expand)
+    are the ``obs.phase`` spans ``minimum_cycle_basis`` emits itself.
+    """
+    rep = EarMCBReport()
+    cycles = minimum_cycle_basis(
+        g, use_ear=use_ear, report=rep, lca_filter=lca_filter, block_size=block_size
     )
-    for cid in order:
-        comp_eids = bcc.component_edges[cid]
-        sub, _ = bcc.component_subgraph(g, cid)
-        if sub.cycle_space_dimension() == 0:
-            continue
+    trace = WorkTrace(meta={"n": g.n, "m": g.m, "use_ear": use_ear})
+    trace.new_stage("decompose").add(g.m * BYTES_REDUCE_PER_EDGE, g.m)
+    witness_bytes = store_bytes = 0
+    for comp_m, mm in zip(rep.component_m, rep.solver_reports):
         if use_ear:
-            with _span("preprocess", cat="mcb", stage="reduce", n=sub.n), \
-                    _memory_span("mcb.preprocess"), \
-                    _events.emitting("phase", phase="preprocess", cat="mcb", stage="reduce"):
-                red = reduce_graph(sub)
-            solve_on = red.graph
-            trace.new_stage("reduce").add(sub.m * BYTES_REDUCE_PER_EDGE, sub.m)
-        else:
-            red = None
-            solve_on = sub
-        with _span("process", cat="mcb", stage="mehlhorn_michail", n=solve_on.n), \
-                _memory_span("mcb.process"), \
-                _events.emitting("phase", phase="process", cat="mcb", stage="mehlhorn_michail"):
-            cycles = _mm_traced(solve_on, trace, lca_filter, block_size)
-        with _span("postprocess", cat="mcb", stage="expand", cycles=len(cycles)), \
-                _memory_span("mcb.postprocess"), \
-                _events.emitting("phase", phase="postprocess", cat="mcb", stage="expand"):
-            for cyc in cycles:
-                sub_eids = (
-                    red.expand_cycle(cyc.edge_ids) if red is not None else cyc.edge_ids
+            trace.new_stage("reduce").add(comp_m * BYTES_REDUCE_PER_EDGE, comp_m)
+        if mm.f == 0:
+            continue
+        n, f = mm.n, mm.f
+        words = gf2.n_words(f)
+        spt = trace.new_stage("spt")
+        for _ in range(mm.n_fvs):
+            spt.add(max(mm.m, 1) * BYTES_SPT_PER_EDGE, n)
+        for i, tested in enumerate(mm.tested):
+            labels = trace.new_stage("labels")
+            for _ in range(mm.n_fvs):
+                labels.add(n * BYTES_LABEL_PER_VERTEX, n)
+            k = max(tested, 1)
+            trace.new_stage("scan", divisible=True).add(k * BYTES_SCAN_PER_CANDIDATE, k)
+            rows = f - i - 1
+            if rows:
+                # Parallel width is word-ops (each packed word is a lane on
+                # the GPU's per-block reduce), not witness rows.
+                trace.new_stage("update", divisible=True).add(
+                    rows * words * BYTES_UPDATE_PER_WORD, rows * words
                 )
-                basis.append(
-                    Cycle(
-                        edge_ids=np.sort(comp_eids[sub_eids]),
-                        weight=cyc.weight,
-                        meta={"component": cid, **cyc.meta},
-                    )
-                )
-    return basis, trace
-
-
-def _mm_traced(
-    g: CSRGraph, trace: WorkTrace, lca_filter: bool, block_size: int
-) -> list[Cycle]:
-    """Mehlhorn–Michail with per-stage work recording."""
-    ctx = MMContext(g, lca_filter=lca_filter, block_size=block_size)
-    if ctx.f == 0:
-        return []
-    n, f = ctx.n, ctx.f
-    words = gf2.n_words(f)
-
-    spt_stage = trace.new_stage("spt")
-    for _ in range(len(ctx.fvs)):
-        spt_stage.add(max(g.m, 1) * BYTES_SPT_PER_EDGE, n)
-
-    store = ctx.new_store()
-    witnesses = gf2.identity(f)
-    _G_WITNESS_BYTES.set(max(_G_WITNESS_BYTES.value, int(witnesses.nbytes)))
-    _G_STORE_BYTES.set(max(_G_STORE_BYTES.value, store.memory_bytes()))
-
-    cycles: list[Cycle] = []
-    for i in range(f):
-        s_pad = ctx.witness_edge_bits(witnesses[i])
-        labels = ctx.compute_labels(s_pad)
-        label_stage = trace.new_stage("labels")
-        for _ in range(len(ctx.fvs)):
-            label_stage.add(n * BYTES_LABEL_PER_VERTEX, n)
-
-        tested_before = store.stats.candidates_tested
-        cand = store.scan_and_remove(ctx.scan_predicate(labels, s_pad))
-        tested = store.stats.candidates_tested - tested_before
-        trace.new_stage("scan", divisible=True).add(
-            max(tested, 1) * BYTES_SCAN_PER_CANDIDATE, max(tested, 1)
-        )
-        if cand is None:
-            raise RuntimeError("candidate family does not span the cycle space")
-        cyc, c_vec = ctx.reconstruct(cand)
-        cycles.append(cyc)
-        rows = f - i - 1
-        ctx.update_witnesses(witnesses, i, c_vec)
-        if rows:
-            # Parallel width is word-ops (each packed word is a lane on the
-            # GPU's per-block reduce), not witness rows.
-            trace.new_stage("update", divisible=True).add(
-                rows * words * BYTES_UPDATE_PER_WORD, rows * words
-            )
-    return cycles
+        witness_bytes = max(witness_bytes, mm.witness_bytes)
+        store_bytes = max(store_bytes, mm.store_bytes)
+    _G_WITNESS_BYTES.set(witness_bytes)
+    _G_STORE_BYTES.set(store_bytes)
+    return cycles, trace
 
 
 @dataclass

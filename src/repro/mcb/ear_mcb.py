@@ -18,7 +18,6 @@ label pass, and scan runs on the smaller graph.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +25,27 @@ import numpy as np
 from ..decomposition.biconnected import biconnected_components
 from ..decomposition.reduce import reduce_graph
 from ..graph.csr import CSRGraph
+from ..obs.trace import phase
 from .cycle import Cycle
-from .depina import depina_mcb
+from .depina import DePinaReport, depina_mcb
 from .mehlhorn_michail import MMReport, mm_mcb
 
 __all__ = ["EarMCBReport", "minimum_cycle_basis"]
 
+#: algorithm -> (process-phase stage name, solver, solver report type)
+_SOLVERS = {
+    "mm": ("mehlhorn_michail", mm_mcb, MMReport),
+    "depina": ("depina", depina_mcb, DePinaReport),
+}
+
 
 @dataclass
 class EarMCBReport:
-    """Stage instrumentation for one ear-MCB run."""
+    """Counts of one ear-MCB run.
+
+    Phase times are not stored here: :func:`minimum_cycle_basis` emits
+    them as :func:`repro.obs.trace.phase` spans with cat ``mcb``.
+    """
 
     n: int = 0
     m: int = 0
@@ -43,15 +53,10 @@ class EarMCBReport:
     n_components: int = 0
     n_solved_components: int = 0
     n_removed: int = 0
-    t_decompose: float = 0.0
-    t_reduce: float = 0.0
-    t_solve: float = 0.0
-    t_expand: float = 0.0
+    #: Per solved component, in solve order: its edge count and the
+    #: solver's own report (:class:`MMReport` or :class:`DePinaReport`).
+    component_m: list[int] = field(default_factory=list)
     solver_reports: list = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return self.t_decompose + self.t_reduce + self.t_solve + self.t_expand
 
 
 def minimum_cycle_basis(
@@ -75,15 +80,16 @@ def minimum_cycle_basis(
         Forwarded to the selected solver (e.g. ``lca_filter``,
         ``block_size`` for ``"mm"``).
     """
+    if algorithm not in _SOLVERS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    stage, solver, report_type = _SOLVERS[algorithm]
     if report is not None:
         report.n, report.m = g.n, g.m
         report.f = g.cycle_space_dimension()
 
-    t0 = time.perf_counter()
-    bcc = biconnected_components(g)
-    t1 = time.perf_counter()
+    with phase("preprocess", "mcb", stage="decompose", n=g.n, m=g.m):
+        bcc = biconnected_components(g)
     if report is not None:
-        report.t_decompose += t1 - t0
         report.n_components = bcc.count
 
     basis: list[Cycle] = []
@@ -94,49 +100,34 @@ def minimum_cycle_basis(
         sub, _ = bcc.component_subgraph(g, cid)
         if sub.cycle_space_dimension() == 0:
             continue
+
+        red = None
+        solve_on = sub
+        if use_ear:
+            with phase("preprocess", "mcb", stage="reduce", n=sub.n):
+                red = reduce_graph(sub)
+            solve_on = red.graph
+
+        sub_report = report_type() if report is not None else None
+        with phase("process", "mcb", stage=stage, n=solve_on.n):
+            sub_cycles = solver(solve_on, report=sub_report, **solver_kwargs)
+
+        with phase("postprocess", "mcb", stage="expand", cycles=len(sub_cycles)):
+            for cyc in sub_cycles:
+                sub_eids = red.expand_cycle(cyc.edge_ids) if red is not None else cyc.edge_ids
+                basis.append(
+                    Cycle(
+                        edge_ids=np.sort(comp_eids[sub_eids]),
+                        weight=cyc.weight,
+                        meta={"component": cid, **cyc.meta},
+                    )
+                )
         if report is not None:
             report.n_solved_components += 1
-
-        ta = time.perf_counter()
-        if use_ear:
-            red = reduce_graph(sub)
-            solve_on = red.graph
-        else:
-            red = None
-            solve_on = sub
-        tb = time.perf_counter()
-
-        sub_report = MMReport() if algorithm == "mm" else None
-        if algorithm == "mm":
-            sub_cycles = mm_mcb(solve_on, report=sub_report, **solver_kwargs)
-        elif algorithm == "depina":
-            sub_cycles = depina_mcb(solve_on, **solver_kwargs)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        tc = time.perf_counter()
-
-        for cyc in sub_cycles:
-            if red is not None:
-                sub_eids = red.expand_cycle(cyc.edge_ids)
-            else:
-                sub_eids = cyc.edge_ids
-            g_eids = comp_eids[sub_eids]
-            basis.append(
-                Cycle(
-                    edge_ids=np.sort(g_eids),
-                    weight=cyc.weight,
-                    meta={"component": cid, **cyc.meta},
-                )
-            )
-        td = time.perf_counter()
-        if report is not None:
-            report.t_reduce += tb - ta
-            report.t_solve += tc - tb
-            report.t_expand += td - tc
+            report.component_m.append(sub.m)
+            report.solver_reports.append(sub_report)
             if red is not None:
                 report.n_removed += red.n_removed
-            if sub_report is not None:
-                report.solver_reports.append(sub_report)
     if os.environ.get("REPRO_CHECK_INVARIANTS"):
         # Opt-in contract check: the composed, re-expanded basis must be a
         # genuine GF(2) cycle basis of the *original* graph (Lemma 3.1).

@@ -26,7 +26,6 @@ exact, and the suite checks totals against de Pina.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,34 +52,20 @@ _NO_PRED = -9999  # scipy's predecessor sentinel
 
 @dataclass
 class MMReport:
-    """Instrumentation matching the paper's Section 3.5 phase breakdown."""
+    """Work counts of one Mehlhorn–Michail run.
 
+    The per-phase steps are timed by the ``mm.*`` spans; this report holds
+    what the heterogeneous trace needs to size each step's work units.
+    """
+
+    n: int = 0  # vertices of the solved graph
+    m: int = 0  # edges of the solved graph
     f: int = 0
     n_fvs: int = 0
     n_candidates: int = 0
-    t_setup: float = 0.0
-    t_labels: float = 0.0
-    t_scan: float = 0.0
-    t_update: float = 0.0
-    t_reconstruct: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return (
-            self.t_setup + self.t_labels + self.t_scan + self.t_update + self.t_reconstruct
-        )
-
-    def fractions(self) -> dict[str, float]:
-        """Per-phase share of the processing time (cf. 76% / 14% / 8%)."""
-        proc = self.t_labels + self.t_scan + self.t_update
-        if proc == 0:
-            return {"labels": 0.0, "scan": 0.0, "update": 0.0}
-        return {
-            "labels": self.t_labels / proc,
-            "scan": self.t_scan / proc,
-            "update": self.t_update / proc,
-        }
+    tested: list[int] = field(default_factory=list)  # candidates tested per phase
+    witness_bytes: int = 0
+    store_bytes: int = 0
 
 
 class MMContext:
@@ -262,22 +247,16 @@ class MMContext:
             labels[level] = labels[par[level]] ^ c[level]
         return labels
 
-    def compute_labels(self, s_pad: np.ndarray, parallel_map=None) -> np.ndarray:
+    def compute_labels(self, s_pad: np.ndarray) -> np.ndarray:
         """Labels for all trees: ``(|Z|, n)`` uint8 matrix.
 
-        The default path runs the flattened cross-tree level schedule (one
-        vectorized gather/xor per depth).  ``parallel_map`` switches to
-        per-tree work units instead (used when an executor wants to own
-        the tree-level parallelism).
+        Runs the flattened cross-tree level schedule (one vectorized
+        gather/xor per depth); :meth:`labels_for_tree` is the per-tree
+        reference it must match.
         """
         k = len(self.fvs)
         if k == 0:
             return np.zeros((0, self.n), dtype=np.uint8)
-        if parallel_map is not None:
-            rows = parallel_map(
-                lambda zi: self.labels_for_tree(zi, s_pad), list(range(k))
-            )
-            return np.stack(rows)
         c = s_pad[self._flat_parent_ep]
         labels = np.zeros(k * self.n, dtype=np.uint8)
         for sel, par in self._flat_levels:
@@ -324,30 +303,16 @@ class MMContext:
         )
         return cyc, self.ss.restricted_vector(support)
 
-    def update_witnesses(
-        self, witnesses: np.ndarray, i: int, c_vec: np.ndarray, parallel_map=None
-    ) -> int:
+    def update_witnesses(self, witnesses: np.ndarray, i: int, c_vec: np.ndarray) -> int:
         """Steps 4–6 of Algorithm 2 on rows ``i+1 .. f-1``.
 
-        Returns the number of witnesses flipped.  ``parallel_map``, when
-        given, receives per-row-block closures (the per-thread /
-        per-GPU-block split described in Section 3.3.2).
+        Returns the number of witnesses flipped.
         """
         rest = witnesses[i + 1 :]
         if rest.size == 0:
             return 0
         _C_ORTHO.inc(len(rest))
-        if parallel_map is None:
-            odd = gf2.pivot_update(rest, c_vec, witnesses[i])
-        else:
-            nblocks = max(1, min(len(rest), 8))
-            bounds = np.linspace(0, len(rest), nblocks + 1, dtype=int)
-            parts = parallel_map(
-                lambda se: gf2.dot_many(rest[se[0] : se[1]], c_vec),
-                [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])],
-            )
-            odd = np.concatenate(parts).astype(bool)
-            gf2.xor_many(rest, odd, witnesses[i])
+        odd = gf2.pivot_update(rest, c_vec, witnesses[i])
         flipped = int(odd.sum())
         _C_XORS.inc(flipped)
         return flipped
@@ -365,30 +330,30 @@ def mm_mcb(
     report: MMReport | None = None,
 ) -> list[Cycle]:
     """Sequential driver for the Mehlhorn–Michail pipeline."""
-    t0 = time.perf_counter()
     ctx = MMContext(g, lca_filter=lca_filter, perturb=perturb, block_size=block_size)
     if ctx.f == 0:
         return []
     store = ctx.new_store()
     witnesses = gf2.identity(ctx.f)
-    t1 = time.perf_counter()
     if report is not None:
-        report.f = ctx.f
+        report.n, report.m, report.f = g.n, g.m, ctx.f
         report.n_fvs = len(ctx.fvs)
         report.n_candidates = len(ctx.cand_e)
-        report.t_setup += t1 - t0
+        report.witness_bytes = int(witnesses.nbytes)
+        report.store_bytes = store.memory_bytes()
+    stats = store.stats
 
     cycles: list[Cycle] = []
     for i in range(ctx.f):
         _C_PHASES.inc()
-        ta = time.perf_counter()
         with _span("mm.labels", cat="mcb", phase=i):
             s_pad = ctx.witness_edge_bits(witnesses[i])
             labels = ctx.compute_labels(s_pad)
-        tb = time.perf_counter()
+        tested = stats.candidates_tested
         with _span("mm.scan", cat="mcb", phase=i):
             cand = store.scan_and_remove(ctx.scan_predicate(labels, s_pad))
-        tc = time.perf_counter()
+        if report is not None:
+            report.tested.append(stats.candidates_tested - tested)
         if cand is None:
             raise RuntimeError(
                 "candidate family does not span the cycle space "
@@ -396,15 +361,8 @@ def mm_mcb(
             )
         with _span("mm.reconstruct", cat="mcb", phase=i):
             cyc, c_vec = ctx.reconstruct(cand)
-        td = time.perf_counter()
         assert gf2.dot(c_vec, witnesses[i]) == 1
         cycles.append(cyc)
         with _span("mm.update", cat="mcb", phase=i):
             ctx.update_witnesses(witnesses, i, c_vec)
-        te = time.perf_counter()
-        if report is not None:
-            report.t_labels += tb - ta
-            report.t_scan += tc - tb
-            report.t_reconstruct += td - tc
-            report.t_update += te - td
     return cycles

@@ -15,9 +15,9 @@ This package makes that accounting first-class for the reproduction:
 * :mod:`repro.obs.export` — Chrome-trace serialization and the
   ``summary()`` pretty-printer (per-phase wall time, % of total, counter
   table).
-* :mod:`repro.obs.memory` — per-phase memory spans (tracemalloc
-  current/peak + peak RSS) and the exact byte accounting behind the
-  paper's Table 1 (``a² + Σ nᵢ²`` vs dense ``n²``).
+* :mod:`repro.obs.memory` — per-phase memory accounting (tracemalloc
+  current/peak + peak RSS, recorded by :func:`phase`) and the exact byte
+  accounting behind the paper's Table 1 (``a² + Σ nᵢ²`` vs dense ``n²``).
 * :mod:`repro.obs.ledger` — the append-only JSONL run database: every
   benchmark run stamped with git SHA, host fingerprint, knobs, per-phase
   times, counters, and memory stats.
@@ -104,7 +104,6 @@ from .memory import (
     measured_component_bytes,
     memory_profiling,
     memory_profiling_enabled,
-    memory_span,
     peak_rss_bytes,
     table1_bytes,
 )
@@ -170,6 +169,7 @@ from .trace import (
     Span,
     TraceCollector,
     current_collector,
+    phase,
     span,
     tracing,
     tracing_enabled,
@@ -187,6 +187,7 @@ __all__ = [
     "Span",
     "TraceCollector",
     "current_collector",
+    "phase",
     "span",
     "tracing",
     "tracing_enabled",
@@ -264,7 +265,6 @@ __all__ = [
     "MemSpan",
     "MemoryProfile",
     "memory_profiling",
-    "memory_span",
     "memory_profiling_enabled",
     "current_memory_profile",
     "peak_rss_bytes",

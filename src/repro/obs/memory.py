@@ -4,12 +4,11 @@ The paper's headline Table 1 claim is about *memory*, not only speed: the
 ear-reduced APSP oracle stores ``O(a² + Σᵢ nᵢ²)`` distance entries instead
 of the dense ``O(n²)`` matrix.  This module makes that claim measurable:
 
-* :func:`memory_profiling` / :func:`memory_span` — per-phase memory spans
-  mirroring :mod:`repro.obs.trace`: each span records the tracemalloc
-  current-allocation delta, the allocation *peak* inside the span
-  (segmented so nested spans attribute peaks correctly), and the process
-  peak RSS where the platform exposes it.  Disabled mode is the same
-  null-singleton contract as tracing — one global read, no allocation.
+* :func:`memory_profiling` — arms per-phase memory spans: inside the
+  block every :func:`repro.obs.trace.phase` records the tracemalloc
+  current-allocation delta, the allocation *peak* inside the phase
+  (segmented so nested phases attribute peaks correctly), and the process
+  peak RSS where the platform exposes it.
 * :func:`table1_bytes` — the exact byte model of the oracle's distance
   tables (``a²`` articulation table, ``Σ nᵢ²`` per-component tables, the
   ear-*reduced* variant, and the dense ``n²`` matrix) computed from the
@@ -46,7 +45,6 @@ __all__ = [
     "MemSpan",
     "MemoryProfile",
     "memory_profiling",
-    "memory_span",
     "memory_profiling_enabled",
     "current_memory_profile",
     "peak_rss_bytes",
@@ -163,38 +161,6 @@ class MemoryProfile:
         return out
 
 
-class _NullMemSpan:
-    """Shared no-op returned while memory profiling is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullMemSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_MEM_SPAN = _NullMemSpan()
-
-
-class _LiveMemSpan:
-    __slots__ = ("_prof", "_name", "_before")
-
-    def __init__(self, prof: MemoryProfile, name: str) -> None:
-        self._prof = prof
-        self._name = name
-        self._before = 0
-
-    def __enter__(self) -> "_LiveMemSpan":
-        self._before = self._prof._enter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._prof._exit(self._name, self._before)
-        return False
-
-
 _profile: MemoryProfile | None = None
 _profile_lock = threading.Lock()
 
@@ -206,19 +172,6 @@ def current_memory_profile() -> MemoryProfile | None:
 
 def memory_profiling_enabled() -> bool:
     return _profile is not None
-
-
-def memory_span(name: str):
-    """Start a memory span; the same hot-path contract as ``obs.span``.
-
-    Disabled (no active :func:`memory_profiling` block): one global read,
-    one comparison, the shared null singleton.  Enabled: tracemalloc
-    current/peak accounting plus peak RSS at exit.
-    """
-    prof = _profile
-    if prof is None:
-        return _NULL_MEM_SPAN
-    return _LiveMemSpan(prof, name)
 
 
 class memory_profiling:

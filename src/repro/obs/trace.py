@@ -22,6 +22,10 @@ Enablement is either programmatic (the :func:`tracing` context manager)
 or ambient via ``REPRO_TRACE``: any truthy value installs a process-wide
 collector at import time; a value that looks like a path additionally
 writes the Chrome trace there at interpreter exit.
+
+:func:`phase` is the one timer for the paper's Section 2.4 phases: a span,
+the memory delta under ``memory_profiling()`` and the ``phase.start`` /
+``phase.finish`` events, each recorded only while its own layer is armed.
 """
 
 from __future__ import annotations
@@ -32,9 +36,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from . import events as _events
+from . import memory as _memory
+
 __all__ = [
     "Span",
     "TraceCollector",
+    "phase",
     "span",
     "tracing",
     "tracing_enabled",
@@ -259,6 +267,53 @@ def span(name: str, cat: str = "repro", **args):
     if col is None:
         return _NULL_SPAN
     return _LiveSpan(col, name, cat, args)
+
+
+class _LivePhase:
+    """A :func:`phase` with at least one of its three layers armed."""
+
+    __slots__ = ("_span", "_emitting", "_prof", "_mem_name", "_mem_before")
+
+    def __init__(self, name: str, cat: str, attrs: dict, prof) -> None:
+        self._span = span(name, cat, **attrs)
+        fields = {"phase": name, "cat": cat}
+        if "stage" in attrs:
+            fields["stage"] = attrs["stage"]
+        self._emitting = _events.emitting("phase", **fields)
+        self._prof = prof
+        self._mem_name = f"{cat}.{name}"
+        self._mem_before = 0
+
+    def __enter__(self) -> "_LivePhase":
+        self._span.__enter__()
+        if self._prof is not None:
+            self._mem_before = self._prof._enter()
+        self._emitting.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._emitting.__exit__(exc_type, exc, tb)
+        if self._prof is not None:
+            self._prof._exit(self._mem_name, self._mem_before)
+        self._span.__exit__(exc_type, exc, tb)
+        return False
+
+
+def phase(name: str, cat: str, **attrs):
+    """Time one paper phase (``preprocess`` / ``process`` / ``postprocess``).
+
+    Records, each only while its layer is armed: the span ``name`` with
+    ``attrs`` as args; the tracemalloc delta and peak as memory span
+    ``<cat>.<name>`` inside a ``memory_profiling()`` block (never merely
+    because tracemalloc is running); and ``phase.start`` / ``phase.finish``
+    events carrying ``phase``, ``cat`` and ``stage``.  With none armed it
+    returns the shared :data:`_NULL_SPAN`, the same hot-path contract as
+    :func:`span`.
+    """
+    prof = _memory._profile
+    if _collector is None and prof is None and _events._sink is None:
+        return _NULL_SPAN
+    return _LivePhase(name, cat, attrs, prof)
 
 
 class tracing:

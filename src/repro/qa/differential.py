@@ -212,6 +212,8 @@ def _builtin_registrations() -> None:
         floyd_warshall,
         partition_apsp,
     )
+    from ..hetero.apsp_runner import apsp_with_trace
+    from ..hetero.mcb_runner import mcb_with_trace
     from ..mcb import depina_mcb, horton_mcb, minimum_cycle_basis, mm_mcb
 
     register_apsp("dijkstra-scipy", dijkstra_apsp, reference=True)
@@ -219,6 +221,8 @@ def _builtin_registrations() -> None:
     register_apsp("dense-fw", floyd_warshall, max_n=128)
     register_apsp("blocked-fw", lambda g: blocked_floyd_warshall(g, block=8), max_n=128)
     register_apsp("ear", ear_apsp_full)
+    # The traced drivers behind Table 2 and Figures 5-6.
+    register_apsp("hetero-apsp", lambda g: apsp_with_trace(g)[0])
     register_apsp("partition", partition_apsp)
     register_apsp("bcc", bcc_apsp)
     register_apsp(
@@ -243,6 +247,7 @@ def _builtin_registrations() -> None:
     register_mcb("mm", mm_mcb)
     register_mcb("ear-mm", lambda g: minimum_cycle_basis(g, algorithm="mm"))
     register_mcb("ear-depina", lambda g: minimum_cycle_basis(g, algorithm="depina"))
+    register_mcb("hetero-mcb", lambda g: mcb_with_trace(g)[0])
 
 
 _builtin_registrations()

@@ -135,6 +135,23 @@ class TestHarness:
         m = run_fig3(rows)
         assert all(d["mteps_ours"] > 0 for d in m)
 
+    @pytest.mark.parametrize("name, baseline", [
+        ("nopoly", "bcc_apsp"), ("Planar_1", "partition_apsp"),
+    ])
+    def test_fig2_checks_the_full_matrix(self, monkeypatch, name, baseline):
+        from repro.bench import harness
+
+        real = getattr(harness, baseline)
+
+        def corrupted(g, **kwargs):
+            out = real(g, **kwargs)
+            out[g.n - 1, g.n - 2] += 1e-3  # one corrupted entry
+            return out
+
+        monkeypatch.setattr(harness, baseline, corrupted)
+        with pytest.raises(AssertionError, match="APSP mismatch"):
+            run_fig2(scale=TINY, names=[name])
+
     def test_table2_fig5_fig6(self):
         rows = run_table2(scale=TINY, names=FAST)
         assert all(r.basis_weight > 0 for r in rows)

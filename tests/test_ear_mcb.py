@@ -91,8 +91,12 @@ def test_report_fields():
     assert rep.f == len(basis)
     assert rep.n_removed > 0
     assert rep.n_solved_components >= 1
-    assert rep.total > 0
-    assert len(rep.solver_reports) == rep.n_solved_components
+    assert len(rep.solver_reports) == len(rep.component_m) == rep.n_solved_components
+    # Per component, the solver's counts describe the reduced graph it ran on.
+    assert sum(r.f for r in rep.solver_reports) == rep.f
+    for comp_m, mm in zip(rep.component_m, rep.solver_reports):
+        assert mm.m < comp_m
+        assert len(mm.tested) == mm.f
 
 
 def test_forest_graph_empty_basis():

@@ -112,8 +112,9 @@ class TestClockAndDevices:
 class TestExecutor:
     def test_results_in_item_order(self):
         ex = HeterogeneousExecutor(Platform.heterogeneous())
-        got = ex.map(lambda x: x * x, list(range(20)), work=1e6)
-        assert got == [x * x for x in range(20)]
+        us = [WorkUnit(uid=x, fn=(lambda x=x: x * x), work=1e6) for x in range(20)]
+        ex.run_stage(us)
+        assert [ex.results[x] for x in range(20)] == [x * x for x in range(20)]
 
     def test_every_unit_executed_once(self):
         counter = {"n": 0}

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apsp import dijkstra_apsp
+from repro.apsp import assemble_full_matrix, build_component_tables, dijkstra_apsp
+from repro.decomposition import biconnected_components
 from repro.graph import randomize_weights, random_biconnected_graph, subdivide_edges
 from repro.hetero import (
     Platform,
@@ -14,6 +15,7 @@ from repro.hetero import (
     simulate_trace,
 )
 from repro.mcb import minimum_cycle_basis, verify_cycle_basis
+from repro.qa import strategies
 
 from _support import close, composite_graph
 
@@ -91,34 +93,31 @@ class TestAPSPRunner:
         assert a == pytest.approx(b)
 
 
-class TestLiveRunner:
-    def test_live_matches_offline(self, medium):
-        from repro.hetero import live_hetero_mcb
-        from repro.mcb import minimum_cycle_basis
+# Graphs with several biconnected components: the runners must replay the
+# public per-BCC pipelines exactly, component for component.
+MULTI_BCC = {
+    "cactus": strategies.cactus_graph(4, 5, seed=1),
+    "bridge-heavy": strategies.bridge_heavy_graph(seed=2),
+    "star-of-cycles": strategies.star_of_cycles(3, 4, seed=3),
+    "disconnected": strategies.disconnected_graph(seed=4),
+}
 
-        res = live_hetero_mcb(medium)
-        ref = sum(c.weight for c in minimum_cycle_basis(medium, algorithm="depina"))
-        assert verify_cycle_basis(medium, res.cycles).ok
-        assert res.total_weight == pytest.approx(ref, rel=1e-6)
-        assert res.virtual_seconds > 0
-        assert set(res.device_busy) == {"cpu", "gpu"}
-        assert all(v >= 0 for v in res.device_busy.values())
 
-    def test_live_sequential_platform(self):
-        from repro.hetero import Platform, live_hetero_mcb
-        from repro.graph import randomize_weights, random_biconnected_graph
+@pytest.mark.parametrize("name", sorted(MULTI_BCC))
+class TestRunnersReplayPublicPipelines:
+    def test_graph_has_several_bccs(self, name):
+        assert biconnected_components(MULTI_BCC[name]).count >= 2
 
-        g = randomize_weights(random_biconnected_graph(40, 25, seed=4), seed=4)
-        res = live_hetero_mcb(g, platform=Platform.sequential())
-        assert verify_cycle_basis(g, res.cycles).ok
+    def test_apsp_bit_identical_to_composed_pipeline(self, name):
+        g = MULTI_BCC[name]
+        mat, _ = apsp_with_trace(g)
+        assert np.array_equal(mat, assemble_full_matrix(g, build_component_tables(g)))
 
-    def test_live_no_ear(self):
-        from repro.hetero import live_hetero_mcb
-        from repro.graph import randomize_weights, random_biconnected_graph, subdivide_edges
-
-        g = subdivide_edges(
-            randomize_weights(random_biconnected_graph(30, 20, seed=5), seed=5), 0.5, seed=5
-        )
-        w_ear = live_hetero_mcb(g, use_ear=True)
-        w_raw = live_hetero_mcb(g, use_ear=False)
-        assert w_ear.total_weight == pytest.approx(w_raw.total_weight, rel=1e-6)
+    def test_mcb_equals_minimum_cycle_basis(self, name):
+        g = MULTI_BCC[name]
+        cycles, _ = mcb_with_trace(g)
+        ref = minimum_cycle_basis(g)
+        assert len(cycles) == len(ref)
+        for a, b in zip(cycles, ref):
+            assert np.array_equal(a.edge_ids, b.edge_ids)
+            assert a.weight == b.weight

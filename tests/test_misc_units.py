@@ -1,13 +1,11 @@
-"""Smaller units: engine internals, chains, reports, platform lifecycle."""
+"""Smaller units: engine internals, chains, platform lifecycle."""
 
 import numpy as np
 import pytest
 
-from repro.apsp.ear_apsp import EarAPSPReport
 from repro.decomposition import reduce_graph
 from repro.graph import CSRGraph, cycle_graph, path_graph, subdivide_edges
 from repro.hetero import Platform
-from repro.mcb import EarMCBReport
 from repro.sssp import adjacency_matrix
 
 
@@ -42,16 +40,6 @@ class TestChainProperties:
         chain = red.chains[0]
         assert chain.left == chain.right
         assert chain.interior.size == ring.n - 1
-
-
-class TestReports:
-    def test_ear_apsp_report_total(self):
-        rep = EarAPSPReport(t_preprocess=1.0, t_process=2.0, t_postprocess=3.0)
-        assert rep.total == pytest.approx(6.0)
-
-    def test_ear_mcb_report_total(self):
-        rep = EarMCBReport(t_decompose=1.0, t_reduce=0.5, t_solve=2.0, t_expand=0.25)
-        assert rep.total == pytest.approx(3.75)
 
 
 class TestPlatformLifecycle:

@@ -59,21 +59,6 @@ def test_flat_levels_match_per_tree_path(ctx):
     assert np.array_equal(flat, per_tree)
 
 
-def test_parallel_map_hook(ctx):
-    rng = np.random.default_rng(2)
-    bits = rng.integers(0, 2, ctx.f).astype(bool)
-    s_pad = ctx.witness_edge_bits(gf2.pack(bits))
-    calls = []
-
-    def pmap(fn, items):
-        calls.append(len(items))
-        return [fn(x) for x in items]
-
-    labels = ctx.compute_labels(s_pad, parallel_map=pmap)
-    assert calls == [len(ctx.fvs)]
-    assert np.array_equal(labels, ctx.compute_labels(s_pad))
-
-
 def test_candidate_weights_sorted_by_order(ctx):
     w = ctx.cand_w[ctx.order]
     assert (np.diff(w) >= -1e-12).all()
@@ -123,23 +108,6 @@ def test_update_witnesses_counts_and_orthogonalises(ctx):
     assert flipped == int(gf2.dot_many(np.stack([gf2.unit(f, i) for i in range(1, f)]), c_vec).sum())
     # all later witnesses now orthogonal to the selected cycle
     assert not gf2.dot_many(witnesses[1:], c_vec).any()
-
-
-def test_update_witnesses_parallel_map(ctx):
-    f = ctx.f
-    a = np.stack([gf2.unit(f, i) for i in range(f)])
-    b = a.copy()
-    s_pad = ctx.witness_edge_bits(a[0])
-    labels = ctx.compute_labels(s_pad)
-    cand = ctx.new_store().scan_and_remove(ctx.scan_predicate(labels, s_pad))
-    _, c_vec = ctx.reconstruct(cand)
-
-    def pmap(fn, items):
-        return [fn(x) for x in items]
-
-    ctx.update_witnesses(a, 0, c_vec)
-    ctx.update_witnesses(b, 0, c_vec, parallel_map=pmap)
-    assert np.array_equal(a, b)
 
 
 def test_context_on_multigraph(multigraph):

@@ -1,4 +1,4 @@
-"""repro.obs.memory: memory spans, Table-1 byte accounting, pipeline gauges.
+"""repro.obs.memory: phase memory spans, Table-1 byte accounting, pipeline gauges.
 
 The Table-1 shape test is the ISSUE's acceptance criterion verbatim: on
 every multi-BCC corpus stand-in, the oracle's ``a² + Σ nᵢ²`` distance
@@ -22,44 +22,65 @@ from repro.obs.memory import (
     measured_component_bytes,
     memory_profiling,
     memory_profiling_enabled,
-    memory_span,
     peak_rss_bytes,
     table1_bytes,
 )
+from repro.obs.trace import phase
 
 TINY = 0.012
 
 
 class TestMemorySpan:
+    """Memory spans are recorded by ``obs.phase`` as ``<cat>.<name>``."""
+
     def test_disabled_is_shared_null_singleton(self):
         assert not memory_profiling_enabled()
-        a = memory_span("x")
-        b = memory_span("y")
+        a = phase("x", "mem")
+        b = phase("y", "mem")
         assert a is b  # no allocation on the disabled path
         with a:
             pass
 
+    def test_tracemalloc_alone_does_not_arm(self):
+        # A caller measuring its own tracemalloc peak must not see phases
+        # allocate into it.
+        tracemalloc.start()
+        try:
+            assert phase("x", "mem") is phase("y", "mem")
+        finally:
+            tracemalloc.stop()
+
     def test_span_records_delta_and_peak(self):
         with memory_profiling() as mp:
-            with memory_span("alloc"):
+            with phase("alloc", "mem"):
                 block = bytearray(512 * 1024)
             del block
-        spans = mp.by_name()["alloc"]
+        spans = mp.by_name()["mem.alloc"]
         assert len(spans) == 1
         assert spans[0].peak >= 512 * 1024
         assert spans[0].delta >= 0  # block still alive at span exit? freed after
 
     def test_nested_child_peak_propagates_to_parent(self):
         with memory_profiling() as mp:
-            with memory_span("outer"):
-                with memory_span("inner"):
+            with phase("outer", "mem"):
+                with phase("inner", "mem"):
                     block = bytearray(1024 * 1024)
                     del block
                 # parent allocates little after the child
         spans = {sp.name: sp for sp in mp.spans}
-        assert spans["inner"].peak >= 1024 * 1024
+        assert spans["mem.inner"].peak >= 1024 * 1024
         # outer's peak must cover the child's peak despite peak resets
-        assert spans["outer"].peak >= spans["inner"].peak
+        assert spans["mem.outer"].peak >= spans["mem.inner"].peak
+
+    def test_span_recorded_when_phase_raises(self):
+        with memory_profiling() as mp:
+            with pytest.raises(ValueError):
+                with phase("boom", "mem"):
+                    block = bytearray(256 * 1024)
+                    raise ValueError("x")
+        del block
+        (sp,) = mp.by_name()["mem.boom"]
+        assert sp.peak >= 256 * 1024
 
     def test_profiling_restores_prior_state(self):
         assert not tracemalloc.is_tracing()
@@ -72,21 +93,21 @@ class TestMemorySpan:
     def test_nested_profiling_blocks(self):
         with memory_profiling() as outer:
             with memory_profiling() as inner:
-                with memory_span("in-inner"):
+                with phase("in-inner", "mem"):
                     pass
-            with memory_span("in-outer"):
+            with phase("in-outer", "mem"):
                 pass
-        assert [s.name for s in inner.spans] == ["in-inner"]
-        assert [s.name for s in outer.spans] == ["in-outer"]
+        assert [s.name for s in inner.spans] == ["mem.in-inner"]
+        assert [s.name for s in outer.spans] == ["mem.in-outer"]
 
     def test_as_dict_aggregates(self):
         with memory_profiling() as mp:
             for _ in range(3):
-                with memory_span("phase"):
+                with phase("process", "mem"):
                     pass
         agg = mp.as_dict()
-        assert agg["phase"]["count"] == 3
-        assert set(agg["phase"]) == {
+        assert agg["mem.process"]["count"] == 3
+        assert set(agg["mem.process"]) == {
             "count", "delta_bytes", "peak_bytes", "rss_peak_bytes"
         }
 

@@ -27,7 +27,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.trace import _NULL_SPAN
+from repro.obs.trace import _NULL_SPAN, phase
 
 
 class TestDisabledMode:
@@ -36,22 +36,26 @@ class TestDisabledMode:
         assert current_collector() is None
 
     def test_null_span_singleton(self):
-        # The no-allocation property: every disabled span() call returns
-        # the *same* object, so the hot path never constructs anything.
+        # The no-allocation property: every disabled span() or phase()
+        # call returns the *same* object, so the hot path never
+        # constructs anything.
         a = span("engine.chunk", cat="sssp", sources=32)
         b = span("completely.different")
-        assert a is b is _NULL_SPAN
+        c = phase("process", "apsp", stage="dijkstra", n=3)
+        assert a is b is c is _NULL_SPAN
 
     def test_null_span_is_inert(self):
         with span("x", cat="y", k=1) as s:
             assert s.set(more=2) is s  # set() chains but records nothing
 
     def test_no_allocation_on_hot_path(self):
-        # 50k disabled spans must not grow traced memory beyond noise
-        # (interned ints, tracemalloc bookkeeping).
+        # 50k disabled spans and phases must not grow traced memory beyond
+        # noise (interned ints, tracemalloc bookkeeping).
         def burn():
             for _ in range(50_000):
                 with span("hot.loop", cat="bench"):
+                    pass
+                with phase("process", "bench", stage="hot"):
                     pass
 
         burn()  # warm caches outside the measurement window
@@ -208,6 +212,51 @@ class TestExceptionSafety:
         assert names["bad"].depth == 1
         assert names["sibling"].depth == 1
         assert names["outer"].depth == 0
+
+
+class TestPhase:
+    """``obs.phase``: span, memory span and phase events from one call."""
+
+    def test_records_all_three_layers(self, tmp_path):
+        from repro.obs.events import EventLog, events_to
+        from repro.obs.memory import memory_profiling
+
+        with events_to(tmp_path), tracing() as tr, memory_profiling() as mp:
+            with phase("preprocess", "apsp", stage="decompose", n=7):
+                pass
+        (sp,) = tr.spans
+        assert (sp.name, sp.cat) == ("preprocess", "apsp")
+        assert sp.args == {"stage": "decompose", "n": 7}
+        assert [m.name for m in mp.spans] == ["apsp.preprocess"]
+        start, finish = EventLog(tmp_path).read()
+        assert start["kind"] == "phase.start"
+        assert finish["kind"] == "phase.finish"
+        for ev in (start, finish):
+            assert (ev["phase"], ev["cat"], ev["stage"]) == ("preprocess", "apsp", "decompose")
+            assert "n" not in ev
+
+    def test_each_layer_arms_alone(self, tmp_path):
+        from repro.obs.events import EventLog, events_to
+
+        with tracing() as tr:
+            with phase("process", "mcb", stage="expand"):
+                pass
+        assert [s.name for s in tr.spans] == ["process"]
+        with events_to(tmp_path):
+            with phase("process", "mcb", stage="expand"):
+                pass
+        assert EventLog(tmp_path).kinds() == {"phase.start": 1, "phase.finish": 1}
+
+    def test_raising_phase_tags_span_and_event(self, tmp_path):
+        from repro.obs.events import EventLog, events_to
+
+        with events_to(tmp_path), tracing() as tr:
+            with pytest.raises(KeyError):
+                with phase("postprocess", "apsp", stage="extend"):
+                    raise KeyError("x")
+        (sp,) = tr.spans
+        assert sp.args["error"] == "KeyError"
+        assert EventLog(tmp_path).read()[-1]["error"] == "KeyError"
 
 
 class TestTracingContextManager:

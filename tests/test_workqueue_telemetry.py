@@ -1,15 +1,13 @@
 """Work-queue telemetry: per-device counters and ``queue.grab`` events.
 
-Covers both execution paths that drive the double-ended queue — the
-trace-replay simulator (:func:`repro.hetero.trace.simulate_trace`) and
-the live executor (:func:`repro.hetero.live_runner.live_hetero_mcb`) —
-and the virtual-clock bridge that turns replay samples into Chrome-trace
-device tracks.
+Covers both paths that drive the double-ended queue — the trace-replay
+simulator (:func:`repro.hetero.trace.simulate_trace`) and a directly
+drained executor stage — and the virtual-clock bridge that turns replay
+samples into Chrome-trace device tracks.
 """
 
 from __future__ import annotations
 
-from repro.graph import grid_graph
 from repro.hetero.executor import HeterogeneousExecutor, Platform
 from repro.hetero.trace import WorkTrace, simulate_trace
 from repro.hetero.workqueue import DequeWorkQueue, WorkUnit
@@ -99,30 +97,6 @@ class TestSimulatedPath:
         evs = EventLog(tmp_path).read(kinds={"queue.grab"})
         assert evs
         assert all(e["device"] == "sequential" for e in evs)
-
-
-class TestLivePath:
-    def test_live_mcb_emits_device_grabs(self, tmp_path):
-        from repro.hetero.live_runner import live_hetero_mcb
-
-        g = grid_graph(4, 5)
-        platform = Platform.heterogeneous()
-        dev_counters = {
-            d.name: _metrics.counter(f"queue.device.{d.name}.units")
-            for d in platform.devices
-        }
-        before = {name: c.value for name, c in dev_counters.items()}
-        with events_to(tmp_path):
-            res = live_hetero_mcb(g, platform=platform)
-        assert res.cycles
-        evs = EventLog(tmp_path).read(kinds={"queue.grab"})
-        assert evs
-        assert {e["device"] for e in evs} <= set(dev_counters)
-        emitted_units = sum(e["batch"] for e in evs)
-        counted_units = sum(
-            c.value - before[name] for name, c in dev_counters.items()
-        )
-        assert emitted_units == counted_units > 0
 
 
 class TestVirtualClockBridge:
