@@ -51,21 +51,20 @@ class _ComponentStore:
         rid = red.reduced_id
         if ku and kv:
             return float(s[rid[lu], rid[lv]])
+        left, right = red.chain_left_rid, red.chain_right_rid
         if ku or kv:
             x, v = (lv, lu) if ku else (lu, lv)
-            cx = red.chains[int(red.chain_of[x])]
-            lx, rx = rid[cx.left], rid[cx.right]
+            c = red.chain_of[x]
             return float(
                 min(
-                    red.dist_left[x] + s[lx, rid[v]],
-                    red.dist_right[x] + s[rx, rid[v]],
+                    red.dist_left[x] + s[left[c], rid[v]],
+                    red.dist_right[x] + s[right[c], rid[v]],
                 )
             )
         # both removed
-        cx = red.chains[int(red.chain_of[lu])]
-        cy = red.chains[int(red.chain_of[lv])]
-        lx, rx = rid[cx.left], rid[cx.right]
-        ly, ry = rid[cy.left], rid[cy.right]
+        cu, cv = red.chain_of[lu], red.chain_of[lv]
+        lx, rx = left[cu], right[cu]
+        ly, ry = left[cv], right[cv]
         dlu, dru = red.dist_left[lu], red.dist_right[lu]
         dlv, drv = red.dist_left[lv], red.dist_right[lv]
         best = min(
@@ -74,12 +73,9 @@ class _ComponentStore:
             dru + s[rx, ly] + dlv,
             dru + s[rx, ry] + drv,
         )
-        if red.chain_of[lu] == red.chain_of[lv]:
-            direct = abs(
-                float(cx.prefix[red.pos_in_chain[lu]])
-                - float(cx.prefix[red.pos_in_chain[lv]])
-            )
-            best = min(best, direct)
+        if cu == cv:
+            # ``dist_left`` is the chain prefix at the vertex's position.
+            best = min(best, abs(float(dlu) - float(dlv)))
         return float(best)
 
     def dist_many(

@@ -10,6 +10,7 @@ speedup can never come from a wrong answer.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from ..hetero.mcb_runner import mcb_with_trace
 from ..hetero.trace import simulate_trace
 from ..mcb.verify import verify_cycle_basis
 from ..obs.trace import span as _span
+from ..sssp.engine import adjacency_cache
 from .metrics import geomean, mteps, speedup as _speedup
 
 __all__ = [
@@ -137,41 +139,63 @@ class Fig2Row:
         return _speedup(self.t_baseline, self.t_ours)
 
 
+#: Calls per Figure-2 leg; a leg reports its fastest call.
+FIG2_REPEATS = 5
+
+
+def _fastest_alternating(legs) -> tuple[list, list[float]]:
+    """``(outputs, seconds)``: each leg's last output and fastest call.
+
+    Round ``i`` runs the legs forwards when ``i`` is even and backwards
+    when odd, so neither always runs first on a cold interpreter.  Every
+    call starts with an empty adjacency cache, as a one-shot caller does,
+    and garbage is collected outside the timed region.
+    """
+    outs: list = [None] * len(legs)
+    best = [float("inf")] * len(legs)
+    for i in range(FIG2_REPEATS):
+        order = range(len(legs)) if i % 2 == 0 else reversed(range(len(legs)))
+        for k in order:
+            adjacency_cache().clear()
+            gc.collect()
+            t0 = time.perf_counter()
+            outs[k] = legs[k]()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return outs, best
+
+
 def run_fig2(
     scale: float | None = None,
     names: list[str] | None = None,
     check: bool = True,
 ) -> list[Fig2Row]:
     """Ours (Algorithm 1) vs Banerjee [4] on general graphs and Djidjev
-    [12] on planar graphs: wall-clock full-matrix APSP."""
+    [12] on planar graphs: wall-clock full-matrix APSP.
+
+    Each leg is timed as the fastest of :data:`FIG2_REPEATS` calls (see
+    :func:`_fastest_alternating`)."""
     rows: list[Fig2Row] = []
     for spec in datasets.TABLE1:
         if names is not None and spec.name not in names:
             continue
         g = spec.generate(scale)
         rep = EarAPSPReport()
-        t0 = time.perf_counter()
-        # When a trace collector is live (repro.obs), each timed leg gets a
-        # span so bench runs produce span trees alongside the wall times.
-        with _span("bench.fig2.ours", cat="bench", dataset=spec.name):
-            ours = ear_apsp_full(g, report=rep)
-        t_ours = time.perf_counter() - t0
-        if spec.planar:
-            t0 = time.perf_counter()
+        baseline = "djidjev" if spec.planar else "banerjee"
+
+        # When a trace collector is live (repro.obs), each timed call gets
+        # a span so bench runs produce span trees alongside the wall times.
+        def ours():
+            with _span("bench.fig2.ours", cat="bench", dataset=spec.name):
+                return ear_apsp_full(g, report=rep)
+
+        def base():
             with _span("bench.fig2.baseline", cat="bench", dataset=spec.name,
-                       baseline="djidjev"):
-                base = partition_apsp(g, seed=1)
-            t_base = time.perf_counter() - t0
-            baseline = "djidjev"
-        else:
-            t0 = time.perf_counter()
-            with _span("bench.fig2.baseline", cat="bench", dataset=spec.name,
-                       baseline="banerjee"):
-                base = bcc_apsp(g, peel=True)
-            t_base = time.perf_counter() - t0
-            baseline = "banerjee"
+                       baseline=baseline):
+                return partition_apsp(g, seed=1) if spec.planar else bcc_apsp(g, peel=True)
+
+        (out_ours, out_base), (t_ours, t_base) = _fastest_alternating([ours, base])
         if check:
-            _check_matrices(spec.name, ours, base)
+            _check_matrices(spec.name, out_ours, out_base)
         rows.append(
             Fig2Row(
                 name=spec.name,

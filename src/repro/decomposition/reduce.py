@@ -13,14 +13,24 @@ Alongside the reduced graph we retain, for every removed vertex ``x``, the
 anchors ``left(x)``/``right(x)`` and its distances to them along the chain —
 exactly the tables consumed by the APSP post-processing formulas of
 Section 2.1.3.
+
+The chains themselves are stored flat, CSR-style, in four read-only
+arrays; no per-chain object exists until a reader indexes
+``ReducedGraph.chains``.  Most chains of a typical component are single
+edges between kept vertices, so per-chain objects would cost more than
+the rest of the reduction together.
 """
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from ..graph.csr import CSRGraph, GraphError
 from ..obs import metrics as _metrics
@@ -68,6 +78,39 @@ class Chain:
         return int(self.edges.size)
 
 
+class _ChainViews(Sequence):
+    """``Sequence[Chain]`` over the flat chain arrays of a :class:`ReducedGraph`.
+
+    Indexing slices one chain out of the shared read-only arrays; nothing
+    is copied and nothing is built for chains never indexed.
+    """
+
+    __slots__ = ("_eptr", "_edges", "_vertices", "_prefix")
+
+    def __init__(self, eptr, edges, vertices, prefix) -> None:
+        self._eptr = eptr
+        self._edges = edges
+        self._vertices = vertices
+        self._prefix = prefix
+
+    def __len__(self) -> int:
+        return self._eptr.size - 1
+
+    def __getitem__(self, c: int) -> Chain:
+        count = len(self)
+        c = operator.index(c)
+        if c < 0:
+            c += count
+        if not 0 <= c < count:
+            raise IndexError("chain index out of range")
+        s, e = int(self._eptr[c]), int(self._eptr[c + 1])
+        return Chain(
+            vertices=self._vertices[s + c : e + c + 1],
+            edges=self._edges[s:e],
+            prefix=self._prefix[s + c : e + c + 1],
+        )
+
+
 @dataclass
 class ReducedGraph:
     """Output of :func:`reduce_graph`.
@@ -78,21 +121,30 @@ class ReducedGraph:
         The input graph ``G``.
     graph:
         The reduced multigraph ``G^r``; its vertex ``i`` is original vertex
-        ``kept_ids[i]``, and its edge ``e`` contracts ``chains[e]``.
+        ``kept_ids[i]``, and its edge ``e`` contracts chain ``e``.
     kept_mask / kept_ids / reduced_id:
         Vertex bookkeeping.  ``reduced_id[old] == -1`` for removed vertices.
+    chain_eptr / chain_edges / chain_vertices / chain_prefix:
+        Every chain, flat and read-only.  Chain ``c`` walks the original
+        edges ``chain_edges[chain_eptr[c]:chain_eptr[c + 1]]`` from its left
+        to its right kept endpoint.  Having one more vertex than edges, its
+        vertices (endpoints included) sit at positions
+        ``chain_eptr[c] + c`` through ``chain_eptr[c + 1] + c`` of
+        ``chain_vertices``, and ``chain_prefix`` holds, at the same
+        positions, each vertex's distance from the left endpoint.
     chains:
-        One :class:`Chain` per reduced edge (same indexing).
+        The same chains as a read-only sequence of :class:`Chain` views
+        (one per reduced edge, same indexing), built when indexed.
     chain_of / pos_in_chain / dist_left / dist_right:
         Per *original* vertex: for removed vertices, the chain id, position
         of the vertex inside ``chains[c].vertices``, and distances to the
         chain's two anchors.  Entries for kept vertices are ``-1`` / 0.
     chain_left_rid / chain_right_rid / chain_weight:
-        Per *chain* (same indexing as ``chains``): reduced ids of the two
-        anchors and the total chain weight, as flat arrays.  These are the
-        build-time prefix summaries the vectorized postprocess kernels
-        gather from (``dist_left[x]`` is the per-vertex chain prefix, so
-        ``|dist_left[x] − dist_left[y]|`` is the same-chain closed form).
+        Per *chain*: reduced ids of the two anchors and the total chain
+        weight.  These are the build-time prefix summaries the vectorized
+        postprocess kernels gather from (``dist_left[x]`` is the per-vertex
+        chain prefix, so ``|dist_left[x] − dist_left[y]|`` is the
+        same-chain closed form).
     """
 
     original: CSRGraph
@@ -100,15 +152,27 @@ class ReducedGraph:
     kept_mask: np.ndarray
     kept_ids: np.ndarray
     reduced_id: np.ndarray
-    chains: list[Chain]
+    chain_eptr: np.ndarray
+    chain_edges: np.ndarray
+    chain_vertices: np.ndarray
+    chain_prefix: np.ndarray
     chain_of: np.ndarray
     pos_in_chain: np.ndarray
     dist_left: np.ndarray
     dist_right: np.ndarray
-    chain_left_rid: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    chain_right_rid: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    chain_weight: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    chain_left_rid: np.ndarray
+    chain_right_rid: np.ndarray
+    chain_weight: np.ndarray
+    chains: Sequence[Chain] = field(init=False, repr=False)
     _simple_cache: CSRGraph | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        flat = (self.chain_eptr, self.chain_edges, self.chain_vertices, self.chain_prefix)
+        # Views share these buffers: a writable view of one chain could
+        # silently rewrite its neighbours.
+        for arr in flat:
+            arr.flags.writeable = False
+        self.chains = _ChainViews(*flat)
 
     @property
     def n_removed(self) -> int:
@@ -120,13 +184,22 @@ class ReducedGraph:
         """Fraction of vertices removed (the Table 1 "Nodes Removed" knob)."""
         return self.n_removed / self.original.n if self.original.n else 0.0
 
+    def _chain_id(self, x: int) -> int:
+        c = int(self.chain_of[x])
+        if c < 0:
+            raise GraphError(f"vertex {x} is kept; only removed vertices have anchors")
+        return c
+
     def left_anchor(self, x: int) -> int:
-        """``left(x)`` in original vertex ids (Section 2.1.1)."""
-        return self.chains[int(self.chain_of[x])].left
+        """``left(x)`` in original vertex ids (Section 2.1.1).
+
+        Raises :class:`GraphError` for a kept vertex.
+        """
+        return self.chains[self._chain_id(x)].left
 
     def right_anchor(self, x: int) -> int:
-        """``right(x)`` in original vertex ids."""
-        return self.chains[int(self.chain_of[x])].right
+        """``right(x)`` in original vertex ids; :class:`GraphError` if kept."""
+        return self.chains[self._chain_id(x)].right
 
     def simple_graph(self) -> CSRGraph:
         """Simple view of ``G^r`` (min-weight parallel edge, loops dropped).
@@ -150,26 +223,29 @@ class ReducedGraph:
         """
         if len(reduced_eids) == 0:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate([self.chains[int(e)].edges for e in reduced_eids])
+        ptr, edges = self.chain_eptr, self.chain_edges
+        return np.concatenate([edges[ptr[e] : ptr[e + 1]] for e in reduced_eids])
 
     def validate(self) -> None:
         """Internal consistency checks (used by tests and examples)."""
         g, r = self.original, self.graph
         if int(self.kept_mask.sum()) != r.n:
             raise GraphError("kept count mismatch")
-        seen = np.zeros(g.m, dtype=bool)
-        for e, chain in enumerate(self.chains):
-            if seen[chain.edges].any():
-                raise GraphError("chains overlap on an original edge")
-            seen[chain.edges] = True
-            if not np.isclose(chain.weight, float(r.edge_w[e])):
-                raise GraphError("chain weight mismatch with reduced edge")
-            a = self.reduced_id[chain.left]
-            b = self.reduced_id[chain.right]
-            ru, rv = r.edge_endpoints(e)
-            if {int(a), int(b)} != {ru, rv}:
-                raise GraphError("chain endpoints mismatch with reduced edge")
-        if not seen.all():
+        ptr = self.chain_eptr
+        if ptr.size - 1 != r.m:
+            raise GraphError("chain count mismatch with reduced edges")
+        uses = np.bincount(self.chain_edges, minlength=g.m)
+        if np.any(uses > 1):
+            raise GraphError("chains overlap on an original edge")
+        left_pos, right_pos = _end_positions(ptr)
+        if not np.isclose(self.chain_prefix[right_pos], r.edge_w).all():
+            raise GraphError("chain weight mismatch with reduced edge")
+        a = self.reduced_id[self.chain_vertices[left_pos]]
+        b = self.reduced_id[self.chain_vertices[right_pos]]
+        same = ((a == r.edge_u) & (b == r.edge_v)) | ((a == r.edge_v) & (b == r.edge_u))
+        if not same.all():
+            raise GraphError("chain endpoints mismatch with reduced edge")
+        if np.any(uses == 0):
             raise GraphError("some original edge belongs to no chain")
 
 
@@ -187,6 +263,9 @@ def reduce_graph(g: CSRGraph, keep: np.ndarray | None = None) -> ReducedGraph:
         self-loops, and — for any cycle consisting purely of degree-2
         vertices — the smallest vertex id on the cycle (an anchor, so the
         cycle becomes a self-loop in ``G^r``).
+
+    Chains are numbered in the order of the CSR slot (of a kept vertex)
+    that discovers them, and each runs from the endpoint owning that slot.
     """
     with _span("decomposition.reduce", cat="decomposition", n=g.n, m=g.m):
         out = _reduce_graph(g, keep)
@@ -194,6 +273,13 @@ def reduce_graph(g: CSRGraph, keep: np.ndarray | None = None) -> ReducedGraph:
     _C_CHAINS.inc(len(out.chains))
     _C_REMOVED.inc(out.n_removed)
     return out
+
+
+def _end_positions(eptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of every chain's left and right endpoint in the flat
+    vertex/prefix arrays (chain ``c`` has ``eptr[c+1] - eptr[c] + 1`` of them)."""
+    c = np.arange(eptr.size - 1)
+    return eptr[:-1] + c, eptr[1:] + c
 
 
 def _reduce_graph(g: CSRGraph, keep: np.ndarray | None = None) -> ReducedGraph:
@@ -211,80 +297,53 @@ def _reduce_graph(g: CSRGraph, keep: np.ndarray | None = None) -> ReducedGraph:
         loop_vertices = g.edge_u[g.edge_u == g.edge_v]
         keep[loop_vertices] = True
 
-    # Promote one anchor per pure degree-2 cycle: walk unkept vertices.
     keep = _promote_cycle_anchors(g, keep)
 
     kept_ids = np.nonzero(keep)[0]
     reduced_id = np.full(n, -1, dtype=np.int64)
     reduced_id[kept_ids] = np.arange(kept_ids.size)
 
-    indptr, indices, eids = g.indptr, g.indices, g.csr_eid
-    edge_w = g.edge_w
-    edge_done = np.zeros(g.m, dtype=bool)
+    eptr, edges, vertices, prefix = _walk_chains(g, keep, kept_ids)
+    left_pos, right_pos = _end_positions(eptr)
+    chain_left_rid = reduced_id[vertices[left_pos]]
+    chain_right_rid = reduced_id[vertices[right_pos]]
+    chain_weight = prefix[right_pos]
 
-    chains: list[Chain] = []
+    # Removed vertices are exactly the chain positions strictly between
+    # two endpoints, in chain order.
+    interior = np.ones(vertices.size, dtype=bool)
+    interior[left_pos] = False
+    interior[right_pos] = False
+    at = np.flatnonzero(interior)
+    cid = np.repeat(np.arange(eptr.size - 1), np.diff(eptr) - 1)
+    x = vertices[at]
     chain_of = np.full(n, -1, dtype=np.int64)
     pos_in_chain = np.full(n, -1, dtype=np.int64)
     dist_left = np.zeros(n, dtype=np.float64)
     dist_right = np.zeros(n, dtype=np.float64)
-    r_us: list[int] = []
-    r_vs: list[int] = []
-    r_ws: list[float] = []
+    chain_of[x] = cid
+    pos_in_chain[x] = at - left_pos[cid]
+    dist_left[x] = prefix[at]
+    dist_right[x] = chain_weight[cid] - prefix[at]
 
-    for u in kept_ids:
-        for slot in range(indptr[u], indptr[u + 1]):
-            eid = int(eids[slot])
-            if edge_done[eid]:
-                continue
-            v = int(indices[slot])
-            # Walk the chain u - v - ... until the next kept vertex.
-            chain_v = [int(u), v]
-            chain_e = [eid]
-            edge_done[eid] = True
-            prev_eid = eid
-            cur = v
-            while not keep[cur]:
-                s, e = indptr[cur], indptr[cur + 1]
-                # Degree-2 interior vertex: exactly two incident slots.
-                e0, e1 = int(eids[s]), int(eids[s + 1])
-                nxt_eid = e1 if e0 == prev_eid else e0
-                nxt_slot = s + (1 if e0 == prev_eid else 0)
-                cur = int(indices[nxt_slot])
-                chain_e.append(nxt_eid)
-                chain_v.append(cur)
-                edge_done[nxt_eid] = True
-                prev_eid = nxt_eid
-            verts = np.asarray(chain_v, dtype=np.int64)
-            edges_arr = np.asarray(chain_e, dtype=np.int64)
-            prefix = np.concatenate([[0.0], np.cumsum(edge_w[edges_arr])])
-            chain = Chain(vertices=verts, edges=edges_arr, prefix=prefix)
-            cid = len(chains)
-            chains.append(chain)
-            interior = verts[1:-1]
-            if interior.size:
-                chain_of[interior] = cid
-                pos_in_chain[interior] = np.arange(1, verts.size - 1)
-                dist_left[interior] = prefix[1:-1]
-                dist_right[interior] = prefix[-1] - prefix[1:-1]
-            r_us.append(int(reduced_id[verts[0]]))
-            r_vs.append(int(reduced_id[verts[-1]]))
-            r_ws.append(float(prefix[-1]))
-
-    reduced = CSRGraph(kept_ids.size, r_us, r_vs, r_ws)
+    reduced = CSRGraph(kept_ids.size, chain_left_rid, chain_right_rid, chain_weight)
     out = ReducedGraph(
         original=g,
         graph=reduced,
         kept_mask=keep,
         kept_ids=kept_ids,
         reduced_id=reduced_id,
-        chains=chains,
+        chain_eptr=eptr,
+        chain_edges=edges,
+        chain_vertices=vertices,
+        chain_prefix=prefix,
         chain_of=chain_of,
         pos_in_chain=pos_in_chain,
         dist_left=dist_left,
         dist_right=dist_right,
-        chain_left_rid=np.asarray(r_us, dtype=np.int64),
-        chain_right_rid=np.asarray(r_vs, dtype=np.int64),
-        chain_weight=np.asarray(r_ws, dtype=np.float64),
+        chain_left_rid=chain_left_rid,
+        chain_right_rid=chain_right_rid,
+        chain_weight=chain_weight,
     )
     if os.environ.get("REPRO_CHECK_INVARIANTS"):
         # Opt-in contract check (see repro.qa.invariants); a forced keep
@@ -296,6 +355,66 @@ def _reduce_graph(g: CSRGraph, keep: np.ndarray | None = None) -> ReducedGraph:
     return out
 
 
+def _walk_chains(
+    g: CSRGraph, keep: np.ndarray, kept_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the kept vertices' CSR slots, in slot order.
+
+    Each slot whose edge no earlier chain used starts a chain, walked
+    through removed (degree-2) vertices to the next kept vertex.  Returns
+    the flat ``(eptr, edges, vertices, prefix)`` arrays.  The walk runs on
+    Python lists: per step it is a handful of list reads, where numpy
+    would pay a call per scalar.  Prefixes accumulate left to right from
+    the first edge's weight, the exact sequence ``np.cumsum`` produces.
+    """
+    indptr = g.indptr.tolist()
+    nbr = g.indices.tolist()
+    slot_eid = g.csr_eid.tolist()
+    weight = g.edge_w.tolist()
+    kept = keep.tolist()
+    # Only a chain's last edge can be met again from a kept vertex's
+    # slots (interior edges have no kept endpoint, the first edge is the
+    # current slot), so only last edges are marked.
+    used = [False] * g.m
+    eptr = [0]
+    edges: list[int] = []
+    vertices: list[int] = []
+    prefix: list[float] = []
+    add_edge, add_vertex, add_prefix = edges.append, vertices.append, prefix.append
+    for u in kept_ids.tolist():
+        for slot in range(indptr[u], indptr[u + 1]):
+            eid = slot_eid[slot]
+            if used[eid]:
+                continue
+            v = nbr[slot]
+            acc = weight[eid]
+            add_vertex(u)
+            add_prefix(0.0)
+            add_edge(eid)
+            while not kept[v]:
+                add_vertex(v)
+                add_prefix(acc)
+                # A removed vertex has exactly two slots: leave by the
+                # one the walk did not arrive on.
+                s = indptr[v]
+                if slot_eid[s] == eid:
+                    s += 1
+                eid = slot_eid[s]
+                add_edge(eid)
+                acc += weight[eid]
+                v = nbr[s]
+            add_vertex(v)
+            add_prefix(acc)
+            used[eid] = True
+            eptr.append(len(edges))
+    return (
+        np.asarray(eptr, dtype=np.int64),
+        np.asarray(edges, dtype=np.int64),
+        np.asarray(vertices, dtype=np.int64),
+        np.asarray(prefix, dtype=np.float64),
+    )
+
+
 def _promote_cycle_anchors(g: CSRGraph, keep: np.ndarray) -> np.ndarray:
     """Pin one vertex of every cycle made purely of degree-2 vertices.
 
@@ -303,37 +422,27 @@ def _promote_cycle_anchors(g: CSRGraph, keep: np.ndarray) -> np.ndarray:
     chain; with one, it contracts to a single self-loop.  (A biconnected
     component that is a bare cycle hits this case, e.g. the grafted blocks
     of the Table 1 stand-ins when the shared vertex is removed.)
+
+    Every unkept vertex has degree 2 and no self-loop, so each connected
+    component of the unkept vertices is a path or a cycle, and it is a
+    cycle exactly when it has as many internal edges as vertices.  The
+    smallest vertex id of each such cycle is pinned.
     """
-    indptr, indices, eids = g.indptr, g.indices, g.csr_eid
-    visited = keep.copy()
-    for start in range(g.n):
-        if visited[start] or g.degree[start] != 2:
-            continue
-        # Walk the degree-2 run containing `start`; if it closes on itself
-        # without meeting a kept vertex, it is a pure cycle.
-        run = [start]
-        visited[start] = True
-        prev_eid = -1
-        cur = start
-        closed = True
-        while True:
-            s = indptr[cur]
-            e0, e1 = int(eids[s]), int(eids[s + 1])
-            nxt_eid = e1 if e0 == prev_eid else e0
-            nxt_slot = s + (1 if e0 == prev_eid else 0)
-            nxt = int(indices[nxt_slot])
-            if nxt == start and nxt_eid != prev_eid:
-                break  # closed the cycle
-            if keep[nxt]:
-                closed = False
-                break
-            run.append(nxt)
-            visited[nxt] = True
-            prev_eid = nxt_eid
-            cur = nxt
-        if not closed:
-            # Walk the other direction is unnecessary: the run will be
-            # reached from its kept endpoint during chain contraction.
-            continue
-        keep[min(run)] = True
+    free = np.flatnonzero(~keep)
+    inner = ~keep[g.edge_u] & ~keep[g.edge_v]
+    if not inner.any():
+        return keep
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[free] = np.arange(free.size)
+    a = local[g.edge_u[inner]]
+    b = local[g.edge_v[inner]]
+    adj = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(free.size, free.size))
+    count, label = connected_components(adj, directed=False)
+    n_vertices = np.bincount(label, minlength=count)
+    n_edges = np.bincount(label[a], minlength=count)
+    cycles = np.flatnonzero(n_edges == n_vertices)
+    if cycles.size:
+        # ``free`` ascends, so a label's first position is its smallest id.
+        _, first = np.unique(label, return_index=True)
+        keep[free[first[cycles]]] = True
     return keep

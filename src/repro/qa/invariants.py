@@ -118,7 +118,8 @@ def check_reduction(red, strict_degree: bool | None = None) -> None:
             _fail("removed vertex assigned to no chain")
         dl = red.dist_left[removed]
         dr = red.dist_right[removed]
-        cw = np.asarray([red.chains[int(c)].weight for c in ch])
+        # A chain's weight is the prefix at its right endpoint.
+        cw = red.chain_prefix[red.chain_eptr[ch + 1] + ch]
         if not np.allclose(dl + dr, cw):
             _fail("dist_left + dist_right != chain weight for some removed vertex")
     if strict_degree is None:

@@ -72,6 +72,27 @@ def test_anchor_distances():
     assert red.left_anchor(1) == 0 and red.right_anchor(2) == 3
 
 
+def test_anchors_reject_kept_vertices():
+    # path 0-1-2-3 plus triangle 3-4-5: 0 (degree 1) and 3 (degree 3) stay
+    g = CSRGraph(6, [0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 3])
+    red = reduce_graph(g)
+    assert red.kept_mask[0] and red.kept_mask[3]
+    assert red.left_anchor(1) == 0 and red.right_anchor(2) == 3
+    for x in (0, 3):
+        with pytest.raises(GraphError):
+            red.left_anchor(x)
+        with pytest.raises(GraphError):
+            red.right_anchor(x)
+
+
+def test_chain_views_are_read_only():
+    g = CSRGraph(4, [0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0])
+    chain = reduce_graph(g).chains[0]
+    for arr in (chain.vertices, chain.edges, chain.prefix):
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+
+
 def test_pure_cycle_becomes_self_loop(ring):
     red = reduce_graph(ring)
     red.validate()
