@@ -139,8 +139,8 @@ class Fig2Row:
         return _speedup(self.t_baseline, self.t_ours)
 
 
-#: Calls per Figure-2 leg; a leg reports its fastest call.
-FIG2_REPEATS = 5
+#: Calls per Figure-2 / Table-2 leg; a leg reports its fastest call.
+LEG_REPEATS = 5
 
 
 def _fastest_alternating(legs) -> tuple[list, list[float]]:
@@ -153,7 +153,7 @@ def _fastest_alternating(legs) -> tuple[list, list[float]]:
     """
     outs: list = [None] * len(legs)
     best = [float("inf")] * len(legs)
-    for i in range(FIG2_REPEATS):
+    for i in range(LEG_REPEATS):
         order = range(len(legs)) if i % 2 == 0 else reversed(range(len(legs)))
         for k in order:
             adjacency_cache().clear()
@@ -172,7 +172,7 @@ def run_fig2(
     """Ours (Algorithm 1) vs Banerjee [4] on general graphs and Djidjev
     [12] on planar graphs: wall-clock full-matrix APSP.
 
-    Each leg is timed as the fastest of :data:`FIG2_REPEATS` calls (see
+    Each leg is timed as the fastest of :data:`LEG_REPEATS` calls (see
     :func:`_fastest_alternating`)."""
     rows: list[Fig2Row] = []
     for spec in datasets.TABLE1:
@@ -248,23 +248,29 @@ def run_table2(
     names: list[str] | None = None,
     check: bool = True,
 ) -> list[Table2Row]:
-    """The full Table 2: four implementations × with/without ear."""
+    """The full Table 2: four implementations × with/without ear.
+
+    The with-ear and without-ear legs are timed as the fastest of
+    :data:`LEG_REPEATS` calls (see :func:`_fastest_alternating`); the
+    virtual platform times replay each leg's last work trace."""
     use = names if names is not None else datasets.MCB_DATASETS
     rows: list[Table2Row] = []
     for name in use:
         g = datasets.load(name, scale)
         row = Table2Row(name=name, n=g.n, m=g.m, f=g.cycle_space_dimension())
         per_platform: dict[str, list[float]] = {p: [0.0, 0.0] for p in PLATFORM_NAMES}
-        for k, use_ear in enumerate((True, False)):
-            t0 = time.perf_counter()
-            with _span("bench.table2.mcb", cat="bench", dataset=name,
-                       use_ear=use_ear):
-                cycles, trace = mcb_with_trace(g, use_ear=use_ear)
-            wall = time.perf_counter() - t0
-            if use_ear:
-                row.wall_with_ear = wall
-            else:
-                row.wall_without_ear = wall
+
+        def leg(use_ear: bool):
+            def call():
+                with _span("bench.table2.mcb", cat="bench", dataset=name,
+                           use_ear=use_ear):
+                    return mcb_with_trace(g, use_ear=use_ear)
+            return call
+
+        outs, (row.wall_with_ear, row.wall_without_ear) = _fastest_alternating(
+            [leg(True), leg(False)]
+        )
+        for k, (use_ear, (cycles, trace)) in enumerate(zip((True, False), outs)):
             if check:
                 rep = verify_cycle_basis(g, cycles)
                 assert rep.ok, f"{name}: invalid basis ({rep.message})"

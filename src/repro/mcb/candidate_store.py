@@ -125,53 +125,6 @@ class CandidateStore:
             prev, blk = blk, blk.next
         return None
 
-    def scan_and_remove_parallel(
-        self,
-        predicate: Callable[[np.ndarray], np.ndarray],
-        n_lanes: int = 4,
-    ) -> int | None:
-        """Parallel-batch variant of the scan (§3.3.2).
-
-        The paper checks "each batch in parallel ... if no cycle is found
-        in batch B₁, then we move to check in batch B₂": each round
-        dispatches ``n_lanes`` consecutive blocks (on the paper's machine,
-        to different devices), then takes the globally first hit.  The
-        result is identical to the serial scan; the counters reflect the
-        extra speculative tests a parallel round performs past the match.
-        """
-        if n_lanes < 1:
-            raise ValueError("need at least one lane")
-        cursor = self._head
-        while cursor is not None:
-            # Collect up to n_lanes live blocks for this round (empty
-            # blocks are skipped; the serial scan handles unlinking).
-            round_blocks: list[_Block] = []
-            while cursor is not None and len(round_blocks) < n_lanes:
-                if cursor.n_alive:
-                    round_blocks.append(cursor)
-                cursor = cursor.next
-            if not round_blocks:
-                return None
-            # Evaluate every lane (speculatively), take the first hit.
-            for lane in round_blocks:
-                live_pos = np.nonzero(lane.alive)[0]
-                live_ids = lane.ids[live_pos]
-                self.stats.batches_visited += 1
-                self.stats.candidates_tested += int(live_ids.size)
-                _C_BATCHES.inc()
-                _C_SCANNED.inc(int(live_ids.size))
-                hits = np.nonzero(predicate(live_ids))[0]
-                if hits.size:
-                    pos = int(live_pos[hits[0]])
-                    found = int(lane.ids[pos])
-                    lane.alive[pos] = False
-                    lane.n_alive -= 1
-                    self._size -= 1
-                    if 0 < lane.n_alive <= lane.ids.size // 2:
-                        self._compact(lane)
-                    return found
-        return None
-
     def _compact(self, blk: _Block) -> None:
         """Reorder a half-dead block down to its live entries."""
         blk.ids = blk.ids[blk.alive]

@@ -14,10 +14,14 @@ This is the paper's *processing phase* (Section 3.3.2) in full:
 * batched scanning of the store for the first (lightest) odd candidate;
 * the vectorized witness update (independence test).
 
-The work is factored into :class:`MMContext` methods — one shortest-path
-tree's labels, one batch scan, one witness-block update — precisely the
-work units the heterogeneous executor schedules across CPU and (simulated)
-GPU for Table 2 / Figures 5–6.
+Set-up is whole-array numpy: the trees' depth, ``top_z`` and level
+schedule fill one depth level at a time across all trees, and one boolean
+mask over (tree, edge) selects the candidates (the LCA filter is
+``top_z(u) != top_z(v)``, where ``top_z(x)`` is the child of ``z`` above
+``x``).  :class:`MMContext` exposes the per-phase steps — labels for all
+trees at once, one batch scan, one witness update; the heterogeneous
+trace (:mod:`repro.hetero.mcb_runner`) sizes its per-tree label units and
+per-phase scan and update units from the counts :class:`MMReport` records.
 
 Weight ordering uses a deterministic tie-breaking perturbation (see
 :func:`repro.mcb.horton.perturbed_weights`); reported cycle weights are
@@ -71,10 +75,8 @@ class MMReport:
 class MMContext:
     """Precomputed state for one Mehlhorn–Michail run.
 
-    All heavy per-phase operations are exposed as methods over explicit
-    work-unit granularity (one tree, one witness block) so that execution
-    policy — sequential, thread pool, simulated GPU, heterogeneous queue —
-    is chosen by the caller.
+    The per-phase operations (labels, one batch scan, reconstruction, the
+    witness update) are methods, so the caller drives the phase loop.
     """
 
     def __init__(
@@ -94,134 +96,105 @@ class MMContext:
         self.fvs = greedy_fvs(g)
         self.n = g.n
         pw = perturbed_weights(g) if perturb else g.edge_w
-        self._pg = g.with_weights(pw)
 
         # Shortest-path trees from every FVS root (compiled bulk call).
         # Perturbed weights make each tree the unique SPT, which the
         # lca-filtered candidate theorem of [29] requires.
-        self.dist, self.parent = spt_forest(self._pg, self.fvs)
+        self.dist, self.parent = spt_forest(g.with_weights(pw), self.fvs)
 
-        # Min-weight representative edge per vertex pair (perturbation makes
-        # it unique), for mapping tree arcs back to edge ids.
-        self._pair_edge: dict[tuple[int, int], int] = {}
-        order = np.argsort(pw)[::-1]  # heavier first so lightest wins last
-        for e in order:
-            u, v = g.edge_endpoints(int(e))
-            if u != v:
-                self._pair_edge[(min(u, v), max(u, v))] = int(e)
-
-        self._build_tree_tables()
-        self._build_candidates(lca_filter)
+        top = self._build_tree_tables(pw)
+        self._build_candidates(top, pw, lca_filter)
         self.block_size = block_size
 
     # ------------------------------------------------------------------ #
     # Setup
     # ------------------------------------------------------------------ #
 
-    def _build_tree_tables(self) -> None:
-        """Depths, level ordering, and parent-edge E' indices per tree."""
+    def _build_tree_tables(self, pw: np.ndarray) -> np.ndarray:
+        """Depths, level schedule and parent-edge E' indices of every tree.
+
+        Fills one depth level at a time over the flattened ``(|Z|·n)``
+        parent array and returns ``top``: per (tree, vertex) the flat index
+        of the root's child above it (the root is its own top).
+        """
+        g = self.graph
         k, n = self.parent.shape
-        self.depth = np.full((k, n), -1, dtype=np.int64)
-        self.parent_ep = np.full((k, n), -1, dtype=np.int64)
-        self.parent_eid = np.full((k, n), -1, dtype=np.int64)
-        self.levels: list[list[np.ndarray]] = []
-        ep_of_edge = self.ss.eprime_index
-        for zi in range(k):
-            par = self.parent[zi]
-            root = int(self.fvs[zi])
-            reachable = np.isfinite(self.dist[zi])
-            order = np.argsort(self.dist[zi], kind="stable")
-            depth = self.depth[zi]
-            depth[root] = 0
-            for v in order:
-                v = int(v)
-                if v == root or not reachable[v]:
-                    continue
-                p = int(par[v])
-                if p == _NO_PRED:
-                    continue
-                depth[v] = depth[p] + 1
-                eid = self._pair_edge[(min(v, p), max(v, p))]
-                self.parent_eid[zi, v] = eid
-                self.parent_ep[zi, v] = ep_of_edge[eid]
-            max_d = int(depth.max())
-            lv = [
-                np.nonzero(depth == d)[0] for d in range(1, max_d + 1)
-            ] if max_d >= 1 else []
-            self.levels.append(lv)
+        par = self.parent.reshape(-1)
+        arcs = np.nonzero(par != _NO_PRED)[0]  # flat (tree, vertex) with a parent
+        depth = np.full(k * n, -1, dtype=np.int64)
+        top = depth.copy()
+        roots = np.arange(k) * n + self.fvs
+        depth[roots] = 0
+        top[roots] = roots
 
         # Flattened cross-tree level schedule: one numpy gather/xor per
         # depth covers that depth in *every* tree at once.  This is still
         # Algorithm 3's level-order second pass, executed for all |Z|
         # trees simultaneously (what the CUDA grid does spatially).
-        self._flat_parent_ep = self.parent_ep.reshape(-1)
-        max_depth = int(self.depth.max()) if self.depth.size else 0
         self._flat_levels: list[tuple[np.ndarray, np.ndarray]] = []
-        flat_parent = np.where(
-            self.parent == _NO_PRED, 0, self.parent
-        ) + (np.arange(k)[:, None] * n)
-        for d in range(1, max_depth + 1):
-            sel = np.nonzero(self.depth.reshape(-1) == d)[0]
-            if sel.size:
-                self._flat_levels.append((sel, flat_parent.reshape(-1)[sel]))
+        child, child_up = arcs, par[arcs] + arcs // n * n  # unplaced, their flat parents
+        while child.size:
+            d = len(self._flat_levels) + 1
+            now = depth[child_up] == d - 1
+            sel, sel_up = child[now], child_up[now]
+            depth[sel] = d
+            top[sel] = sel if d == 1 else top[sel_up]
+            self._flat_levels.append((sel, sel_up))
+            child, child_up = child[~now], child_up[~now]
 
-    def _build_candidates(self, lca_filter: bool) -> None:
-        """Candidate family A, weight-sorted into the hybrid store."""
+        # Tree arc → edge id: each vertex pair's lightest edge, i.e. its
+        # first in ``np.argsort(pw)`` order (perturbation makes it unique).
+        lo, hi = np.minimum(g.edge_u, g.edge_v), np.maximum(g.edge_u, g.edge_v)
+        by_w = np.argsort(pw)
+        by_w = by_w[lo[by_w] != hi[by_w]]
+        pair_keys, first = np.unique(lo[by_w] * n + hi[by_w], return_index=True)
+        v, p = arcs % n, par[arcs]
+        key = np.minimum(v, p) * n + np.maximum(v, p)
+        eid = by_w[first][np.searchsorted(pair_keys, key)]
+        parent_eid = np.full(k * n, -1, dtype=np.int64)
+        parent_eid[arcs] = eid
+        self._flat_parent_ep = np.full(k * n, -1, dtype=np.int64)
+        self._flat_parent_ep[arcs] = self.ss.eprime_index[eid]
+        self.depth, self.parent_eid = depth.reshape(k, n), parent_eid.reshape(k, n)
+        self.parent_ep = self._flat_parent_ep.reshape(k, n)
+        return top.reshape(k, n)
+
+    def _build_candidates(self, top: np.ndarray, pw: np.ndarray, lca_filter: bool) -> None:
+        """Candidate family A, weight-sorted into the hybrid store.
+
+        One boolean mask over (tree, non-loop edge) keeps ``C_ze`` when both
+        ends are reachable, ``e`` is no tree arc of ``T_z`` and, with the
+        filter, ``lca_z(u, v) = z`` — i.e. ``top_z(u) != top_z(v)``.
+        Self-loops come first, then tree by tree in edge-id order.
+        """
         g = self.graph
-        cz: list[int] = []
-        ce: list[int] = []
-        cu: list[int] = []
-        cv: list[int] = []
-        cw: list[float] = []
-        pw = self._pg.edge_w
-        loops = np.nonzero(g.edge_u == g.edge_v)[0]
-        for e in loops:
-            cz.append(-1)
-            ce.append(int(e))
-            cu.append(int(g.edge_u[e]))
-            cv.append(int(g.edge_u[e]))
-            cw.append(float(pw[e]))
-        for zi in range(len(self.fvs)):
-            dist = self.dist[zi]
-            depth = self.depth[zi]
-            par = self.parent[zi]
-            for e in range(g.m):
-                u, v = int(g.edge_u[e]), int(g.edge_v[e])
-                if u == v:
-                    continue
-                if not (np.isfinite(dist[u]) and np.isfinite(dist[v])):
-                    continue
-                if self.parent_eid[zi, u] == e or self.parent_eid[zi, v] == e:
-                    continue  # tree arc of T_z: not a candidate chord
-                if lca_filter and self._lca(par, depth, u, v) != int(self.fvs[zi]):
-                    continue
-                cz.append(zi)
-                ce.append(e)
-                cu.append(u)
-                cv.append(v)
-                cw.append(float(dist[u] + pw[e] + dist[v]))
-        self.cand_z = np.asarray(cz, dtype=np.int64)
-        self.cand_e = np.asarray(ce, dtype=np.int64)
-        self.cand_u = np.asarray(cu, dtype=np.int64)
-        self.cand_v = np.asarray(cv, dtype=np.int64)
-        self.cand_w = np.asarray(cw, dtype=np.float64)
+        k, n = self.dist.shape
+        loop = g.edge_u == g.edge_v
+        loops, chords = np.nonzero(loop)[0], np.nonzero(~loop)[0]
+        u, v = g.edge_u[chords], g.edge_v[chords]
+        reach = np.isfinite(self.dist)
+        keep = reach[:, u] & reach[:, v]
+        keep &= (self.parent_eid[:, u] != chords) & (self.parent_eid[:, v] != chords)
+        if lca_filter:
+            keep &= top[:, u] != top[:, v]
+        zi, j = np.nonzero(keep)
+        cu, cv = u[j], v[j]
+        e = chords[j]
+        w = (self.dist[zi, cu] + pw[e]) + self.dist[zi, cv]
+
+        lu = g.edge_u[loops]
+        self.cand_z = np.concatenate([np.full(loops.size, -1, dtype=np.int64), zi])
+        self.cand_e = np.concatenate([loops, e])
+        self.cand_u = np.concatenate([lu, cu])
+        self.cand_v = np.concatenate([lu, cv])
+        self.cand_w = np.concatenate([pw[loops], w])
         self.cand_ep = self.ss.eprime_index[self.cand_e]
         self.order = np.argsort(self.cand_w, kind="stable")
-
-    @staticmethod
-    def _lca(par: np.ndarray, depth: np.ndarray, u: int, v: int) -> int:
-        a, b = u, v
-        da, db = int(depth[a]), int(depth[b])
-        while da > db:
-            a = int(par[a])
-            da -= 1
-        while db > da:
-            b = int(par[b])
-            db -= 1
-        while a != b:
-            a = int(par[a])
-            b = int(par[b])
-        return a
+        # Flat label indices ``z·n + u`` per candidate; self-loops read the
+        # zero pad slot ``k·n`` that :meth:`scan_predicate` appends.
+        pad = np.full(loops.size, k * n, dtype=np.int64)
+        self._lab_u = np.concatenate([pad, zi * n + cu])
+        self._lab_v = np.concatenate([pad, zi * n + cv])
 
     # ------------------------------------------------------------------ #
     # Per-phase work units
@@ -233,51 +206,28 @@ class MMContext:
         bits = gf2.unpack(s_packed, self.f).astype(np.uint8)
         return np.concatenate([bits, np.zeros(1, dtype=np.uint8)])
 
-    def labels_for_tree(self, zi: int, s_pad: np.ndarray) -> np.ndarray:
-        """Algorithm 3 for one tree ``T_z``: the two passes over ``T_z``.
+    def compute_labels(self, s_pad: np.ndarray) -> np.ndarray:
+        """Algorithm 3 for all trees at once: ``(|Z|, n)`` uint8 labels.
 
         Pass 1 gathers the witness bit of each parent edge (``c_z``);
-        pass 2 is a level-order prefix-xor producing ``l_z``.
-        One call = one work unit of the heterogeneous label stage.
+        pass 2 is the level-order prefix-xor producing ``l_z``, one
+        vectorized gather/xor per depth across every tree.
         """
-        c = s_pad[self.parent_ep[zi]]
-        labels = np.zeros(self.n, dtype=np.uint8)
-        par = self.parent[zi]
-        for level in self.levels[zi]:
-            labels[level] = labels[par[level]] ^ c[level]
-        return labels
-
-    def compute_labels(self, s_pad: np.ndarray) -> np.ndarray:
-        """Labels for all trees: ``(|Z|, n)`` uint8 matrix.
-
-        Runs the flattened cross-tree level schedule (one vectorized
-        gather/xor per depth); :meth:`labels_for_tree` is the per-tree
-        reference it must match.
-        """
-        k = len(self.fvs)
-        if k == 0:
-            return np.zeros((0, self.n), dtype=np.uint8)
         c = s_pad[self._flat_parent_ep]
-        labels = np.zeros(k * self.n, dtype=np.uint8)
+        labels = np.zeros(c.size, dtype=np.uint8)
         for sel, par in self._flat_levels:
             labels[sel] = labels[par] ^ c[sel]
-        return labels.reshape(k, self.n)
+        return labels.reshape(len(self.fvs), self.n)
 
     def scan_predicate(self, labels: np.ndarray, s_pad: np.ndarray):
-        """Vectorized O(1)-per-candidate orthogonality test over a batch."""
+        """Vectorized O(1)-per-candidate orthogonality test over a batch:
+        ``S(e) ⊕ l_z(u) ⊕ l_z(v)`` through flat label indices."""
+        lab = np.zeros(labels.size + 1, dtype=np.uint8)
+        lab[:-1] = labels.reshape(-1)
+        ep, iu, iv = self.cand_ep, self._lab_u, self._lab_v
 
         def predicate(ids: np.ndarray) -> np.ndarray:
-            z = self.cand_z[ids]
-            se = s_pad[self.cand_ep[ids]]
-            tree = z >= 0
-            parity = se.copy()
-            if tree.any():
-                zt = z[tree]
-                parity[tree] ^= (
-                    labels[zt, self.cand_u[ids][tree]]
-                    ^ labels[zt, self.cand_v[ids][tree]]
-                )
-            return parity == 1
+            return (s_pad[ep[ids]] ^ lab[iu[ids]] ^ lab[iv[ids]]) == 1
 
         return predicate
 

@@ -245,6 +245,7 @@ def _builtin_registrations() -> None:
     register_mcb("horton", horton_mcb, max_n=24, reference=True)
     register_mcb("depina", depina_mcb)
     register_mcb("mm", mm_mcb)
+    register_mcb("mm-unfiltered", lambda g: mm_mcb(g, lca_filter=False))
     register_mcb("ear-mm", lambda g: minimum_cycle_basis(g, algorithm="mm"))
     register_mcb("ear-depina", lambda g: minimum_cycle_basis(g, algorithm="depina"))
     register_mcb("hetero-mcb", lambda g: mcb_with_trace(g)[0])

@@ -136,7 +136,7 @@ class TestHarness:
         assert all(d["mteps_ours"] > 0 for d in m)
 
     def test_fig2_legs_alternate_from_a_cold_cache(self):
-        from repro.bench.harness import FIG2_REPEATS, _fastest_alternating
+        from repro.bench.harness import LEG_REPEATS, _fastest_alternating
         from repro.graph import cycle_graph
         from repro.sssp.engine import adjacency_cache, sssp
 
@@ -152,8 +152,8 @@ class TestHarness:
 
         outs, best = _fastest_alternating([leg(0), leg(1)])
         assert outs == [0, 1] and all(0 < t < 1 for t in best)
-        firsts = [order[2 * i][0] for i in range(FIG2_REPEATS)]
-        assert firsts == [i % 2 for i in range(FIG2_REPEATS)]
+        firsts = [order[2 * i][0] for i in range(LEG_REPEATS)]
+        assert firsts == [i % 2 for i in range(LEG_REPEATS)]
         assert all(size == 0 for _, size in order)
 
     @pytest.mark.parametrize("name, baseline", [
@@ -172,6 +172,25 @@ class TestHarness:
         monkeypatch.setattr(harness, baseline, corrupted)
         with pytest.raises(AssertionError, match="APSP mismatch"):
             run_fig2(scale=TINY, names=[name])
+
+    def test_table2_legs_alternate_from_a_cold_cache(self, monkeypatch):
+        from repro.bench import harness
+        from repro.sssp.engine import adjacency_cache
+
+        real = harness.mcb_with_trace
+        calls = []
+
+        def recorded(g, use_ear=True, **kwargs):
+            calls.append((use_ear, adjacency_cache().info().size))
+            return real(g, use_ear=use_ear, **kwargs)  # fills the cache
+
+        monkeypatch.setattr(harness, "mcb_with_trace", recorded)
+        (row,) = run_table2(scale=TINY, names=["nopoly"])
+        assert len(calls) == 2 * harness.LEG_REPEATS
+        firsts = [calls[2 * i][0] for i in range(harness.LEG_REPEATS)]
+        assert firsts == [i % 2 == 0 for i in range(harness.LEG_REPEATS)]
+        assert all(size == 0 for _, size in calls)
+        assert 0 < row.wall_with_ear < 1 and 0 < row.wall_without_ear < 1
 
     def test_table2_fig5_fig6(self):
         rows = run_table2(scale=TINY, names=FAST)

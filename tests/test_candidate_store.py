@@ -106,51 +106,3 @@ def test_property_matches_naive_first_match(n, block, removals):
             alive.remove(want)
     assert sorted(store.remaining_ids().tolist()) == alive
 
-
-class TestParallelScan:
-    def test_same_result_as_serial(self):
-        for lanes in (1, 2, 4, 9):
-            a = make_store(50, block=8)
-            b = make_store(50, block=8)
-            targets = {33, 12, 47}
-            assert a.scan_and_remove(match_set(targets)) == \
-                b.scan_and_remove_parallel(match_set(targets), n_lanes=lanes)
-
-    def test_speculative_tests_counted(self):
-        serial = make_store(100, block=10)
-        par = make_store(100, block=10)
-        serial.scan_and_remove(match_set({5}))
-        par.scan_and_remove_parallel(match_set({5}), n_lanes=4)
-        # parallel round evaluates lanes past the hit block too
-        assert par.stats.candidates_tested >= serial.stats.candidates_tested
-
-    def test_match_in_later_round(self):
-        store = make_store(100, block=10)
-        assert store.scan_and_remove_parallel(match_set({95}), n_lanes=3) == 95
-
-    def test_no_match(self):
-        store = make_store(20, block=4)
-        none = store.scan_and_remove_parallel(
-            lambda ids: np.zeros(len(ids), dtype=bool), n_lanes=3
-        )
-        assert none is None and len(store) == 20
-
-    def test_invalid_lanes(self):
-        with pytest.raises(ValueError):
-            make_store().scan_and_remove_parallel(match_set({1}), n_lanes=0)
-
-    @given(
-        st.integers(1, 40),
-        st.integers(1, 8),
-        st.integers(1, 5),
-        st.lists(st.integers(0, 39), min_size=1, max_size=20),
-    )
-    @settings(max_examples=40)
-    def test_property_parallel_equals_serial(self, n, block, lanes, removals):
-        a = CandidateStore(np.arange(n), block_size=block)
-        b = CandidateStore(np.arange(n), block_size=block)
-        for r in removals:
-            targets = {r % n, (r * 3) % n}
-            assert a.scan_and_remove(match_set(targets)) == \
-                b.scan_and_remove_parallel(match_set(targets), n_lanes=lanes)
-        assert a.remaining_ids().tolist() == b.remaining_ids().tolist()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import gnm_random_graph, randomize_weights
+from repro.graph import CSRGraph, gnm_random_graph, randomize_weights
 from repro.mcb import gf2
-from repro.mcb.mehlhorn_michail import MMContext
+from repro.mcb.mehlhorn_michail import MMContext, mm_mcb
 
 from _support import biconnected_weighted
 
@@ -48,13 +48,25 @@ def test_labels_zero_witness_all_zero(ctx):
     assert not ctx.compute_labels(s_pad).any()
 
 
+def labels_for_tree(ctx, zi, s_pad):
+    """Algorithm 3 on one tree ``T_z``: gather the witness bit of each
+    parent edge (``c_z``), then a level-order prefix-xor per depth."""
+    c = s_pad[ctx.parent_ep[zi]]
+    labels = np.zeros(ctx.n, dtype=np.uint8)
+    par, depth = ctx.parent[zi], ctx.depth[zi]
+    for d in range(1, int(depth.max()) + 1):
+        level = np.nonzero(depth == d)[0]
+        labels[level] = labels[par[level]] ^ c[level]
+    return labels
+
+
 def test_flat_levels_match_per_tree_path(ctx):
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, ctx.f).astype(bool)
     s_pad = ctx.witness_edge_bits(gf2.pack(bits))
     flat = ctx.compute_labels(s_pad)
     per_tree = np.stack(
-        [ctx.labels_for_tree(zi, s_pad) for zi in range(len(ctx.fvs))]
+        [labels_for_tree(ctx, zi, s_pad) for zi in range(len(ctx.fvs))]
     )
     assert np.array_equal(flat, per_tree)
 
@@ -115,3 +127,17 @@ def test_context_on_multigraph(multigraph):
     assert ctx.f == multigraph.cycle_space_dimension()
     loops = (ctx.cand_z == -1).sum()
     assert loops == int((multigraph.edge_u == multigraph.edge_v).sum())
+
+
+@pytest.mark.parametrize("lca_filter", [True, False])
+def test_tree_arc_lost_to_rounding(lca_filter):
+    """Arc 2→1 weighs less than one ulp of ``dist[2]``, so vertex 1 ties
+    its parent's distance while sorting before it; depths, labels and the
+    basis must still follow the tree."""
+    g = CSRGraph(3, [0, 2, 1], [2, 1, 0], [1e6, 1e-12, 3e6])
+    ctx = MMContext(g, lca_filter=lca_filter, perturb=False)
+    assert ctx.parent.tolist() == [[-9999, 2, 0]]
+    assert ctx.dist[0, 1] == ctx.dist[0, 2]
+    assert ctx.depth.tolist() == [[0, 2, 1]]
+    cycles = mm_mcb(g, lca_filter=lca_filter, perturb=False)
+    assert [c.edge_ids.tolist() for c in cycles] == [[0, 1, 2]]
