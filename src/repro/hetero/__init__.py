@@ -1,8 +1,10 @@
 """Simulated heterogeneous (CPU + GPU) execution platform.
 
-Real work, modeled clocks: devices execute work units for real while
-charging bandwidth-model costs to per-device virtual clocks; the
-double-ended work queue of [19] arbitrates.  See DESIGN.md §2.
+Real work, modeled clocks: the Table-2 and Figure-2 pipelines run once
+for real and record a work trace; :func:`simulate_trace` replays it on
+each platform and only charges bandwidth-model costs to per-device
+virtual clocks, with the double-ended work queue of [19] arbitrating.
+See DESIGN.md §2.
 """
 
 from .apsp_runner import HeteroAPSPResult, apsp_with_trace, run_apsp_on_platforms
@@ -12,7 +14,6 @@ from .device import (
     Device,
     GPU_EFFECTIVE_BW,
     cpu_device,
-    local_cpu_device,
     sequential_device,
 )
 from .executor import HeterogeneousExecutor, Platform, StageReport
@@ -39,7 +40,6 @@ __all__ = [
     "Device",
     "GPU_EFFECTIVE_BW",
     "cpu_device",
-    "local_cpu_device",
     "sequential_device",
     "ParallelEngine",
     "SharedCSRBuffers",

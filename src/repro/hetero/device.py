@@ -15,19 +15,15 @@ uncoalesced access.  The default constants model the paper's platform
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .timing import VirtualClock
 from .workqueue import WorkUnit
 
 __all__ = [
     "Device",
-    "CPUDevice",
     "cpu_device",
     "sequential_device",
-    "local_cpu_device",
 ]
 
 
@@ -51,13 +47,6 @@ class Device:
     takes_from_back:
         True for the GPU end of the double-ended queue (it starts with
         the *biggest* units).
-    pool:
-        Optional *real* execution backend: a callable mapping a list of
-        zero-argument thunks to their results.  When set, a batch's work
-        units run concurrently on the host (e.g. a thread pool — the scipy
-        and numpy kernels release the GIL) while the virtual clock still
-        charges the modeled cost.  ``None`` keeps the default in-process
-        sequential execution of the virtual-time devices.
     """
 
     name: str
@@ -66,19 +55,27 @@ class Device:
     batch_size: int = 1
     takes_from_back: bool = False
     clock: VirtualClock = field(default_factory=VirtualClock)
-    pool: Callable[[list], list] | None = None
+
+    def batch_cost(self, work: float, items: int) -> float:
+        """Modeled seconds for one batch of ``work`` bytes over ``items``
+        parallel items (``Σ max(items, 1)`` of its units)."""
+        return self.dispatch_overhead + work / self.effective_bandwidth
 
     def cost(self, units: list[WorkUnit]) -> float:
         """Modeled seconds to execute ``units`` as one batch."""
-        work = sum(u.work for u in units)
-        return self.dispatch_overhead + work / self.effective_bandwidth
+        return self.batch_cost(
+            sum(u.work for u in units), sum(max(u.items, 1) for u in units)
+        )
 
     def execute(self, units: list[WorkUnit]) -> list:
-        """Run the batch for real, charge the modeled cost. Returns results."""
-        if self.pool is not None and len(units) > 1:
-            results = self.pool([u.run for u in units])
-        else:
-            results = [u.run() for u in units]
+        """Call each unit's ``fn`` in the host process and charge the
+        batch's modeled cost to the clock; returns the results.
+
+        The clock never depends on the host: the Table-2 pipelines run
+        once for real and :func:`repro.hetero.trace.simulate_trace` only
+        charges their recorded work.
+        """
+        results = [u.run() for u in units]
         self.clock.advance(self.cost(units), label=units[0].label if units else "")
         return results
 
@@ -129,35 +126,3 @@ def cpu_device(n_threads: int = 40) -> Device:
         batch_size=max(1, n_threads // 8),
         takes_from_back=False,
     )
-
-
-def local_cpu_device(n_workers: int | None = None) -> Device:
-    """A CPU device whose batches *really* run concurrently on this host.
-
-    Work units in a batch are dispatched to a thread pool (the compiled
-    scipy/numpy kernels release the GIL, so threads give genuine overlap
-    without the pickling constraints of processes; the process-parallel
-    bulk-SSSP backend lives in :mod:`repro.hetero.parallel`).  Virtual-time
-    accounting is unchanged — the clock still charges the bandwidth model —
-    so traces replayed through this device stay comparable with the purely
-    simulated ones.
-    """
-    if n_workers is None:
-        from .parallel import resolve_workers
-
-        n_workers = resolve_workers()
-    n_workers = max(1, int(n_workers))
-    executor = ThreadPoolExecutor(max_workers=n_workers)
-
-    def pool_map(thunks: list) -> list:
-        return list(executor.map(lambda f: f(), thunks))
-
-    dev = cpu_device(n_threads=n_workers)
-    dev.name = "cpu-local"
-    dev.pool = pool_map
-    dev.batch_size = max(1, n_workers)
-    return dev
-
-
-class CPUDevice(Device):
-    """Alias kept for readability in user code."""

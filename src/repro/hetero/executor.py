@@ -2,10 +2,10 @@
 
 Devices race for batches from the double-ended work queue: at every step
 the device whose virtual clock is furthest behind grabs its next batch
-from its end, executes it for real, and advances its clock by the modeled
-cost.  The makespan (max device clock at drain, relative to the common
-start) is the stage's heterogeneous runtime; per-device busy time gives
-the utilisation split.
+from its end and advances its clock by the modeled cost (:func:`race`).
+The makespan (max device clock at drain, relative to the common start) is
+the stage's heterogeneous runtime; per-device busy time gives the
+utilisation split.
 
 ``Platform`` bundles device sets for the four Table-2 implementations:
 sequential, multicore CPU, GPU-only, and CPU+GPU.
@@ -14,12 +14,14 @@ sequential, multicore CPU, GPU-only, and CPU+GPU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 from .device import Device, cpu_device, sequential_device
 from .simt import gpu_device
-from .workqueue import DequeWorkQueue, WorkUnit
+from .workqueue import DequeWorkQueue, WorkUnit, count_grabs
 
-__all__ = ["StageReport", "Platform", "HeterogeneousExecutor"]
+__all__ = ["StageReport", "Platform", "HeterogeneousExecutor", "race"]
 
 
 @dataclass
@@ -72,6 +74,37 @@ class Platform:
             d.clock.reset()
 
 
+_clock_now = attrgetter("clock.now")
+
+
+def race(
+    devices: list[Device], queue: DequeWorkQueue, step: Callable[[Device, list], None]
+) -> tuple[float, dict[str, int]]:
+    """Drain ``queue``; returns the makespan and the units each device took.
+
+    A stage is a synchronisation barrier: all devices first align to the
+    same virtual time (dependent stages cannot overlap — the paper notes
+    this limits available parallelism), then the device with the earliest
+    clock (the first listed on ties) takes its next batch from its end and
+    ``step(device, batch)`` charges it, until the queue is empty.
+    """
+    start = max(d.clock.now for d in devices)
+    for d in devices:
+        d.clock.wait_until(start)
+    units = dict.fromkeys([d.name for d in devices], 0)
+    many = len(devices) > 1
+    while not queue.empty:
+        dev = min(devices, key=_clock_now) if many else devices[0]
+        batch = queue.take(dev.batch_size, dev.takes_from_back, dev.name)
+        units[dev.name] += len(batch)
+        step(dev, batch)
+    count_grabs(queue.grabs_front, queue.grabs_back, units)
+    end = max(d.clock.now for d in devices)
+    for d in devices:
+        d.clock.wait_until(end)
+    return end - start, units
+
+
 class HeterogeneousExecutor:
     """Drains stages of work units through a platform's devices."""
 
@@ -82,37 +115,15 @@ class HeterogeneousExecutor:
         self.results: dict[int, object] = {}
 
     def run_stage(self, units: list[WorkUnit], sort: bool = True) -> StageReport:
-        """Drain ``units``; returns the stage report.
+        """Drain ``units`` through :func:`race`, each batch run by
+        :meth:`Device.execute` on the device that took it."""
+        busy = {d.name: 0.0 for d in self.platform.devices}
 
-        A stage is a synchronisation barrier: all devices first align to
-        the same virtual time (dependent stages cannot overlap — the
-        paper notes this limits available parallelism), then race the
-        queue until it is empty.
-        """
-        devices = self.platform.devices
-        start = max(d.clock.now for d in devices)
-        for d in devices:
-            d.clock.wait_until(start)
-        queue = DequeWorkQueue(units, sort=sort)
-        busy = {d.name: 0.0 for d in devices}
-        count = {d.name: 0 for d in devices}
-        while not queue.empty:
-            dev = min(devices, key=lambda d: d.clock.now)
-            batch = queue.grab(dev.batch_size, dev.takes_from_back, device=dev.name)
-            if not batch:
-                break
+        def step(dev: Device, batch: list[WorkUnit]) -> None:
             t0 = dev.clock.now
-            results = dev.execute(batch)
-            busy[dev.name] += dev.clock.now - t0
-            count[dev.name] += len(batch)
-            for u, r in zip(batch, results):
+            for u, r in zip(batch, dev.execute(batch)):
                 self.results[u.uid] = r
-        end = max(d.clock.now for d in devices)
-        for d in devices:
-            d.clock.wait_until(end)
-        return StageReport(
-            makespan=end - start,
-            per_device_busy=busy,
-            per_device_units=count,
-            n_units=len(units),
-        )
+            busy[dev.name] += dev.clock.now - t0
+
+        makespan, count = race(self.platform.devices, DequeWorkQueue(units, sort=sort), step)
+        return StageReport(makespan, busy, count, len(units))

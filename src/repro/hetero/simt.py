@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import Device, GPU_EFFECTIVE_BW, GPU_LAUNCH_OVERHEAD
-from .workqueue import WorkUnit
 
 __all__ = ["SIMTDevice", "gpu_device"]
 
@@ -46,9 +45,7 @@ class SIMTDevice(Device):
             return self.min_occupancy
         return max(self.min_occupancy, min(1.0, items / self.saturation_items))
 
-    def cost(self, units: list[WorkUnit]) -> float:
-        work = sum(u.work for u in units)
-        items = sum(max(u.items, 1) for u in units)
+    def batch_cost(self, work: float, items: int) -> float:
         bw = self.effective_bandwidth * self.occupancy(items)
         return self.dispatch_overhead + self.divergence_penalty * work / bw
 

@@ -2,13 +2,14 @@
 
 The container this reproduction runs in has one CPU core and no GPU, so
 the paper's CPU+GPU timings cannot be measured on real silicon.  Instead
-every device executes its work units *for real* (results are exact) while
-charging a modeled cost to a per-device virtual clock.  Makespans, device
-utilisation, and speedups are then read off the clocks.
+the pipelines run once *for real* (results are exact) and record their
+work; :func:`repro.hetero.trace.simulate_trace` replays that work on each
+platform and only charges its modeled cost to per-device virtual clocks.
+Makespans, device utilisation, and speedups are then read off the clocks.
 
 See DESIGN.md §2 for why this substitution preserves the paper's
 observable behaviour (speedup shapes are determined by work division and
-queue dynamics, both of which run for real).
+queue dynamics, which the replay reproduces grab for grab).
 """
 
 from __future__ import annotations

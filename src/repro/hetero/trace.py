@@ -16,9 +16,11 @@ paper's machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .executor import HeterogeneousExecutor, Platform
-from .workqueue import WorkUnit
+from .device import Device
+from .executor import Platform, race
+from .workqueue import DequeWorkQueue
 
 __all__ = ["Stage", "WorkTrace", "simulate_trace", "SimulationResult"]
 
@@ -87,18 +89,20 @@ def simulate_trace(
 ) -> SimulationResult:
     """Replay ``trace`` through ``platform``; returns its virtual makespan.
 
-    ``record_samples=True`` switches every device clock to per-interval
-    accounting, so after the replay ``{d.name: d.clock for d in
+    Each stage's ``(work, items)`` pairs race through the double-ended
+    queue (:func:`repro.hetero.executor.race`) and each batch only charges
+    its device's modeled cost; nothing runs.  ``record_samples=True``
+    switches every device clock to per-interval accounting (``False``
+    switches it off), so after the replay ``{d.name: d.clock for d in
     platform.devices}`` can be handed to
     :func:`repro.obs.export.write_chrome_trace` as virtual device tracks.
     """
+    if not platform.devices:
+        raise ValueError("platform needs at least one device")
     platform.reset()
-    if record_samples:
-        for d in platform.devices:
-            d.clock.record_samples = True
-    ex = HeterogeneousExecutor(platform)
+    for d in platform.devices:
+        d.clock.record_samples = record_samples
     stage_times: dict[str, float] = {}
-    uid = 0
     for stage in trace.stages:
         if not stage.units:
             continue
@@ -106,13 +110,7 @@ def simulate_trace(
         if stage.divisible:
             _run_divisible(platform, stage)
         else:
-            units = []
-            for work, items in stage.units:
-                units.append(
-                    WorkUnit(uid=uid, fn=_noop, work=work, items=items, label=stage.kind)
-                )
-                uid += 1
-            ex.run_stage(units)
+            race(platform.devices, DequeWorkQueue(stage.units), partial(_charge, stage.kind))
         stage_times[stage.kind] = (
             stage_times.get(stage.kind, 0.0) + platform.total_time - start
         )
@@ -123,6 +121,15 @@ def simulate_trace(
         stage_times=stage_times,
         device_busy=busy,
     )
+
+
+def _charge(kind: str, dev: Device, batch: list[tuple[float, int]]) -> None:
+    """Charge one batch of ``(work, items)`` pairs to ``dev``'s clock."""
+    # Builtin sum in grab order, as Device.cost: 3.12's sum compensates
+    # rounding, so any other summation would move the virtual times.
+    work = sum([w for w, _ in batch])
+    items = sum([i if i > 1 else 1 for _, i in batch])
+    dev.clock.advance(dev.batch_cost(work, items), kind)
 
 
 def _run_divisible(platform: Platform, stage: Stage) -> None:
@@ -136,15 +143,10 @@ def _run_divisible(platform: Platform, stage: Stage) -> None:
     # Effective rate of each device on this stage (GPU occupancy applies).
     rates = []
     for d in devices:
-        probe = WorkUnit(uid=-1, fn=_noop, work=1.0, items=max(1, items // len(devices)))
-        # cost(work=1) - overhead == 1/bandwidth_effective
-        inv_bw = d.cost([probe]) - d.dispatch_overhead
+        # batch_cost(work=1) - overhead == 1/bandwidth_effective
+        inv_bw = d.batch_cost(1.0, max(1, items // len(devices))) - d.dispatch_overhead
         rates.append(1.0 / inv_bw if inv_bw > 0 else d.effective_bandwidth)
     total_rate = sum(rates)
     duration = work / total_rate if total_rate else 0.0
     for d, r in zip(devices, rates):
         d.clock.advance(duration + d.dispatch_overhead, label=stage.kind)
-
-
-def _noop() -> None:
-    return None

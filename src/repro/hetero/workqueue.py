@@ -6,14 +6,15 @@ the small end, each in proportion to its thread count, until the queue
 drains.  This dynamic scheme replaces any static CPU/GPU split — "arriving
 at this proportion analytically is not easy".
 
-The queue itself is execution-agnostic; the event-driven simulation that
-drives devices against it lives in :mod:`repro.hetero.executor`.
+The queue is one sorted list with two cursors, so a grab is a slice.  It
+is execution-agnostic; the race loop that drives devices against it lives
+in :mod:`repro.hetero.executor`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
 from ..obs import events as _events
@@ -39,60 +40,81 @@ class WorkUnit:
     work: float
     items: int = 1
     label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def run(self) -> Any:
         return self.fn()
 
 
 class DequeWorkQueue:
-    """Size-sorted double-ended queue with two-sided batch grabs."""
+    """Size-sorted double-ended queue with two-sided batch grabs.
 
-    def __init__(self, units: list[WorkUnit], sort: bool = True) -> None:
-        ordered = sorted(units, key=lambda u: u.work) if sort else list(units)
-        # Ascending order: front = smallest (CPU side), back = biggest (GPU).
-        self._q: deque[WorkUnit] = deque(ordered)
-        self.total_work = float(sum(u.work for u in units))
+    Holds :class:`WorkUnit`\\ s or ``(work, items)`` pairs, sorted stably
+    by work alone: front = smallest (CPU side), back = biggest (GPU).
+    """
+
+    def __init__(self, units: list, sort: bool = True) -> None:
+        q = list(units)
+        if sort and q:
+            q.sort(key=itemgetter(0) if isinstance(q[0], tuple) else attrgetter("work"))
+        self._q = q
+        self._lo = 0
+        self._hi = len(q)
         self.grabs_front = 0
         self.grabs_back = 0
 
     def __len__(self) -> int:
-        return len(self._q)
+        return self._hi - self._lo
 
     @property
     def empty(self) -> bool:
-        return not self._q
+        return self._lo == self._hi
 
-    def grab(
-        self, batch_size: int, from_back: bool, device: str = ""
-    ) -> list[WorkUnit]:
-        """Atomically take up to ``batch_size`` units from one end.
+    def take(self, batch_size: int, from_back: bool, device: str = "") -> list:
+        """:meth:`grab` without the counters, which :func:`count_grabs`
+        adds (a race adds them once per stage).  A back grab lists the
+        biggest unit first."""
+        lo, hi = self._lo, self._hi
+        if lo == hi:
+            return []
+        k = batch_size if batch_size > 1 else 1
+        if from_back:
+            cut = hi - k if hi - k > lo else lo
+            out = self._q[cut:hi][::-1]
+            self._hi = cut
+            self.grabs_back += 1
+        else:
+            cut = lo + k if lo + k < hi else hi
+            out = self._q[lo:cut]
+            self._lo = cut
+            self.grabs_front += 1
+        _H_BATCH.observe(len(out))
+        if _events.enabled():
+            _events.emit(
+                "queue.grab",
+                end="back" if from_back else "front",
+                batch=len(out),
+                device=device,
+                remaining=self._hi - self._lo,
+            )
+        return out
+
+    def grab(self, batch_size: int, from_back: bool, device: str = "") -> list:
+        """Take up to ``batch_size`` units from one end as one grab.
 
         ``device`` is the grabbing device's name, threaded through purely
         for telemetry: per-device grab/unit counters and — when events
         are enabled — one ``queue.grab`` event per non-empty grab.
         """
-        out: list[WorkUnit] = []
-        for _ in range(max(1, batch_size)):
-            if not self._q:
-                break
-            out.append(self._q.pop() if from_back else self._q.popleft())
+        out = self.take(batch_size, from_back, device)
         if out:
-            if from_back:
-                self.grabs_back += 1
-                _C_GRABS_BACK.inc()
-            else:
-                self.grabs_front += 1
-                _C_GRABS_FRONT.inc()
-            _H_BATCH.observe(len(out))
-            if device:
-                _metrics.counter(f"queue.device.{device}.units").inc(len(out))
-            if _events.enabled():
-                _events.emit(
-                    "queue.grab",
-                    end="back" if from_back else "front",
-                    batch=len(out),
-                    device=device,
-                    remaining=len(self._q),
-                )
+            count_grabs(int(not from_back), int(from_back), {device: len(out)})
         return out
+
+
+def count_grabs(front: int, back: int, units: dict[str, int]) -> None:
+    """Add grabs per end and units per named device to the counters."""
+    _C_GRABS_FRONT.inc(front)
+    _C_GRABS_BACK.inc(back)
+    for device, n in units.items():
+        if device and n:
+            _metrics.counter(f"queue.device.{device}.units").inc(n)

@@ -193,6 +193,17 @@ class TestTraceSimulation:
         res = simulate_trace(self.make_trace(), Platform.heterogeneous())
         assert all(v > 0 for v in res.device_busy.values())
 
+    def test_record_samples_off_after_armed_replay(self):
+        tr = WorkTrace()
+        st = tr.new_stage("labels")
+        for i in range(10):
+            st.add(1e6 * (i + 1), 100)
+        plat = Platform.heterogeneous()
+        simulate_trace(tr, plat, record_samples=True)
+        assert all(d.clock.samples for d in plat.devices)
+        simulate_trace(tr, plat)
+        assert not any(d.clock.record_samples or d.clock.samples for d in plat.devices)
+
     def test_empty_stages_skipped(self):
         tr = WorkTrace()
         tr.new_stage("nothing")
