@@ -383,7 +383,7 @@ def main() -> None:
                 phases=baseline["phases"],
                 counters=baseline["obs"]["counters"],
                 memory={"adjacency_cache": baseline["obs"]["adjacency_cache"]},
-                meta={"scale": args.scale, "out": str(args.out), "scenario": "smoke"},
+                meta={"scale": args.scale, "out": str(args.out)},
                 root=ROOT,
             )
         )

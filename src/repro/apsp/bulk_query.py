@@ -36,17 +36,12 @@ import numpy as np
 
 from ..decomposition.block_cut_tree import BlockCutTree
 from ..obs import metrics as _metrics
-from ..obs import provenance as _prov
-from ..obs.provenance import BatchProvenance
 from ..obs.trace import span as _span
 
 __all__ = ["BulkOracleIndex"]
 
-#: Component-local distance kernel.  The optional ``formula_out`` int8
-#: array (same length as ``lu``) receives per-pair resolver codes from
-#: :mod:`repro.obs.provenance` when provenance capture is active; passing
-#: ``None`` (the default) must leave the arithmetic untouched.
-DistManyFn = Callable[..., np.ndarray]
+#: Component-local distance kernel: ``dist_many(cid, lu, lv)``.
+DistManyFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 
 _C_BATCHES = _metrics.counter("bulk_query.batches")
 _C_PAIRS = _metrics.counter("bulk_query.pairs")
@@ -95,12 +90,10 @@ class BulkOracleIndex:
 
         self.is_ap = np.zeros(self.n, dtype=bool)
         self.ap_idx_of = np.full(self.n, -1, dtype=np.int64)
-        # AP index → vertex id, for mapping boundary-AP indices back to
-        # graph vertices in provenance records.
-        self.ap_ids = np.asarray(tree.ap_ids, dtype=np.int64)
         if a:
-            self.is_ap[self.ap_ids] = True
-            self.ap_idx_of[self.ap_ids] = np.arange(a, dtype=np.int64)
+            ap_ids = np.asarray(tree.ap_ids, dtype=np.int64)
+            self.is_ap[ap_ids] = True
+            self.ap_idx_of[ap_ids] = np.arange(a, dtype=np.int64)
 
         # Home component + local index for every non-AP vertex; per-block
         # local positions of every AP (``-1`` where the AP is not a member).
@@ -146,11 +139,7 @@ class BulkOracleIndex:
     # ------------------------------------------------------------------ #
 
     def _grouped_dist(
-        self,
-        comp: np.ndarray,
-        lu: np.ndarray,
-        lv: np.ndarray,
-        formula_out: np.ndarray | None = None,
+        self, comp: np.ndarray, lu: np.ndarray, lv: np.ndarray
     ) -> np.ndarray:
         """``dist_many`` over mixed-component pairs, one batch per component."""
         out = np.empty(comp.size, dtype=np.float64)
@@ -163,12 +152,7 @@ class BulkOracleIndex:
         for s, e in zip(starts, ends):
             idx = order[s:e]
             cid = int(comp[idx[0]])
-            if formula_out is None:
-                out[idx] = self._dist_many(cid, lu[idx], lv[idx])
-            else:
-                f = np.zeros(idx.size, dtype=np.int8)
-                out[idx] = self._dist_many(cid, lu[idx], lv[idx], formula_out=f)
-                formula_out[idx] = f
+            out[idx] = self._dist_many(cid, lu[idx], lv[idx])
         return out
 
     def _to_ap_many(self, verts: np.ndarray, ap_idx: np.ndarray) -> np.ndarray:
@@ -182,14 +166,8 @@ class BulkOracleIndex:
             out[plain] = self._grouped_dist(comp, lu, la)
         return out
 
-    def _resolve(self, pairs: np.ndarray, prov: BatchProvenance | None) -> np.ndarray:
-        """Classify + resolve a validated ``(k, 2)`` pair array.
-
-        The single code path behind :meth:`query_many` (``prov=None``) and
-        :meth:`explain_many`: provenance capture only *adds* attribution
-        writes next to the existing masks, so explained distances are
-        bit-identical to unexplained ones.
-        """
+    def _resolve(self, pairs: np.ndarray) -> np.ndarray:
+        """Classify + resolve a validated, non-empty ``(k, 2)`` pair array."""
         k = pairs.shape[0]
         out = np.full(k, np.inf, dtype=np.float64)
         _C_BATCHES.inc()
@@ -201,11 +179,6 @@ class BulkOracleIndex:
             live = ~eq & self.member[u] & self.member[v]
 
             apu, apv = self.is_ap[u], self.is_ap[v]
-            if prov is not None:
-                prov.cls[eq] = _prov.C_SELF
-                prov.resolver[eq] = _prov.R_IDENTITY
-                prov.comp_u[:] = self.comp_of[u]
-                prov.comp_v[:] = self.comp_of[v]
             # Same component, no APs involved: unique components must match.
             same_nn = live & ~apu & ~apv & (self.comp_of[u] == self.comp_of[v])
             # Exactly one AP: shared iff the AP sits in the other's block.
@@ -228,9 +201,6 @@ class BulkOracleIndex:
                 sel = np.nonzero(both_ap)[0]
                 out[sel[hit]] = d[hit]
                 both_ap_shared[sel[hit]] = True
-                if prov is not None:
-                    prov.cls[sel[hit]] = _prov.C_SAME
-                    prov.resolver[sel[hit]] = _prov.R_AP_SHARED
 
             same_comp = same_nn | one_ap_shared
             if same_comp.any():
@@ -240,14 +210,7 @@ class BulkOracleIndex:
                 )
                 lu = np.where(apu[idx], l_ap[idx], self.local_of[u[idx]])
                 lv = np.where(apv[idx], l_ap[idx], self.local_of[v[idx]])
-                if prov is None:
-                    out[idx] = self._grouped_dist(comp, lu, lv)
-                else:
-                    f = np.zeros(idx.size, dtype=np.int8)
-                    out[idx] = self._grouped_dist(comp, lu, lv, formula_out=f)
-                    prov.cls[idx] = _prov.C_SAME
-                    prov.resolver[idx] = f
-                    prov.component[idx] = comp
+                out[idx] = self._grouped_dist(comp, lu, lv)
             _C_SAME.inc(int(same_comp.sum() + both_ap_shared.sum()))
 
             cross = live & ~(same_comp | both_ap_shared)
@@ -264,29 +227,21 @@ class BulkOracleIndex:
                     d_u = self._to_ap_many(u[sel], a1)
                     d_v = self._to_ap_many(v[sel], a2)
                     out[sel] = (d_u + self.ap_matrix[a1, a2]) + d_v
-                    if prov is not None:
-                        prov.cls[sel] = _prov.C_CROSS
-                        prov.resolver[sel] = _prov.R_AP_BRIDGE
-                        prov.ap1[sel] = self.ap_ids[a1]
-                        prov.ap2[sel] = self.ap_ids[a2]
                 n_cross = int(sel.size)
             _C_CROSS.inc(n_cross)
             _C_UNREACH.inc(int(np.isinf(out).sum()))
-            if prov is not None:
-                # Resolved-but-unreachable can't happen; unreachable pairs
-                # keep the C_UNREACHABLE/R_NONE defaults.  inf out of a
-                # resolver (e.g. a disconnected reduced component) still
-                # reports as unreachable.
-                unreach = np.isinf(out)
-                prov.cls[unreach] = _prov.C_UNREACHABLE
-                prov.resolver[unreach] = _prov.R_NONE
-                prov.distances[:] = out
         return out
 
     def _check_pairs(self, pairs: np.ndarray) -> np.ndarray:
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"expected a (k, 2) pair array, got {pairs.shape}")
+        bad = (pairs < 0) | (pairs >= self.n)
+        if bad.any():
+            raise ValueError(
+                f"vertex id {int(pairs.flat[np.argmax(bad)])} is outside "
+                f"[0, {self.n})"
+            )
         if pairs.shape[0] and self.ap_matrix is None:
             raise ValueError("BulkOracleIndex.ap_matrix is not attached yet")
         return pairs
@@ -296,18 +251,4 @@ class BulkOracleIndex:
         pairs = self._check_pairs(pairs)
         if pairs.shape[0] == 0:
             return np.full(0, np.inf, dtype=np.float64)
-        return self._resolve(pairs, None)
-
-    def explain_many(self, pairs: np.ndarray) -> BatchProvenance:
-        """Like :meth:`query_many`, but returns full per-pair provenance.
-
-        Distances (``.distances``) are bit-identical to
-        :meth:`query_many` on the same pairs — both run the same
-        :meth:`_resolve` body; provenance only adds attribution writes.
-        """
-        pairs = self._check_pairs(pairs)
-        prov = BatchProvenance(pairs)
-        if pairs.shape[0]:
-            self._resolve(pairs, prov)
-        _prov.count_explain(pairs.shape[0])
-        return prov
+        return self._resolve(pairs)

@@ -113,16 +113,7 @@ class DistanceOracle:
 
             tables = self.tables.tables
 
-            def dist_many(
-                cid: int,
-                lu: np.ndarray,
-                lv: np.ndarray,
-                formula_out: np.ndarray | None = None,
-            ) -> np.ndarray:
-                if formula_out is not None:
-                    from ..obs.provenance import R_TABLE
-
-                    formula_out[:] = R_TABLE
+            def dist_many(cid: int, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
                 return np.asarray(tables[cid][lu, lv], dtype=np.float64)
 
             self._bulk = BulkOracleIndex(
@@ -142,19 +133,6 @@ class DistanceOracle:
         scalar :meth:`query` loop.
         """
         return self._bulk_index().query_many(pairs)
-
-    def explain_many(self, pairs: np.ndarray):
-        """Bulk queries with full per-pair provenance attached.
-
-        Returns a :class:`repro.obs.provenance.BatchProvenance` whose
-        ``.distances`` are bit-identical to :meth:`query_many`.
-        """
-        return self._bulk_index().explain_many(pairs)
-
-    def explain(self, u: int, v: int):
-        """Explain one query: a :class:`~repro.obs.provenance.QueryProvenance`."""
-        pairs = np.array([[u, v]], dtype=np.int64)
-        return self.explain_many(pairs).record(0)
 
     def query_many_scalar(self, pairs: np.ndarray) -> np.ndarray:
         """The per-pair scalar reference loop (kept for differential tests

@@ -23,7 +23,6 @@ from ..decomposition.biconnected import biconnected_components
 from ..decomposition.block_cut_tree import BlockCutTree
 from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
-from ..obs.provenance import R_CHAIN_CHAIN, R_CHAIN_ENDPOINT, R_SAME_CHAIN, R_TABLE
 from ..sssp.engine import ZERO_WEIGHT_NUDGE, all_pairs
 from .bulk_query import BulkOracleIndex
 
@@ -78,20 +77,12 @@ class _ComponentStore:
             best = min(best, abs(float(dlu) - float(dlv)))
         return float(best)
 
-    def dist_many(
-        self,
-        lu: np.ndarray,
-        lv: np.ndarray,
-        formula_out: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def dist_many(self, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`dist` over arrays of component-local vertices.
 
         Evaluates the Section 2.1.3 closed forms as batched gathers over
         the chain prefix arrays — bit-identical to the scalar path (same
         table lookups, same minimum sets, same association order).
-        ``formula_out`` (provenance capture) receives per-pair resolver
-        codes; it only ever adds attribution writes, never changes the
-        arithmetic.
         """
         red = self.red
         s = self.table
@@ -104,8 +95,6 @@ class _ComponentStore:
         both = ku & kv
         if both.any():
             out[both] = s[rid[lu[both]], rid[lv[both]]]
-            if formula_out is not None:
-                formula_out[both] = R_TABLE
         one = ku ^ kv
         if one.any():
             x = np.where(ku[one], lv[one], lu[one])  # the removed vertex
@@ -117,8 +106,6 @@ class _ComponentStore:
             out[one] = np.minimum(
                 red.dist_left[x] + s[lx, rw], red.dist_right[x] + s[rx, rw]
             )
-            if formula_out is not None:
-                formula_out[one] = R_CHAIN_ENDPOINT
         rr = ~ku & ~kv
         if rr.any():
             x, y = lu[rr], lv[rr]
@@ -131,15 +118,6 @@ class _ComponentStore:
             np.minimum(best, (dlu + s[lx, ry]) + drv, out=best)
             np.minimum(best, (dru + s[rx, ly]) + dlv, out=best)
             np.minimum(best, (dru + s[rx, ry]) + drv, out=best)
-            if formula_out is not None:
-                # Attribute the winner *before* the in-place same-chain
-                # min below mutates ``best`` (float min is exact, so the
-                # <= test reproduces exactly which term wins).
-                direct = np.abs(dlu - dlv)
-                same = (cx == cy) & (direct <= best)
-                f = np.full(same.size, R_CHAIN_CHAIN, dtype=np.int8)
-                f[same] = R_SAME_CHAIN
-                formula_out[rr] = f
             # Same-chain closed form over the cumsum prefixes.
             np.minimum(best, np.abs(dlu - dlv), out=best, where=cx == cy)
             out[rr] = best
@@ -171,17 +149,14 @@ class ReducedDistanceOracle:
         # Vectorized classification index; its ``ap_shared`` matrix is the
         # min intra-component distance per co-located AP pair — exactly the
         # edge list the articulation closure is built from, so the closure
-        # construction below is one sparse-Dijkstra over its finite entries
-        # instead of the old per-pair Python loop.
+        # construction below is one sparse-Dijkstra over its finite entries.
         self.ap_ids = bcc.articulation_points
         self.ap_index = {int(v): i for i, v in enumerate(self.ap_ids)}
         self._bulk = BulkOracleIndex(
             g.n,
             self.tree,
             bcc.component_vertices,
-            lambda cid, lu, lv, formula_out=None: self.stores[cid].dist_many(
-                lu, lv, formula_out=formula_out
-            ),
+            lambda cid, lu, lv: self.stores[cid].dist_many(lu, lv),
         )
         a = len(self.ap_ids)
         if a:
@@ -246,21 +221,6 @@ class ReducedDistanceOracle:
         scalar :meth:`query` loop, integer factors faster.
         """
         return self._bulk.query_many(pairs)
-
-    def explain_many(self, pairs: np.ndarray):
-        """Bulk queries with full per-pair provenance attached.
-
-        Returns a :class:`repro.obs.provenance.BatchProvenance` whose
-        ``.distances`` are bit-identical to :meth:`query_many` (chain
-        closed forms attributed as ``chain-endpoint`` / ``chain-chain`` /
-        ``same-chain``).
-        """
-        return self._bulk.explain_many(pairs)
-
-    def explain(self, u: int, v: int):
-        """Explain one query: a :class:`~repro.obs.provenance.QueryProvenance`."""
-        pairs = np.array([[u, v]], dtype=np.int64)
-        return self.explain_many(pairs).record(0)
 
     def query_many_scalar(self, pairs: np.ndarray) -> np.ndarray:
         """The per-pair scalar reference loop (kept for differential tests

@@ -13,13 +13,9 @@ Examples
     repro-bench profile mcb --datasets nopoly --scale 0.02
     repro-bench regress --baseline BENCH_BASELINE.json --ledger BENCH_LEDGER.jsonl
     repro-bench regress --trace-a before.json --trace-b after.json
-    repro-bench watch --once --events run-events
     repro-bench report --ledger RUN_LEDGER.jsonl --out run-report.html
     repro-bench critpath --trace trace.json --events run-events
     repro-bench critpath --json --out critpath.json --ledger RUN_LEDGER.jsonl
-    repro-bench scenarios --config examples/scenario_smoke.json
-    repro-bench scenarios --scenario clean-theta-apsp tight-deadline-query
-    repro-bench slo --events scenario-events/clean-theta-apsp --budgets b.json
 """
 
 from __future__ import annotations
@@ -353,7 +349,7 @@ def _cmd_profile(args) -> None:
         log = EventLog(args.events_out)
         n_events = len(log.read())
         print(f"wrote {n_events} events to {args.events_out}/ "
-              f"({len(log.shards())} shard(s); view with repro-bench watch --once)")
+              f"({len(log.shards())} shard(s); render with repro-bench report --events)")
     if profile_dir:
         from .obs.sampler import read_profile
 
@@ -525,7 +521,6 @@ def _cmd_regress(args) -> None:
         rel_tol=args.rel_tol,
         mad_k=args.mad_k,
         min_seconds=args.min_seconds,
-        tail_rel_tol=args.tail_rel_tol,
     )
     print(report.render())
     if report.compared == 0:
@@ -536,60 +531,6 @@ def _cmd_regress(args) -> None:
         print(f"ledger: appended candidate record to {ledger.path}")
     if not report.ok:
         raise SystemExit(1)
-
-
-def _cmd_watch(args) -> None:
-    """``repro-bench watch`` — live terminal view over an event stream.
-
-    Renders one status frame per ``--interval`` seconds from the event
-    directory (``--events``, or ``REPRO_EVENTS``): open pipeline phases,
-    per-device queue grabs and shares, queue depth, sssp chunk
-    throughput, and per-worker heartbeat ages with stall flags.
-    ``--once`` renders a single frame and exits — recorded streams are
-    rendered with end-of-run ages rather than wall-clock-since ages.
-    """
-    import time as _time
-
-    from .obs.events import EventLog, default_events_dir
-    from .obs.watch import render_status
-
-    events_dir = args.events or default_events_dir()
-    if events_dir is None:
-        raise SystemExit(
-            "watch: no event directory (pass --events DIR or set REPRO_EVENTS)"
-        )
-    log = EventLog(events_dir)
-    if args.once:
-        events = log.read()
-        print(f"watching {events_dir} (single frame)")
-        if not events:
-            # A distinct exit code for "stream held nothing": CI can tell
-            # a mis-pointed REPRO_EVENTS from a rendered-but-idle run.
-            from .obs.slo import EXIT_EMPTY_STREAM
-            from .obs.watch import empty_stream_hint
-
-            print(empty_stream_hint(events_dir))
-            if log.skipped:
-                print(f"({log.skipped} unreadable line(s) skipped)")
-            raise SystemExit(EXIT_EMPTY_STREAM)
-        frame = render_status(events, stall_after=args.stall_after)
-        print(frame)
-        if log.skipped:
-            print(f"({log.skipped} unreadable line(s) skipped)")
-        return
-    try:
-        while True:
-            frame = render_status(
-                log.read(),
-                now_ns=_time.perf_counter_ns(),
-                stall_after=args.stall_after,
-            )
-            print("\x1b[2J\x1b[H", end="")  # clear screen, home cursor
-            print(f"watching {events_dir} (ctrl-c to stop)")
-            print(frame)
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
 
 
 def _cmd_report(args) -> None:
@@ -734,107 +675,6 @@ def _cmd_critpath(args) -> None:
     print(render_text(result))
 
 
-def _cmd_slo(args) -> None:
-    """``repro-bench slo`` — judge an event stream against SLO budgets.
-
-    Reads the merged event stream (``--events`` / ``REPRO_EVENTS``),
-    extracts per-phase/per-chunk/per-query latency distributions, and —
-    when ``--budgets`` names a JSON budget list — gates them.  Exit
-    codes: 0 all budgets met, 1 violated, 2 a budget named a metric the
-    stream lacks, 3 the stream held no events at all.
-    """
-    from .obs.events import EventLog, default_events_dir
-    from .obs.slo import (
-        EXIT_EMPTY_STREAM,
-        parse_budgets,
-        slo_from_events,
-    )
-    from .obs.watch import empty_stream_hint
-
-    events_dir = args.events or default_events_dir()
-    if events_dir is None:
-        raise SystemExit(
-            "slo: no event directory (pass --events DIR or set REPRO_EVENTS)"
-        )
-    budgets = []
-    if args.budgets:
-        with open(args.budgets) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "scenarios" in doc:
-            raise SystemExit(
-                f"slo: {args.budgets} is a scenario-matrix config; run it "
-                "with 'repro-bench scenarios --config', or point --budgets "
-                "at a budget list / single scenario object"
-            )
-        if isinstance(doc, dict) and "slo" in doc:
-            doc = doc["slo"]  # accept a single scenario object's slo block
-        budgets = parse_budgets(doc)
-    log = EventLog(events_dir)
-    events = log.read()
-    if log.skipped:
-        print(f"events: skipped {log.skipped} unreadable line(s)")
-    if not events:
-        print(empty_stream_hint(events_dir))
-        raise SystemExit(EXIT_EMPTY_STREAM)
-    report = slo_from_events(events, budgets)
-    print(f"slo gate over {events_dir} ({len(events)} events)")
-    print()
-    print(report.render())
-    if not budgets:
-        print()
-        print("(no --budgets file: distributions reported, nothing gated)")
-    if report.exit_code:
-        raise SystemExit(report.exit_code)
-
-
-def _cmd_scenarios(args) -> None:
-    """``repro-bench scenarios`` — run the deadline-driven scenario matrix.
-
-    ``--config`` loads a JSON/TOML scenario file (see ``examples/``);
-    ``--scenario`` picks builtin library scenarios by name; with neither,
-    the whole builtin library runs.  Each scenario executes through the
-    real engine/hetero runners (fault profiles included) into its own
-    event directory under ``--events-out``, is judged against its SLO
-    budgets, and — with a ledger configured — appends a ``scenario``
-    record carrying the verdict and tail percentiles.  Exit code is the
-    worst per-scenario SLO exit code.
-    """
-    from .scenarios import (
-        builtin_scenarios,
-        get_scenario,
-        load_config,
-        render_matrix,
-        run_matrix,
-    )
-
-    if args.config:
-        configs = load_config(args.config)
-        source = args.config
-    elif args.scenario:
-        configs = [get_scenario(name) for name in args.scenario]
-        source = "builtin library (selected)"
-    else:
-        configs = builtin_scenarios()
-        source = "builtin library"
-    events_root = args.events_out or "scenario-events"
-    ledger = _resolve_ledger(args)
-    print(f"running {len(configs)} scenario(s) from {source} -> {events_root}/")
-    print()
-    results = run_matrix(configs, events_root, ledger=ledger)
-    print(render_matrix(results))
-    worst = max(r.slo.exit_code for r in results)
-    for r in results:
-        if not r.ok:
-            print()
-            print(f"--- {r.config.name} ---")
-            print(r.slo.render())
-    if ledger is not None:
-        print()
-        print(f"ledger: appended {len(results)} scenario record(s) to {ledger.path}")
-    if worst:
-        raise SystemExit(worst)
-
-
 def _cmd_all(args) -> None:
     for fn in (_cmd_table1, _cmd_fig2, _cmd_table2, _cmd_phases):
         fn(args)
@@ -850,8 +690,7 @@ def main(argv: list[str] | None = None) -> int:
         "command",
         choices=[
             "table1", "fig2", "table2", "phases", "datasets", "qa",
-            "profile", "regress", "watch", "report", "critpath",
-            "scenarios", "slo", "all",
+            "profile", "regress", "report", "critpath", "all",
         ],
     )
     parser.add_argument(
@@ -880,8 +719,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--events-out",
         default=None,
-        help="profile/scenarios: directory for the structured event stream "
-             "(per-pid JSONL shards; scenarios nests one subdir per scenario)",
+        help="profile: directory for the structured event stream "
+             "(per-pid JSONL shards)",
     )
     parser.add_argument(
         "--sample-hz",
@@ -903,28 +742,10 @@ def main(argv: list[str] | None = None) -> int:
              "(default: the ledgered run's profile_dir)",
     )
     parser.add_argument(
-        "--config",
-        default=None,
-        help="scenarios: JSON/TOML scenario config file (see examples/)",
-    )
-    parser.add_argument(
-        "--scenario",
-        nargs="*",
-        default=None,
-        help="scenarios: builtin scenario name(s) to run "
-             "(default: the whole builtin library)",
-    )
-    parser.add_argument(
-        "--budgets",
-        default=None,
-        help="slo: JSON file with the budget list (or a scenario object; "
-             "its 'slo' block is used)",
-    )
-    parser.add_argument(
         "--events",
         default=None,
-        help="watch/report/critpath: event-stream directory to read "
-             "(default: REPRO_EVENTS, or the ledgered run's events_dir)",
+        help="report/critpath: event-stream directory to read "
+             "(default: the ledgered run's events_dir)",
     )
     parser.add_argument(
         "--trace",
@@ -950,24 +771,6 @@ def main(argv: list[str] | None = None) -> int:
         default=4.0,
         help="critpath: MAD multiplier for the straggler band "
              "(finish > median + k*MAD)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="watch: render a single frame and exit",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="watch: seconds between frames",
-    )
-    parser.add_argument(
-        "--stall-after",
-        type=float,
-        default=None,
-        help="watch: heartbeat age (s) past which a worker is flagged "
-             "stalled (default: REPRO_WATCH_STALL or 5)",
     )
     parser.add_argument(
         "--workers",
@@ -1011,14 +814,6 @@ def main(argv: list[str] | None = None) -> int:
         help="regress: relative slowdown tolerance per phase",
     )
     parser.add_argument(
-        "--tail-rel-tol",
-        type=float,
-        default=0.75,
-        help="regress: relative tolerance for tail-latency phases "
-             "(.p90/.p99/.p999/.jitter names; wider because tail "
-             "estimates are noisier)",
-    )
-    parser.add_argument(
         "--mad-k",
         type=float,
         default=5.0,
@@ -1055,11 +850,8 @@ def main(argv: list[str] | None = None) -> int:
         "qa": _cmd_qa,
         "profile": _cmd_profile,
         "regress": _cmd_regress,
-        "watch": _cmd_watch,
         "report": _cmd_report,
         "critpath": _cmd_critpath,
-        "scenarios": _cmd_scenarios,
-        "slo": _cmd_slo,
         "all": _cmd_all,
     }[args.command](args)
     return 0

@@ -22,15 +22,8 @@ This package makes that accounting first-class for the reproduction:
   benchmark run stamped with git SHA, host fingerprint, knobs, per-phase
   times, counters, and memory stats.
 * :mod:`repro.obs.regress` — the noise-aware regression gate over the
-  ledger (median + MAD bands, per-phase attribution, wider tail-latency
-  bands) plus the Chrome-trace differ; surfaced as ``repro-bench regress``.
-* :mod:`repro.obs.slo` — latency/jitter distributions (p50…p999, IQR,
-  deadline misses) extracted from merged event streams and judged
-  against declared SLO budgets; surfaced as ``repro-bench slo`` and the
-  scenario harness of :mod:`repro.scenarios`.
-* :mod:`repro.obs.provenance` — per-query explain records for the
-  distance-oracle serving path (pair class, component, boundary APs,
-  resolving formula), captured bit-identically alongside ``query_many``.
+  ledger (median + MAD bands, per-phase attribution) plus the
+  Chrome-trace differ; surfaced as ``repro-bench regress``.
 * :mod:`repro.obs.sampler` — zero-dependency continuous profiling: a
   thread-based stack sampler with collapsed-stack (flamegraph) export,
   armed via ``REPRO_SAMPLER`` / ``repro-bench profile --sample-hz``.
@@ -127,15 +120,8 @@ from .regress import (
     diff_chrome_traces,
     extract_phases,
     is_higher_better_phase,
-    is_tail_phase,
     measure_profile_phases,
     phase_totals,
-)
-from .provenance import (
-    PAIR_CLASSES,
-    RESOLVER_NAMES,
-    BatchProvenance,
-    QueryProvenance,
 )
 from .report import REPORT_SECTIONS, build_report, validate_report, write_report
 from .sampler import (
@@ -148,23 +134,6 @@ from .sampler import (
     sampling_to,
     top_stacks,
 )
-from .slo import (
-    EXIT_EMPTY_STREAM,
-    EXIT_NO_DATA,
-    EXIT_OK,
-    EXIT_VIOLATED,
-    Exemplar,
-    LatencyStats,
-    SLOBudget,
-    SLOReport,
-    SLOVerdict,
-    evaluate,
-    extract_exemplars,
-    extract_latencies,
-    parse_budgets,
-    percentile,
-    slo_from_events,
-)
 from .trace import (
     Span,
     TraceCollector,
@@ -174,13 +143,7 @@ from .trace import (
     tracing,
     tracing_enabled,
 )
-from .watch import (
-    Watchdog,
-    empty_stream_hint,
-    heartbeats_from_events,
-    render_status,
-    resolve_stall_after,
-)
+from .watch import Watchdog, heartbeats_from_events, resolve_stall_after
 
 __all__ = [
     # trace
@@ -215,31 +178,8 @@ __all__ = [
     "events_to",
     # watch
     "Watchdog",
-    "empty_stream_hint",
     "heartbeats_from_events",
-    "render_status",
     "resolve_stall_after",
-    # slo
-    "EXIT_EMPTY_STREAM",
-    "EXIT_NO_DATA",
-    "EXIT_OK",
-    "EXIT_VIOLATED",
-    "Exemplar",
-    "LatencyStats",
-    "SLOBudget",
-    "SLOReport",
-    "SLOVerdict",
-    "evaluate",
-    "extract_exemplars",
-    "extract_latencies",
-    "parse_budgets",
-    "percentile",
-    "slo_from_events",
-    # provenance
-    "PAIR_CLASSES",
-    "RESOLVER_NAMES",
-    "BatchProvenance",
-    "QueryProvenance",
     # sampler
     "DEFAULT_HZ",
     "DEFAULT_PROFILE_DIR",
@@ -288,7 +228,6 @@ __all__ = [
     "diff_chrome_traces",
     "extract_phases",
     "is_higher_better_phase",
-    "is_tail_phase",
     "measure_profile_phases",
     "phase_totals",
     # critpath

@@ -5,8 +5,9 @@ events answer "what happened, in what order, across every process" — the
 runtime dynamics the paper's heterogeneous story is built on (the
 double-ended queue grabs of Indarapu et al., device occupancy, worker
 liveness).  Each event is one small JSON object appended to a per-process
-shard file, so a run can be watched *while it executes* (``repro-bench
-watch``) and reconstructed afterwards (``repro-bench report``).
+shard file, so a run can be read *while it executes* (the stall
+watchdog of :mod:`repro.obs.watch`) and reconstructed afterwards
+(``repro-bench report``).
 
 Design constraints, mirroring the rest of ``repro.obs``:
 
@@ -154,7 +155,7 @@ class EventLog:
     ``skipped`` counts lines the last :meth:`read` could not interpret
     (corrupt JSON, missing fields, future schema) — reported, never
     fatal, so an old checkout can read a stream written by a newer one
-    and a live ``watch`` can race the writers safely.
+    and the live stall watchdog can race the writers safely.
 
     ``clamped`` counts events whose ``ts_ns`` ran *backwards* within
     their own shard.  ``perf_counter_ns`` is monotonic per host, but a

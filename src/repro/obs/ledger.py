@@ -42,9 +42,8 @@ __all__ = [
 #: records with ``schema_version <= SCHEMA_VERSION`` and skip newer ones.
 #:
 #: * **1** — original layout (kind/phases/counters/memory/meta).
-#: * **2** — adds the top-level ``exemplars`` list (tail-query provenance
-#:   captured by the scenario runner).  v1 records parse with
-#:   ``exemplars == []``.
+#: * **2** — added a top-level ``exemplars`` list.  It is no longer
+#:   written and is ignored on read.
 SCHEMA_VERSION = 2
 
 
@@ -104,7 +103,6 @@ class RunRecord:
     counters: dict = field(default_factory=dict)
     memory: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    exemplars: list = field(default_factory=list)  # schema v2: tail queries
 
     @classmethod
     def new(
@@ -114,7 +112,6 @@ class RunRecord:
         counters: dict | None = None,
         memory: dict | None = None,
         meta: dict | None = None,
-        exemplars: list | None = None,
         root: str | os.PathLike | None = None,
     ) -> "RunRecord":
         """A record stamped with the current commit, host, knobs, and time."""
@@ -128,7 +125,6 @@ class RunRecord:
             counters=dict(counters or {}),
             memory=dict(memory or {}),
             meta=dict(meta or {}),
-            exemplars=list(exemplars or []),
         )
 
     def to_dict(self) -> dict:
@@ -143,7 +139,6 @@ class RunRecord:
             "counters": self.counters,
             "memory": self.memory,
             "meta": self.meta,
-            "exemplars": self.exemplars,
         }
 
     @classmethod
@@ -170,9 +165,6 @@ class RunRecord:
             if not isinstance(secs, (int, float)) or isinstance(secs, bool):
                 raise LedgerError(f"phase {name!r} has non-numeric time {secs!r}")
             clean_phases[str(name)] = float(secs)
-        exemplars = doc.get("exemplars")
-        if exemplars is not None and not isinstance(exemplars, list):
-            raise LedgerError("record exemplars must be a list when present")
         return cls(
             kind=kind,
             phases=clean_phases,
@@ -184,8 +176,6 @@ class RunRecord:
             counters=doc.get("counters") or {},
             memory=doc.get("memory") or {},
             meta=doc.get("meta") or {},
-            # v1 records predate the field; they parse with an empty list.
-            exemplars=exemplars or [],
         )
 
 
@@ -218,16 +208,8 @@ class Ledger:
             os.close(fd)
         return record
 
-    def records(
-        self, kind: str | None = None, scenario: str | None = None
-    ) -> list[RunRecord]:
-        """Every parseable record, oldest first, optionally filtered.
-
-        ``kind`` filters on the record kind; ``scenario`` on the
-        ``meta.scenario`` stamp the scenario runner (and ``bench_smoke``,
-        which stamps ``"smoke"``) writes — the longitudinal key for one
-        named workload's history.
-        """
+    def records(self, kind: str | None = None) -> list[RunRecord]:
+        """Every parseable record, oldest first, optionally filtered by kind."""
         self.skipped = 0
         if not self.path.exists():
             return []
@@ -244,30 +226,22 @@ class Ledger:
                     continue
                 if kind is not None and rec.kind != kind:
                     continue
-                if scenario is not None and rec.meta.get("scenario") != scenario:
-                    continue
                 out.append(rec)
         return out
 
-    def latest(
-        self, kind: str | None = None, scenario: str | None = None
-    ) -> RunRecord | None:
-        recs = self.records(kind, scenario=scenario)
+    def latest(self, kind: str | None = None) -> RunRecord | None:
+        recs = self.records(kind)
         return recs[-1] if recs else None
 
     def phase_history(
-        self,
-        kind: str | None = None,
-        limit: int | None = None,
-        scenario: str | None = None,
+        self, kind: str | None = None, limit: int | None = None
     ) -> dict[str, list[float]]:
         """Per-phase time series across the (optionally ``limit`` newest) runs.
 
         This is the regression gate's noise model input: enough repeats to
-        take a median and a MAD band per phase.  ``scenario`` narrows the
-        series to one named scenario's records.
+        take a median and a MAD band per phase.
         """
-        recs = self.records(kind, scenario=scenario)
+        recs = self.records(kind)
         if limit is not None:
             recs = recs[-limit:]
         out: dict[str, list[float]] = {}

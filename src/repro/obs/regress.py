@@ -28,7 +28,6 @@ from dataclasses import dataclass
 __all__ = [
     "median",
     "mad",
-    "is_tail_phase",
     "PhaseVerdict",
     "RegressionReport",
     "compare",
@@ -36,7 +35,6 @@ __all__ = [
     "diff_chrome_traces",
     "measure_profile_phases",
     "phase_totals",
-    "TAIL_MARKERS",
     "HIGHER_IS_BETTER_MARKERS",
     "is_higher_better_phase",
 ]
@@ -45,17 +43,6 @@ __all__ = [
 DEFAULT_MIN_SECONDS = 1e-3
 DEFAULT_REL_TOL = 0.25
 DEFAULT_MAD_K = 5.0
-#: Wider relative band for tail-latency phases: percentile estimates of a
-#: distribution are noisier than its median, so p99/jitter drift needs a
-#: larger move before the gate calls it a confirmed regression.
-DEFAULT_TAIL_REL_TOL = 0.75
-
-#: Phase-name markers identifying tail-latency measurements.  Scenario
-#: records ledger their percentile stats under names like
-#: ``scenario.<name>.query.p99``, so matching on these suffix markers is
-#: how the gate distinguishes tail phases from median/wall phases.
-TAIL_MARKERS = (".p90", ".p99", ".p999", ".jitter")
-
 
 #: Phase-name markers identifying metrics where *bigger* is better —
 #: efficiency ratios and speedups, not wall times.  These gate in the
@@ -63,11 +50,6 @@ TAIL_MARKERS = (".p90", ".p99", ".p999", ".jitter")
 #: ``median × (1 − tol)`` and ``median − mad_k × MAD``; a higher value is
 #: an improvement, never a failure.
 HIGHER_IS_BETTER_MARKERS = (".parallel_efficiency", ".speedup", ".utilisation")
-
-
-def is_tail_phase(name: str) -> bool:
-    """Whether a ledger phase name carries a tail-latency marker."""
-    return any(m in name for m in TAIL_MARKERS)
 
 
 def is_higher_better_phase(name: str) -> bool:
@@ -119,7 +101,6 @@ class RegressionReport:
     rel_tol: float
     mad_k: float
     min_seconds: float
-    tail_rel_tol: float = DEFAULT_TAIL_REL_TOL
 
     @property
     def regressions(self) -> list[PhaseVerdict]:
@@ -160,7 +141,6 @@ class RegressionReport:
             rows,
             title=(
                 f"regression gate (rel_tol={self.rel_tol:g}, "
-                f"tail_rel_tol={self.tail_rel_tol:g}, "
                 f"mad_k={self.mad_k:g}, floor={self.min_seconds:g}s)"
             ),
         )
@@ -187,7 +167,6 @@ def compare(
     rel_tol: float = DEFAULT_REL_TOL,
     mad_k: float = DEFAULT_MAD_K,
     min_seconds: float = DEFAULT_MIN_SECONDS,
-    tail_rel_tol: float = DEFAULT_TAIL_REL_TOL,
 ) -> RegressionReport:
     """Judge a candidate run against per-phase baseline history.
 
@@ -196,12 +175,6 @@ def compare(
     Phases present on only one side are reported (``new`` / ``missing``)
     but never fail the gate: a renamed phase should be visible, not fatal.
 
-    Tail-latency phases (names carrying a :data:`TAIL_MARKERS` suffix,
-    e.g. the ``scenario.*.query.p99`` entries the scenario runner
-    ledgers) are gated with ``tail_rel_tol`` instead of ``rel_tol`` —
-    tails regress too, but their estimates are noisier, so the band is
-    wider.  Pass ``tail_rel_tol=rel_tol`` to gate them identically.
-
     Bigger-is-better phases (names carrying a
     :data:`HIGHER_IS_BETTER_MARKERS` token, e.g. the
     ``critpath.parallel_efficiency`` value profile/bench runs ledger) are
@@ -209,13 +182,12 @@ def compare(
     lower bands is the regression; exceeding the baseline is an
     improvement.
     """
-    if rel_tol < 0 or mad_k < 0 or tail_rel_tol < 0:
-        raise ValueError("rel_tol, tail_rel_tol, and mad_k must be non-negative")
+    if rel_tol < 0 or mad_k < 0:
+        raise ValueError("rel_tol and mad_k must be non-negative")
     verdicts: list[PhaseVerdict] = []
     for name in sorted(set(baseline) | set(candidate)):
         hist = [float(v) for v in baseline.get(name, [])]
         cand = candidate.get(name)
-        tol = tail_rel_tol if is_tail_phase(name) else rel_tol
         if not hist:
             verdicts.append(
                 PhaseVerdict(name, None, 0.0, float(cand), None, "new")
@@ -229,11 +201,11 @@ def compare(
             # bands, and the noise floor is judged on the baseline alone
             # (an efficiency collapsing toward zero must still fail).
             threshold = min(
-                base_med * (1.0 - tol), base_med - mad_k * base_mad
+                base_med * (1.0 - rel_tol), base_med - mad_k * base_mad
             )
         else:
             threshold = max(
-                base_med * (1.0 + tol), base_med + mad_k * base_mad
+                base_med * (1.0 + rel_tol), base_med + mad_k * base_mad
             )
         if cand is None:
             verdicts.append(
@@ -246,7 +218,7 @@ def compare(
                 status = "noise-floor"
             elif cand < threshold:
                 status = "regressed"
-            elif cand > base_med * (1.0 + tol):
+            elif cand > base_med * (1.0 + rel_tol):
                 status = "improved"
             else:
                 status = "ok"
@@ -254,7 +226,7 @@ def compare(
             status = "noise-floor"
         elif cand > threshold:
             status = "regressed"
-        elif cand * (1.0 + tol) < base_med:
+        elif cand * (1.0 + rel_tol) < base_med:
             status = "improved"
         else:
             status = "ok"
@@ -266,7 +238,6 @@ def compare(
         rel_tol=rel_tol,
         mad_k=mad_k,
         min_seconds=min_seconds,
-        tail_rel_tol=tail_rel_tol,
     )
 
 

@@ -15,9 +15,8 @@ obs layer knows about a run:
    (``a² + Σ nᵢ²`` against dense ``n²``) from :mod:`repro.obs.memory`
    gauges and the recorded model block.
 4. **Counters** — the run's :mod:`repro.obs.metrics` counter diff.
-5. **SLO panel** — latency budgets vs measured percentiles from
-   :mod:`repro.obs.slo` (ledgered by the scenario runner or recomputed
-   from the event stream), with a per-sample deadline-miss timeline.
+5. **Continuous profiling** — the hottest stacks of the
+   :mod:`repro.obs.sampler` collapsed-stack profile.
 6. **Critical path & stragglers** — the :mod:`repro.obs.critpath`
    span-DAG analysis: which spans bound end-to-end time, per-dispatch
    straggler flags, and the Amdahl-style what-if estimates.
@@ -46,8 +45,8 @@ __all__ = ["REPORT_SECTIONS", "build_report", "write_report", "validate_report"]
 #: The mandatory sections, in render order; ``validate_report``
 #: checks each ``id="section-<name>"`` anchor exists.
 REPORT_SECTIONS = (
-    "waterfall", "timeline", "memory", "counters", "slo", "profile",
-    "critpath", "history",
+    "waterfall", "timeline", "memory", "counters", "profile", "critpath",
+    "history",
 )
 
 _PALETTE = (
@@ -470,228 +469,7 @@ def _counters_section(record: "RunRecord | None") -> str:
 
 
 # --------------------------------------------------------------------- #
-# Section 5 — SLO panel: budgets vs measured tails + miss timeline
-# --------------------------------------------------------------------- #
-
-
-def _metric_of(ev: dict) -> str | None:
-    """The SLO metric key a ``*.finish`` event contributes to (or None)."""
-    kind = ev.get("kind", "")
-    if not kind.endswith(".finish") or not isinstance(
-        ev.get("dur_ns"), (int, float)
-    ):
-        return None
-    base = kind[: -len(".finish")]
-    if base == "phase":
-        return f"phase.{ev.get('cat', '?')}.{ev.get('phase', '?')}"
-    return base
-
-
-def _miss_timeline_svg(events: list[dict], deadlines: dict[str, float]) -> str:
-    """Per-sample deadline scatter: one lane per deadlined metric.
-
-    Every sample renders at its stream timestamp — green under the
-    deadline, red above it — with the deadline miss count per lane, so a
-    burst of misses is visually distinguishable from an evenly-spread
-    tail.
-    """
-    timed = [
-        (m, ev) for ev in events
-        if (m := _metric_of(ev)) is not None and m in deadlines
-    ]
-    if not timed:
-        return ""
-    t0 = min(ev["ts_ns"] for _, ev in timed)
-    t1 = max(ev["ts_ns"] for _, ev in timed)
-    span = max(t1 - t0, 1)
-    width, left, laneh = 960.0, 190.0, 30.0
-    plot_w = width - left - 10
-    lanes = []
-    y = 4.0
-    for metric in sorted({m for m, _ in timed}):
-        deadline = deadlines[metric]
-        evs = [ev for m, ev in timed if m == metric]
-        worst = max(float(ev["dur_ns"]) / 1e9 for ev in evs)
-        scale = max(worst, deadline) or 1.0
-        misses = sum(1 for ev in evs if float(ev["dur_ns"]) / 1e9 > deadline)
-        marks = [
-            f'<line x1="{left}" y1="{y + laneh - 6 - deadline / scale * (laneh - 10):.1f}"'
-            f' x2="{width - 10}" y2="{y + laneh - 6 - deadline / scale * (laneh - 10):.1f}"'
-            ' stroke="#c0392b" stroke-dasharray="4 3" stroke-width="1"/>'
-        ]
-        for ev in evs:
-            dur = float(ev["dur_ns"]) / 1e9
-            cx = left + (ev["ts_ns"] - t0) / span * plot_w
-            cy = y + laneh - 6 - dur / scale * (laneh - 10)
-            color = "#c0392b" if dur > deadline else "#59a14f"
-            marks.append(
-                f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="1.8" fill="{color}">'
-                f"<title>{_esc(metric)}: {dur * 1e3:.3f} ms "
-                f"(deadline {deadline * 1e3:.3f} ms)</title></circle>"
-            )
-        label = f"{metric} ({misses}/{len(evs)} missed)"
-        lanes.append(
-            f'<g><text x="4" y="{y + laneh / 2 + 3:.1f}">{_esc(label[:32])}</text>'
-            + "".join(marks) + "</g>"
-        )
-        y += laneh + 4
-    return (
-        "<h3 style=\"font-size:13px;margin:14px 0 4px\">deadline-miss "
-        "timeline</h3>"
-        f'<svg width="{width:.0f}" height="{y + 4:.0f}" '
-        f'viewBox="0 0 {width:.0f} {y + 4:.0f}">' + "".join(lanes) + "</svg>"
-        '<p class="note">dashed line: per-sample deadline; red samples '
-        "missed it</p>"
-    )
-
-
-def _slo_section(
-    events: list[dict] | None, record: "RunRecord | None"
-) -> str:
-    """Budgets vs measured percentiles, plus the deadline-miss timeline.
-
-    Prefers the SLO block the scenario runner ledgered in
-    ``record.meta["slo"]`` (the judged verdicts); falls back to
-    recomputing distributions from the event stream when the run carried
-    no budgets, so the panel still shows tails for ad-hoc runs.
-    """
-
-    def _ms(v) -> str:
-        return f"{float(v) * 1e3:.3f}"
-
-    slo_doc = (record.meta.get("slo") if record is not None else None) or {}
-    stats = slo_doc.get("stats") or {}
-    verdicts = slo_doc.get("verdicts") or []
-    if not stats and events:
-        from .slo import extract_latencies, LatencyStats
-
-        stats = {
-            metric: LatencyStats.from_samples(metric, samples).as_dict()
-            for metric, samples in sorted(extract_latencies(events).items())
-            if samples
-        }
-    if not stats and not verdicts:
-        # A record can still carry ledgered exemplars (schema v2) even
-        # when it never judged budgets — render the tail table alone.
-        tail = _exemplar_table(events, record)
-        if tail:
-            return tail
-        return _nodata(
-            "no SLO data (run repro-bench scenarios, or pass --events from "
-            "a run with timed events)"
-        )
-    parts: list[str] = []
-    overall = slo_doc.get("verdict")
-    if overall:
-        cls = "ok" if overall == "ok" else "bad"
-        parts.append(f'<p>scenario verdict: <span class="{cls}">{_esc(overall)}</span></p>')
-    if verdicts:
-        rows = []
-        for v in verdicts:
-            frac = v.get("stat") == "miss_frac"
-            measured = v.get("measured")
-            status = str(v.get("status", "?"))
-            cls = "ok" if status == "ok" else "bad"
-            limit_cell = (
-                f"{float(v.get('limit', 0)):.4f}" if frac
-                else f"{_ms(v.get('limit', 0))} ms"
-            )
-            if measured is None:
-                measured_cell = "-"
-            else:
-                measured_cell = (
-                    f"{float(measured):.4f}" if frac else f"{_ms(measured)} ms"
-                )
-            rows.append(
-                f"<tr><td>{_esc(v.get('metric'))}</td>"
-                f"<td>{_esc(v.get('stat'))}</td>"
-                f"<td>{limit_cell}</td><td>{measured_cell}</td>"
-                f'<td><span class="{cls}">{_esc(status)}</span></td></tr>'
-            )
-        parts.append(
-            "<table><tr><th>budget</th><th>stat</th><th>limit</th>"
-            "<th>measured</th><th>verdict</th></tr>" + "".join(rows) + "</table>"
-        )
-    if stats:
-        rows = "".join(
-            f"<tr><td>{_esc(m)}</td><td>{st.get('count')}</td>"
-            f"<td>{_ms(st.get('p50'))}</td><td>{_ms(st.get('p90'))}</td>"
-            f"<td>{_ms(st.get('p99'))}</td><td>{_ms(st.get('p999'))}</td>"
-            f"<td>{_ms(st.get('jitter_iqr'))}</td>"
-            f"<td>{_ms(st.get('jitter_range'))}</td>"
-            f"<td>{st.get('misses') if st.get('deadline_s') is not None else '-'}</td></tr>"
-            for m, st in sorted(stats.items())
-        )
-        parts.append(
-            "<table><tr><th>metric</th><th>n</th><th>p50 ms</th>"
-            "<th>p90 ms</th><th>p99 ms</th><th>p999 ms</th><th>IQR ms</th>"
-            "<th>range ms</th><th>misses</th></tr>" + rows + "</table>"
-        )
-    deadlines = {
-        m: float(st["deadline_s"])
-        for m, st in stats.items()
-        if isinstance(st, dict) and st.get("deadline_s") is not None
-    }
-    if events and deadlines:
-        parts.append(_miss_timeline_svg(events, deadlines))
-    elif deadlines:
-        parts.append(
-            '<p class="note">deadline-miss timeline needs the event stream '
-            "(pass --events)</p>"
-        )
-    parts.append(_exemplar_table(events, record))
-    return "".join(parts)
-
-
-def _exemplar_table(
-    events: list[dict] | None, record: "RunRecord | None"
-) -> str:
-    """Top-k tail queries with their provenance attribution.
-
-    Prefers the exemplars the scenario runner ledgered in the record's
-    top-level ``exemplars`` field (schema v2); falls back to extracting
-    them from the event stream, so an un-ledgered run still gets a table.
-    """
-    exemplars: list[dict] = []
-    if record is not None and getattr(record, "exemplars", None):
-        exemplars = [ex for ex in record.exemplars if isinstance(ex, dict)]
-    elif events:
-        from .slo import extract_exemplars
-
-        exemplars = [ex.as_dict() for ex in extract_exemplars(events)]
-    if not exemplars:
-        return ""
-    rows = []
-    for ex in exemplars:
-        u, v = ex.get("u"), ex.get("v")
-        pair = f"({u}, {v})" if u is not None and v is not None else "-"
-        aps = ex.get("boundary_aps")
-        via = f"via APs {tuple(aps)}" if aps else ""
-        rows.append(
-            f"<tr><td>{_esc(ex.get('rank', '?'))}</td>"
-            f"<td>{_esc(ex.get('metric', '?'))}</td>"
-            f"<td>{float(ex.get('dur_s') or 0) * 1e3:.3f}</td>"
-            f"<td>{_esc(pair)}</td>"
-            f"<td>{_esc(ex.get('pair_class') or '-')}</td>"
-            f"<td>{_esc(ex.get('resolver') or '-')} {_esc(via)}</td>"
-            f"<td><code>{_esc(ex.get('digest') or '-')}</code></td>"
-            f"<td>pid {_esc(ex.get('pid', '?'))} @ {_esc(ex.get('ts_ns', '?'))}</td>"
-            "</tr>"
-        )
-    return (
-        '<h3 style="font-size:13px;margin:14px 0 4px">tail exemplars — '
-        "slowest queries and why</h3>"
-        "<table><tr><th>#</th><th>metric</th><th>ms</th><th>pair</th>"
-        "<th>class</th><th>resolver</th><th>digest</th><th>trace location</th>"
-        "</tr>" + "".join(rows) + "</table>"
-        '<p class="note">pid/timestamp locate each sample in the '
-        '<a href="#section-waterfall">phase waterfall</a>\'s per-pid lanes; '
-        "the digest ties it to the query's provenance record</p>"
-    )
-
-
-# --------------------------------------------------------------------- #
-# Section 6 — continuous-profiling flamegraph data
+# Section 5 — continuous-profiling flamegraph data
 # --------------------------------------------------------------------- #
 
 
@@ -743,7 +521,7 @@ def _profile_section(
 
 
 # --------------------------------------------------------------------- #
-# Section 7 — critical path & stragglers
+# Section 6 — critical path & stragglers
 # --------------------------------------------------------------------- #
 
 
@@ -846,7 +624,7 @@ def _critpath_section(
 
 
 # --------------------------------------------------------------------- #
-# Section 8 — ledger-history sparklines + regression verdict
+# Section 7 — ledger-history sparklines + regression verdict
 # --------------------------------------------------------------------- #
 
 
@@ -964,10 +742,6 @@ def build_report(
         ),
         "memory": ("Table-1 memory: measured vs model", _memory_section(record)),
         "counters": ("Counters", _counters_section(record)),
-        "slo": (
-            "SLO panel: budgets vs measured tails",
-            _slo_section(events, record),
-        ),
         "profile": (
             "Continuous profiling (collapsed stacks)",
             _profile_section(profile, record),

@@ -1,4 +1,4 @@
-"""Stall watchdog + live terminal view over the structured event stream.
+"""Stall watchdog over the structured event stream.
 
 The parallel backend's only liveness defence used to be the blunt
 ``REPRO_PARALLEL_TIMEOUT`` on a whole dispatch: a single hung worker was
@@ -12,10 +12,6 @@ ParallelEngine` runs one watchdog thread per dispatch whenever events are
 enabled; the deterministic test path arms the ``worker.hang`` seam of
 :mod:`repro.qa.faultinject` and asserts the stall is seen before the
 dispatch timeout fires.
-
-:func:`render_status` is the ``repro-bench watch`` terminal view: one
-frame summarising a (possibly still growing) event stream — open phases,
-per-device queue grabs, queue depth, and per-worker heartbeat ages.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from pathlib import Path
 from typing import Callable
 
 from . import metrics as _metrics
@@ -34,9 +29,7 @@ __all__ = [
     "DEFAULT_POLL_INTERVAL",
     "resolve_stall_after",
     "heartbeats_from_events",
-    "empty_stream_hint",
     "Watchdog",
-    "render_status",
 ]
 
 #: Heartbeat age (seconds) past which a worker counts as stalled when
@@ -192,156 +185,3 @@ class Watchdog:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-# --------------------------------------------------------------------- #
-# Terminal view (``repro-bench watch``)
-# --------------------------------------------------------------------- #
-
-
-def _fmt_age(seconds: float) -> str:
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.0f} ms"
-    if seconds < 120.0:
-        return f"{seconds:.1f} s"
-    return f"{seconds / 60.0:.1f} min"
-
-
-def empty_stream_hint(dir_path=None) -> str:
-    """Actionable diagnosis for a stream with no readable events.
-
-    Names the expected on-disk layout (``events-<pid>.jsonl`` shards
-    inside the directory ``REPRO_EVENTS`` points at) and distinguishes a
-    missing directory from a present-but-eventless one, so "I pointed at
-    the wrong path" and "the run emitted nothing" read differently.
-    ``repro-bench watch --once`` and ``repro-bench slo`` pair this hint
-    with a distinct exit code (:data:`repro.obs.slo.EXIT_EMPTY_STREAM`).
-    """
-    lines = ["event stream is empty: no events could be read."]
-    if dir_path is not None:
-        d = Path(dir_path)
-        if not d.is_dir():
-            lines.append(f"  {d} is not a directory.")
-        else:
-            shards = sorted(d.glob("events-*.jsonl"))
-            if shards:
-                lines.append(
-                    f"  {d} has {len(shards)} shard(s) but none held a "
-                    "parseable event line."
-                )
-            else:
-                lines.append(f"  {d} exists but holds no events-*.jsonl shards.")
-    lines.append(
-        "  expected layout: <dir>/events-<pid>.jsonl, one JSONL shard per "
-        "process, produced by running under REPRO_EVENTS=<dir> (or "
-        "repro-bench ... --events <dir>)."
-    )
-    return "\n".join(lines)
-
-
-def render_status(
-    events: list[dict],
-    now_ns: int | None = None,
-    stall_after: float | None = None,
-) -> str:
-    """One terminal frame over an event stream.
-
-    ``now_ns`` defaults to the newest event timestamp, so a *recorded*
-    stream renders with the ages it had when it ended rather than the
-    wall-clock time since.  Pass ``time.perf_counter_ns()`` when tailing
-    a live run.
-    """
-    stall_after = resolve_stall_after(stall_after)
-    if not events:
-        return empty_stream_hint()
-    now = now_ns if now_ns is not None else max(e["ts_ns"] for e in events)
-    t0 = min(e["ts_ns"] for e in events)
-    lines: list[str] = []
-    lines.append(
-        f"events: {len(events)} over {_fmt_age((now - t0) / 1e9)} "
-        f"from {len({e['pid'] for e in events})} process(es)"
-    )
-
-    # Open phases: the last phase.start per (cat, phase) without a finish.
-    open_phases: dict[tuple, int] = {}
-    for ev in events:
-        if ev["kind"] == "phase.start":
-            open_phases[(ev.get("cat"), ev.get("phase"))] = ev["ts_ns"]
-        elif ev["kind"] == "phase.finish":
-            open_phases.pop((ev.get("cat"), ev.get("phase")), None)
-    if open_phases:
-        for (cat, phase), ts in sorted(open_phases.items(), key=lambda kv: kv[1]):
-            lines.append(
-                f"  open phase: {cat}/{phase} (running {_fmt_age((now - ts) / 1e9)})"
-            )
-    else:
-        lines.append("  open phase: none (pipeline idle or finished)")
-
-    # Per-device queue activity.
-    grabs = [e for e in events if e["kind"] == "queue.grab"]
-    if grabs:
-        per_dev: dict[str, dict] = {}
-        total_units = 0
-        for ev in grabs:
-            dev = str(ev.get("device") or "?")
-            row = per_dev.setdefault(dev, {"grabs": 0, "units": 0, "front": 0, "back": 0})
-            row["grabs"] += 1
-            row["units"] += int(ev.get("batch") or 0)
-            row[ev.get("end") or "front"] = row.get(ev.get("end") or "front", 0) + 1
-            total_units += int(ev.get("batch") or 0)
-        lines.append(f"  work queue: {len(grabs)} grabs, {total_units} units")
-        for dev, row in sorted(per_dev.items()):
-            share = 100.0 * row["units"] / total_units if total_units else 0.0
-            lines.append(
-                f"    {dev:<12} {row['units']:>6} units ({share:5.1f}%) in "
-                f"{row['grabs']} grabs  [front {row['front']} / back {row['back']}]"
-            )
-        depth = [e for e in grabs if isinstance(e.get("remaining"), int)]
-        if depth:
-            lines.append(f"  queue depth: {depth[-1]['remaining']} remaining after last grab")
-
-    # Chunk throughput (bulk-SSSP engine).
-    starts = sum(1 for e in events if e["kind"] == "chunk.start")
-    finishes = sum(1 for e in events if e["kind"] == "chunk.finish")
-    if starts or finishes:
-        lines.append(f"  sssp chunks: {finishes}/{starts} finished")
-
-    # Per-worker heartbeat ages.  A beat older than the newest
-    # dispatch.finish belongs to a completed fan-out: that worker is done,
-    # not stalled, however much later the stream (or the clock) runs.
-    beats: dict[int, dict] = {}
-    for ev in events:
-        if ev["kind"] == "worker.heartbeat":
-            row = beats.setdefault(ev["pid"], {"count": 0, "last": 0, "status": ""})
-            row["count"] += 1
-            if ev["ts_ns"] >= row["last"]:
-                row["last"] = ev["ts_ns"]
-                row["status"] = str(ev.get("status") or "")
-    dispatch_done_ns = max(
-        (e["ts_ns"] for e in events if e["kind"] == "dispatch.finish"), default=0
-    )
-    if beats:
-        lines.append(f"  workers: {len(beats)} heartbeating")
-        for pid, row in sorted(beats.items()):
-            age = (now - row["last"]) / 1e9
-            if row["last"] <= dispatch_done_ns:
-                flag = "done"
-            elif age > stall_after:
-                flag = "STALLED"
-            else:
-                flag = "ok"
-            lines.append(
-                f"    pid {pid:<8} last beat {_fmt_age(age):>8} ago "
-                f"({row['status'] or '-'}, {row['count']} beats)  {flag}"
-            )
-    stalls = [e for e in events if e["kind"] == "engine.stall_detected"]
-    if stalls:
-        lines.append(f"  stalls detected: {len(stalls)}")
-    faults = [e for e in events if e["kind"] == "fault.fired"]
-    if faults:
-        sites = ", ".join(sorted({str(e.get("site")) for e in faults}))
-        lines.append(f"  injected faults fired: {len(faults)} ({sites})")
-    degraded = [e for e in events if e["kind"] == "engine.degraded"]
-    if degraded:
-        lines.append(f"  engine degraded to serial: {degraded[-1].get('error', '?')}")
-    return "\n".join(lines)

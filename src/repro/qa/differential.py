@@ -178,29 +178,6 @@ def _reduced_oracle_bulk_matrix(g: CSRGraph) -> np.ndarray:
     return ReducedDistanceOracle(g).query_many(_all_pairs(g.n)).reshape(g.n, g.n)
 
 
-def _oracle_explain_matrix(g: CSRGraph) -> np.ndarray:
-    from ..apsp.oracle import DistanceOracle
-
-    oracle = DistanceOracle(g)
-    pairs = _all_pairs(g.n)
-    prov = oracle.explain_many(pairs)
-    # The explain path must not perturb the answer: bit-exact vs query_many.
-    if not np.array_equal(prov.distances, oracle.query_many(pairs)):
-        raise AssertionError("explain_many distances diverge from query_many")
-    return prov.distances.reshape(g.n, g.n)
-
-
-def _reduced_oracle_explain_matrix(g: CSRGraph) -> np.ndarray:
-    from ..apsp.reduced_oracle import ReducedDistanceOracle
-
-    oracle = ReducedDistanceOracle(g)
-    pairs = _all_pairs(g.n)
-    prov = oracle.explain_many(pairs)
-    if not np.array_equal(prov.distances, oracle.query_many(pairs)):
-        raise AssertionError("explain_many distances diverge from query_many")
-    return prov.distances.reshape(g.n, g.n)
-
-
 def _builtin_registrations() -> None:
     # Imported here: the apsp/mcb packages must not be a hard import cost
     # (or cycle) for anyone importing repro.qa.strategies alone.
@@ -235,12 +212,6 @@ def _builtin_registrations() -> None:
     # bit-identical to the scalar query loop by tests/test_bulk_query.py).
     register_apsp("oracle-bulk", _oracle_bulk_matrix, max_n=96)
     register_apsp("reduced-oracle-bulk", _reduced_oracle_bulk_matrix, max_n=96)
-    # Provenance capture rides the same _resolve body as query_many; the
-    # explain registrations additionally self-assert bit-exactness.
-    register_apsp("oracle-explain", _oracle_explain_matrix, max_n=64, stride=2)
-    register_apsp(
-        "reduced-oracle-explain", _reduced_oracle_explain_matrix, max_n=64, stride=2
-    )
 
     register_mcb("horton", horton_mcb, max_n=24, reference=True)
     register_mcb("depina", depina_mcb)

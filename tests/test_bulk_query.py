@@ -84,6 +84,19 @@ class TestBitIdentity:
         assert out.shape == (0,)
 
 
+@pytest.mark.parametrize("oracle_cls", ORACLES)
+class TestPairValidation:
+    @pytest.mark.parametrize("bad", ["negative", "n"])
+    def test_out_of_range_vertex_id_rejected(self, oracle_cls, bad):
+        # Unchecked, numpy wraps -1 to the last vertex (answering
+        # d(n - 1, 0)) and n raises a bare IndexError.
+        g = strategies.star_of_cycles(arms=3, cycle_len=4, seed=5)
+        vid = -1 if bad == "negative" else g.n
+        o = oracle_cls(g)
+        with pytest.raises(ValueError, match=rf"vertex id {vid} is outside \[0, {g.n}\)"):
+            o.query_many(np.array([[vid, 0]]))
+
+
 class TestRegistry:
     def test_bulk_paths_enrolled(self):
         assert "oracle-bulk" in APSP_REGISTRY

@@ -6,10 +6,10 @@ row doesn't, and the observability contract quietly narrows.  This
 suite closes the loop in both directions:
 
 * **emitted => documented** — run a smoke workload spanning the oracle
-  serving path (build, ``query_many``, ``explain_many``, a sampler
-  window), and assert every counter that moved appears in the table;
-* **documented => emitted** — for the families this PR owns
-  (``bulk_query.``, ``provenance.``, ``sampler.``), assert every
+  bulk-query path (build, ``query_many``, a sampler window), and assert
+  every counter that moved appears in the table;
+* **documented => emitted** — for the families this suite owns
+  (``bulk_query.``, ``critpath.``, ``sampler.``), assert every
   documented name actually moves, so stale rows fail too.
 
 Table rows pack sibling names as ``` `bulk_query.batches` / `.pairs` ```;
@@ -36,7 +36,7 @@ DOC = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
 # The families this suite asserts are *exhaustively* documented-and-live.
 # Other families (mcb.*, delta.*, parallel.*...) have workload-specific
 # triggers and are covered by the emitted=>documented direction only.
-OWNED_PREFIXES = ("bulk_query.", "critpath.", "provenance.", "sampler.")
+OWNED_PREFIXES = ("bulk_query.", "critpath.", "sampler.")
 
 _NAME_RE = re.compile(r"`([^`]+)`")
 _METRIC_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
@@ -83,7 +83,7 @@ def _run_smoke_workload(tmp_path: Path) -> None:
 
     star_of_cycles drives same-bcc / cross-bcc / component-group
     traffic, the disconnected graph drives unreachable pairs, both
-    oracles run query_many *and* explain_many, a live sampler window
+    oracles run query_many, a live sampler window
     drives ``sampler.samples``, and a deliberately malformed shard
     drives ``sampler.errors`` through ``read_profile``'s tolerant merge.
     """
@@ -94,9 +94,7 @@ def _run_smoke_workload(tmp_path: Path) -> None:
     for g in graphs:
         pairs = _all_pairs(g.n)
         for oracle_cls in (DistanceOracle, ReducedDistanceOracle):
-            o = oracle_cls(g)
-            o.query_many(pairs)
-            o.explain_many(pairs)
+            oracle_cls(g).query_many(pairs)
 
     s = StackSampler(hz=500).start()
     try:
@@ -159,7 +157,6 @@ class TestCounterTableParser:
         assert "bulk_query.pairs" in doc          # from `.pairs`
         assert "engine.adj_cache.hits" in doc
         assert "engine.adj_cache.misses" in doc   # from `.misses`
-        assert "provenance.explains" in doc
         assert "sampler.errors" in doc
         assert not any(n.startswith(".") for n in doc)
 
@@ -187,7 +184,7 @@ class TestDocDrift:
         emitted, documented = drift
         undocumented = emitted - documented
         assert not undocumented, (
-            "counters emitted by the serving-path workload but missing "
+            "counters emitted by the bulk-query workload but missing "
             f"from the docs/OBSERVABILITY.md metric table: "
             f"{sorted(undocumented)}"
         )

@@ -105,24 +105,11 @@ class TestRunRecord:
 
     def test_v1_record_parses_without_exemplars(self):
         # A v1 record (written before the exemplars field existed) must
-        # keep parsing under the v2 schema, defaulting to no exemplars.
+        # keep parsing under the v2 schema.
         doc = _rec().to_dict()
         doc["schema_version"] = 1
-        doc.pop("exemplars", None)
         rec = RunRecord.from_dict(doc)
-        assert rec.exemplars == []
-
-    def test_from_dict_rejects_non_list_exemplars(self):
-        doc = _rec().to_dict()
-        doc["exemplars"] = {"not": "a list"}
-        with pytest.raises(LedgerError, match="exemplars"):
-            RunRecord.from_dict(doc)
-
-    def test_exemplars_roundtrip(self):
-        ex = [{"metric": "query", "dur_s": 0.002, "rank": 1, "digest": "ab12"}]
-        rec = RunRecord.new(kind="scenario", phases={}, exemplars=ex, root=REPO_ROOT)
-        back = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
-        assert back.exemplars == ex
+        assert rec.schema_version == 1
 
 
 class TestMixedVersionLedger:
@@ -130,20 +117,18 @@ class TestMixedVersionLedger:
         """One JSONL holding v1, v2, and future-v records side by side.
 
         The append-only ledger never rewrites history: a reader must take
-        v1 records (no exemplars field) as-is, v2 records in full, and
-        skip — not crash on — records stamped by a future schema.
+        v1 records (no exemplars field) as-is, v2 records carrying the
+        retired ``exemplars`` list with that key ignored, and skip — not
+        crash on — records stamped by a future schema.
         """
         path = tmp_path / "ledger.jsonl"
         v1 = _rec().to_dict()
         v1["schema_version"] = 1
-        v1.pop("exemplars", None)
         v1["meta"] = {"gen": "v1"}
         v2 = RunRecord.new(
-            kind="scenario",
-            phases={"s.wall": 1.0},
-            exemplars=[{"metric": "query", "rank": 1}],
-            root=REPO_ROOT,
+            kind="profile", phases={"s.wall": 1.0}, root=REPO_ROOT
         ).to_dict()
+        v2["exemplars"] = [{"metric": "query", "rank": 1}]
         v2["meta"] = {"gen": "v2"}
         future = _rec().to_dict()
         future["schema_version"] = SCHEMA_VERSION + 1
@@ -155,8 +140,6 @@ class TestMixedVersionLedger:
         recs = ledger.records()
         assert [r.meta["gen"] for r in recs] == ["v1", "v2"]
         assert ledger.skipped == 1
-        assert recs[0].exemplars == []
-        assert recs[1].exemplars == [{"metric": "query", "rank": 1}]
 
 
 class TestLedger:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.graph import grid_graph
+from repro.obs import metrics as _metrics
 from repro.obs import metrics_diff, reset_metrics, snapshot
 from repro.obs.metrics import MetricsRegistry
 
@@ -111,6 +112,71 @@ class TestHistogramPercentiles:
         assert h.samples == []
         with pytest.raises(ValueError, match="no samples"):
             h.percentile(50)
+
+
+class TestHistogramReservoir:
+    def test_length_capped_and_aggregates_exact(self):
+        h = _metrics.Histogram("cap")
+        n = h.RETAIN_CAP + 500
+        for i in range(n):
+            h.observe(float(i))
+        assert len(h.samples) == h.RETAIN_CAP
+        assert h.count == n
+        assert h.sum == pytest.approx(sum(range(n)))
+        assert h.min == 0.0 and h.max == float(n - 1)
+
+    def test_reservoir_sees_the_tail(self):
+        """Post-cap observations must be able to enter the retained set —
+        the pre-reservoir behaviour (frozen prefix) kept none of them."""
+        h = _metrics.Histogram("tail")
+        for i in range(h.RETAIN_CAP):
+            h.observe(0.0)
+        for _ in range(h.RETAIN_CAP):
+            h.observe(1.0)
+        assert any(s == 1.0 for s in h.samples)
+
+    def test_deterministic_under_repro_seed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SEED", "1234")
+
+        def run():
+            h = _metrics.Histogram("det")
+            for i in range(h.RETAIN_CAP + 1000):
+                h.observe(float(i))
+            return list(h.samples)
+
+        assert run() == run()
+
+    def test_seed_and_name_change_the_reservoir(self, monkeypatch):
+        def run(name):
+            h = _metrics.Histogram(name)
+            for i in range(h.RETAIN_CAP + 1000):
+                h.observe(float(i))
+            return list(h.samples)
+
+        monkeypatch.setenv("REPRO_SEED", "1")
+        a = run("x")
+        b = run("y")
+        monkeypatch.setenv("REPRO_SEED", "2")
+        c = run("x")
+        assert a != b and a != c
+
+    def test_registry_reset_rearms_reservoir(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SEED", "77")
+        reg = _metrics.MetricsRegistry()
+        h = reg.histogram("reset-me")
+
+        def fill():
+            for i in range(h.RETAIN_CAP + 200):
+                h.observe(float(i))
+            return list(h.samples)
+
+        first = fill()
+        reg.reset()
+        assert h.count == 0 and not h.samples
+        assert fill() == first  # same seed ⇒ same reservoir after reset
+
+    def test_max_samples_alias(self):
+        assert _metrics.Histogram.MAX_SAMPLES == _metrics.Histogram.RETAIN_CAP
 
 
 class TestRegistry:

@@ -140,6 +140,15 @@ class TestExtractPhases:
         assert "smoke.repeated_sssp.cached" in phases
         assert all(v >= 0 for v in phases.values())
 
+    def test_repo_committed_ledger_parses(self):
+        from pathlib import Path
+
+        ledger = Ledger(Path(__file__).resolve().parent.parent / "BENCH_LEDGER.jsonl")
+        recs = ledger.records()
+        assert [r.schema_version for r in recs] == [1, 1, 2, 2, 2]
+        assert ledger.skipped == 0
+        assert ledger.phase_history()
+
     def test_unrecognizable_document_raises(self):
         with pytest.raises(ValueError, match="no recognizable"):
             extract_phases({"unrelated": {"stuff": "here"}})

@@ -121,26 +121,6 @@ class TestBuildReport:
         assert validate_report(doc) == []
         assert 'id="section-profile"' in doc
 
-    def test_exemplar_panel_renders_tail_queries(self):
-        rec = _record(
-            exemplars=[
-                {"metric": "query", "dur_s": 0.004, "rank": 1, "pid": 7,
-                 "ts_ns": 100, "u": 3, "v": 9, "pair_class": "cross-bcc",
-                 "resolver": "ap-bridge", "component": -1,
-                 "boundary_aps": [2, 5], "digest": "abc123def456"},
-                {"metric": "query", "dur_s": 0.001, "rank": 2, "pid": 7,
-                 "ts_ns": 200, "u": 1, "v": 2, "pair_class": "same-bcc",
-                 "resolver": "table", "component": 0,
-                 "boundary_aps": None, "digest": "fed654cba321"},
-            ]
-        )
-        doc = build_report(record=rec)
-        assert validate_report(doc) == []
-        assert "cross-bcc" in doc
-        assert "ap-bridge" in doc
-        assert "abc123def456" in doc
-        assert "(2, 5)" in doc              # boundary APs attribution
-
     def test_history_regression_verdict_flags_slowdown(self):
         history = [_record(phases={"process": 0.1}) for _ in range(6)]
         history.append(_record(phases={"process": 10.0}))  # 100x slower

@@ -1,4 +1,4 @@
-"""repro.obs.watch: stall detection semantics, status rendering, CLI view.
+"""repro.obs.watch: stall detection semantics and hang detection.
 
 The integration test arms the ``worker.hang`` fault with a deterministic
 spec and asserts the watchdog flags the stall (``watch.stalls``,
@@ -22,7 +22,6 @@ from repro.obs.watch import (
     DEFAULT_STALL_AFTER,
     Watchdog,
     heartbeats_from_events,
-    render_status,
     resolve_stall_after,
 )
 
@@ -117,59 +116,6 @@ class TestHeartbeatsFromEvents:
         assert heartbeats_from_events(tmp_path / "nope")() == {}
 
 
-class TestRenderStatus:
-    def _events(self, tmp_path):
-        with events_to(tmp_path):
-            from repro.obs.events import emit, emitting
-
-            with emitting("phase", phase="process", cat="apsp", stage="dijkstra"):
-                emit("chunk.start", sources=8)
-                emit("queue.grab", end="back", batch=3, device="gpu", remaining=5)
-                emit("queue.grab", end="front", batch=1, device="cpu", remaining=4)
-                emit("worker.heartbeat", status="chunk_done", sources=8)
-                emit("chunk.finish", sources=8)
-        return EventLog(tmp_path).read()
-
-    def test_frame_contents(self, tmp_path):
-        frame = render_status(self._events(tmp_path))
-        assert "work queue: 2 grabs, 4 units" in frame
-        assert "gpu" in frame and "cpu" in frame
-        assert "back 1" in frame and "front 1" in frame
-        assert "sssp chunks: 1/1 finished" in frame
-        assert "heartbeating" in frame
-        assert "open phase: none" in frame
-
-    def test_open_phase_and_stall_flag(self, tmp_path):
-        with events_to(tmp_path):
-            from repro.obs.events import emit
-
-            emit("phase.start", phase="process", cat="mcb")
-            emit("worker.heartbeat", status="chunk_start")
-        evs = EventLog(tmp_path).read()
-        # Render "now" far past the last beat: the worker must flag.
-        late = evs[-1]["ts_ns"] + int(60e9)
-        frame = render_status(evs, now_ns=late, stall_after=5.0)
-        assert "open phase: mcb/process" in frame
-        assert "STALLED" in frame
-
-    def test_finished_dispatch_workers_render_done_not_stalled(self, tmp_path):
-        # After dispatch.finish the workers' beats age forever; a recorded
-        # stream (or a live view of a finished run) must say done, not STALLED.
-        with events_to(tmp_path):
-            from repro.obs.events import emit
-
-            emit("worker.heartbeat", status="chunk_done")
-            emit("dispatch.finish", chunks=1, workers=1, stalls=0)
-        evs = EventLog(tmp_path).read()
-        late = evs[-1]["ts_ns"] + int(600e9)
-        frame = render_status(evs, now_ns=late, stall_after=5.0)
-        assert "done" in frame
-        assert "STALLED" not in frame
-
-    def test_empty_stream(self):
-        assert "empty" in render_status([])
-
-
 class TestHangDetectionIntegration:
     def test_watchdog_flags_hang_before_timeout(self, tmp_path, monkeypatch):
         """An injected worker hang is detected mid-dispatch, before the
@@ -205,29 +151,3 @@ class TestHangDetectionIntegration:
         assert fired[0]["site"] == "worker.hang"
         # The whole point: detection strictly precedes degradation.
         assert stall_evs[0]["ts_ns"] < degraded[0]["ts_ns"]
-
-
-class TestWatchCLI:
-    def test_watch_once_renders_recorded_stream(self, tmp_path, capsys):
-        from repro.cli import main
-
-        with events_to(tmp_path / "ev"):
-            from repro.obs.events import emit
-
-            emit("queue.grab", end="back", batch=2, device="gpu", remaining=0)
-            emit("worker.heartbeat", status="chunk_done")
-        rc = main(["watch", "--once", "--events", str(tmp_path / "ev")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "single frame" in out
-        assert "gpu" in out
-        # Recorded stream: ages render relative to the stream's end, so
-        # a long-finished run must not show every worker as stalled.
-        assert "STALLED" not in out
-
-    def test_watch_without_events_dir_exits_nonzero(self, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.delenv("REPRO_EVENTS", raising=False)
-        with pytest.raises(SystemExit):
-            main(["watch", "--once"])
