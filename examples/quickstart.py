@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Quickstart: ear decomposition, reduced-graph APSP, and MCB in 60 lines.
+"""Quickstart: ear reduction, reduced-graph APSP, and MCB in 50 lines.
 
 Run:  python examples/quickstart.py
 """
@@ -7,7 +7,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.apsp import DistanceOracle, ear_apsp_full
-from repro.decomposition import ear_decomposition, reduce_graph
+from repro.decomposition import reduce_graph
 from repro.graph import random_biconnected_graph, randomize_weights, subdivide_edges
 from repro.mcb import minimum_cycle_basis, verify_cycle_basis
 
@@ -20,22 +20,18 @@ def main() -> None:
     print(f"graph: {g.n} vertices, {g.m} edges, "
           f"{int((g.degree == 2).sum())} of degree 2")
 
-    # 1. Ear decomposition (Section 2.1.1): the graph partitions into a
-    #    first cycle plus open ears.
-    ears = ear_decomposition(g)
-    print(f"ear decomposition: {ears.count} ears, open={ears.is_open}")
-
-    # 2. Degree-2 chain contraction -> the reduced graph G^r.
+    # 1. Degree-2 chain contraction -> the reduced graph G^r (the graph
+    #    the paper's ear decomposition yields, Section 2.1.1).
     red = reduce_graph(g)
     print(f"reduced graph: {g.n} -> {red.graph.n} vertices "
           f"({red.removal_fraction:.0%} removed)")
 
-    # 3. All-pairs shortest paths via Algorithm 1 (reduce / Dijkstra on
+    # 2. All-pairs shortest paths via Algorithm 1 (reduce / Dijkstra on
     #    G^r / closed-form extension) — exact.
     dist = ear_apsp_full(g)
     print(f"APSP: diameter = {dist[np.isfinite(dist)].max():.3f}")
 
-    # 4. Space-efficient oracle: per-component tables + AP table only.
+    # 3. Space-efficient oracle: per-component tables + AP table only.
     oracle = DistanceOracle(g)
     u, v = 0, g.n - 1
     assert abs(oracle.query(u, v) - dist[u, v]) < 1e-9
@@ -43,7 +39,7 @@ def main() -> None:
           f"{oracle.memory_bytes() / 1024:.1f} KiB "
           f"(dense table would be {oracle.full_matrix_bytes() / 1024:.1f} KiB)")
 
-    # 5. Minimum cycle basis through the same reduction (Lemma 3.1).
+    # 4. Minimum cycle basis through the same reduction (Lemma 3.1).
     basis = minimum_cycle_basis(g)
     report = verify_cycle_basis(g, basis)
     assert report.ok

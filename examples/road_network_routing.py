@@ -41,7 +41,7 @@ def main() -> None:
     with obs.tracing() as tr:
         results["ear (ours)"] = ear_apsp_full(g, report=rep)
     timings["ear (ours)"] = time.perf_counter() - t0
-    # ear_apsp_full times its three phases as obs.phase spans (cat "apsp").
+    # ear_apsp_full times its three phases as obs.trace.phase spans (cat "apsp").
     phase_ms = {s.args["stage"]: s.dur_ns / 1e6 for s in tr.spans if s.cat == "apsp"}
 
     t0 = time.perf_counter()

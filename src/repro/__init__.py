@@ -17,14 +17,13 @@ Public API highlights
 - :mod:`repro.datasets` — Table-1 dataset stand-ins.
 """
 
-from . import apsp, bench, centrality, datasets, decomposition, graph, hetero, mcb, partition, sssp
+from . import apsp, bench, datasets, decomposition, graph, hetero, mcb, partition, sssp
 
 __version__ = "1.0.0"
 
 __all__ = [
     "apsp",
     "bench",
-    "centrality",
     "datasets",
     "decomposition",
     "graph",

@@ -38,7 +38,7 @@ from ..decomposition.block_cut_tree import BlockCutTree
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 
-__all__ = ["BulkOracleIndex"]
+__all__ = ["BulkOracleIndex", "check_vertex_ids"]
 
 #: Component-local distance kernel: ``dist_many(cid, lu, lv)``.
 DistManyFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -49,6 +49,18 @@ _C_SAME = _metrics.counter("bulk_query.same_component_pairs")
 _C_CROSS = _metrics.counter("bulk_query.cross_component_pairs")
 _C_UNREACH = _metrics.counter("bulk_query.unreachable_pairs")
 _C_GROUPS = _metrics.counter("bulk_query.component_groups")
+
+
+def check_vertex_ids(n: int, *ids: int) -> None:
+    """Raise ``ValueError`` for the first of ``ids`` outside ``[0, n)``.
+
+    Both oracles' scalar ``query(u, v)`` pass ``u, v``; ``query_many``
+    passes its pair array's minimum and maximum, which lie in range iff
+    every id does.
+    """
+    for vid in ids:
+        if not 0 <= vid < n:
+            raise ValueError(f"vertex id {vid} is outside [0, {n})")
 
 
 class BulkOracleIndex:
@@ -236,12 +248,8 @@ class BulkOracleIndex:
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"expected a (k, 2) pair array, got {pairs.shape}")
-        bad = (pairs < 0) | (pairs >= self.n)
-        if bad.any():
-            raise ValueError(
-                f"vertex id {int(pairs.flat[np.argmax(bad)])} is outside "
-                f"[0, {self.n})"
-            )
+        if pairs.size:
+            check_vertex_ids(self.n, int(pairs.min()), int(pairs.max()))
         if pairs.shape[0] and self.ap_matrix is None:
             raise ValueError("BulkOracleIndex.ap_matrix is not attached yet")
         return pairs

@@ -112,7 +112,7 @@ def ear_apsp_full(
     :mod:`repro.hetero.parallel` — ``workers`` processes fan out
     ``chunk_size``-source chunks over shared-memory CSR buffers).  Pass a
     :class:`EarAPSPReport` to collect the reduction counts.  The three
-    phases are timed as ``obs.phase`` spans with cat ``apsp``.
+    phases are timed as ``obs.trace.phase`` spans with cat ``apsp``.
     """
     with phase("preprocess", "apsp", stage="reduce", n=g.n):
         red = reduce_graph(g)

@@ -22,6 +22,7 @@ import numpy as np
 from ..decomposition.biconnected import biconnected_components
 from ..decomposition.block_cut_tree import BlockCutTree
 from ..graph.csr import CSRGraph
+from .bulk_query import check_vertex_ids
 from .composition import Solver, build_component_tables
 
 __all__ = ["DistanceOracle", "memory_model"]
@@ -67,6 +68,7 @@ class DistanceOracle:
         ``inf`` when disconnected.  O(1) table lookups plus an O(log n)
         LCA for cross-component pairs.
         """
+        check_vertex_ids(self.graph.n, u, v)
         if u == v:
             return 0.0
         memb_u = self._local.get(int(u), [])

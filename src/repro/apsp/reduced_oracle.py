@@ -24,7 +24,7 @@ from ..decomposition.block_cut_tree import BlockCutTree
 from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
 from ..sssp.engine import ZERO_WEIGHT_NUDGE, all_pairs
-from .bulk_query import BulkOracleIndex
+from .bulk_query import BulkOracleIndex, check_vertex_ids
 
 __all__ = ["ReducedDistanceOracle"]
 
@@ -194,6 +194,7 @@ class ReducedDistanceOracle:
 
     def query(self, u: int, v: int) -> float:
         """Exact shortest-path distance (``inf`` when disconnected)."""
+        check_vertex_ids(self.graph.n, u, v)
         if u == v:
             return 0.0
         mu = self._memberships.get(int(u), [])

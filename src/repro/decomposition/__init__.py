@@ -1,27 +1,13 @@
-"""Structural decompositions: biconnectivity, block-cut tree, ears, reduction."""
+"""Structural decompositions: biconnectivity, block-cut tree, degree-2 reduction."""
 
 from .biconnected import BCCDecomposition, biconnected_components
 from .block_cut_tree import BlockCutTree
-from .bridges import (
-    BridgeDecomposition,
-    find_bridges,
-    is_two_edge_connected,
-    two_edge_connected_components,
-)
-from .ear import Ear, EarDecomposition, ear_decomposition
 from .reduce import Chain, ReducedGraph, reduce_graph
 
 __all__ = [
     "BCCDecomposition",
     "biconnected_components",
     "BlockCutTree",
-    "BridgeDecomposition",
-    "find_bridges",
-    "is_two_edge_connected",
-    "two_edge_connected_components",
-    "Ear",
-    "EarDecomposition",
-    "ear_decomposition",
     "Chain",
     "ReducedGraph",
     "reduce_graph",

@@ -7,7 +7,7 @@ virtual clocks, with the double-ended work queue of [19] arbitrating.
 See DESIGN.md §2.
 """
 
-from .apsp_runner import HeteroAPSPResult, apsp_with_trace, run_apsp_on_platforms
+from .apsp_runner import apsp_with_trace
 from .device import (
     CPU_CORE_BW,
     CPU_SOCKET_BW,
@@ -22,8 +22,6 @@ from .parallel import (
     ParallelEngine,
     SharedCSRBuffers,
     parallel_all_pairs,
-    parallel_multi_source,
-    parallel_spt_forest,
     resolve_workers,
 )
 from .simt import SIMTDevice, gpu_device
@@ -32,9 +30,7 @@ from .trace import SimulationResult, Stage, WorkTrace, simulate_trace
 from .workqueue import DequeWorkQueue, WorkUnit
 
 __all__ = [
-    "HeteroAPSPResult",
     "apsp_with_trace",
-    "run_apsp_on_platforms",
     "CPU_CORE_BW",
     "CPU_SOCKET_BW",
     "Device",
@@ -44,8 +40,6 @@ __all__ = [
     "ParallelEngine",
     "SharedCSRBuffers",
     "parallel_all_pairs",
-    "parallel_multi_source",
-    "parallel_spt_forest",
     "resolve_workers",
     "HeterogeneousExecutor",
     "Platform",

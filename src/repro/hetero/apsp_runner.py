@@ -7,12 +7,10 @@ units are whole biconnected components sorted by size.  Phase III's
 anchor-formula sweep is perfectly divisible (pure broadcast arithmetic).
 
 Like the MCB runner, the computation executes once for real and its trace
-replays on every platform.
+replays on every platform through :func:`~repro.hetero.trace.simulate_trace`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +22,9 @@ from ..obs import metrics as _metrics
 from ..obs.memory import publish_apsp_table_gauges
 from ..obs.trace import phase
 from ..sssp.engine import multi_source, resolve_chunk_size
-from .executor import Platform
-from .trace import SimulationResult, WorkTrace, simulate_trace
+from .trace import WorkTrace
 
-__all__ = ["HeteroAPSPResult", "apsp_with_trace", "run_apsp_on_platforms"]
+__all__ = ["apsp_with_trace"]
 
 BYTES_DIJKSTRA_PER_EDGE = 40.0
 BYTES_POSTPROCESS_PER_ENTRY = 24.0
@@ -57,10 +54,10 @@ def apsp_with_trace(
     with :func:`ear_apsp_full` per component (or plain multi-source
     Dijkstra when ``use_ear`` is False), then
     :func:`assemble_full_matrix` — and sizes each trace stage from the
-    counts the calls report.  The Section 2.4 phases are ``obs.phase``
-    spans: ``ear_apsp_full`` emits reduce / dijkstra / extend, this
-    driver only the calls it makes itself (decompose, assemble, and the
-    Dijkstra of the ``use_ear=False`` path).
+    counts the calls report.  The Section 2.4 phases are
+    ``obs.trace.phase`` spans: ``ear_apsp_full`` emits reduce / dijkstra /
+    extend, this driver only the calls it makes itself (decompose,
+    assemble, and the Dijkstra of the ``use_ear=False`` path).
     """
     chunk = resolve_chunk_size(chunk_size)
     trace = WorkTrace(meta={"n": g.n, "m": g.m, "use_ear": use_ear, "chunk": chunk})
@@ -106,37 +103,3 @@ def apsp_with_trace(
         )
     return mat, trace
 
-
-@dataclass
-class HeteroAPSPResult:
-    """APSP matrix plus virtual timings per platform."""
-
-    matrix: np.ndarray
-    trace: WorkTrace
-    timings: dict[str, SimulationResult]
-
-    def speedups_vs_sequential(self) -> dict[str, float]:
-        seq = self.timings["sequential"].total_time
-        return {
-            name: seq / r.total_time if r.total_time else float("inf")
-            for name, r in self.timings.items()
-        }
-
-
-def run_apsp_on_platforms(
-    g: CSRGraph,
-    use_ear: bool = True,
-    platforms: list[Platform] | None = None,
-    chunk_size: int | None = None,
-) -> HeteroAPSPResult:
-    """Execute once, replay the trace on every platform."""
-    if platforms is None:
-        platforms = [
-            Platform.sequential(),
-            Platform.multicore(),
-            Platform.gpu(),
-            Platform.heterogeneous(),
-        ]
-    matrix, trace = apsp_with_trace(g, use_ear=use_ear, chunk_size=chunk_size)
-    timings = {p.name: simulate_trace(trace, p) for p in platforms}
-    return HeteroAPSPResult(matrix=matrix, trace=trace, timings=timings)

@@ -57,7 +57,7 @@ def mcb_with_trace(
     """One :func:`minimum_cycle_basis` run plus its recorded work trace.
 
     The Section 2.4 phases (decompose / reduce, Mehlhorn–Michail, expand)
-    are the ``obs.phase`` spans ``minimum_cycle_basis`` emits itself.
+    are the ``obs.trace.phase`` spans ``minimum_cycle_basis`` emits itself.
     """
     rep = EarMCBReport()
     cycles = minimum_cycle_basis(

@@ -66,9 +66,7 @@ __all__ = [
     "resolve_timeout",
     "SharedCSRBuffers",
     "ParallelEngine",
-    "parallel_multi_source",
     "parallel_all_pairs",
-    "parallel_spt_forest",
 ]
 
 
@@ -505,19 +503,8 @@ class ParallelEngine:
 
 
 # ------------------------------------------------------------------ #
-# One-shot conveniences
+# One-shot convenience
 # ------------------------------------------------------------------ #
-
-
-def parallel_multi_source(
-    g: CSRGraph,
-    sources: np.ndarray,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """One-shot :meth:`ParallelEngine.multi_source` (pool torn down after)."""
-    with ParallelEngine(g, workers=workers, chunk_size=chunk_size) as eng:
-        return eng.multi_source(sources)
 
 
 def parallel_all_pairs(
@@ -527,13 +514,3 @@ def parallel_all_pairs(
     with ParallelEngine(g, workers=workers, chunk_size=chunk_size) as eng:
         return eng.all_pairs()
 
-
-def parallel_spt_forest(
-    g: CSRGraph,
-    sources: np.ndarray,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot parallel shortest-path forests."""
-    with ParallelEngine(g, workers=workers, chunk_size=chunk_size) as eng:
-        return eng.spt_forest(sources)

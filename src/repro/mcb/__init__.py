@@ -6,9 +6,7 @@ from .cycle import Cycle
 from .depina import DePinaReport, depina_mcb
 from .ear_mcb import EarMCBReport, minimum_cycle_basis
 from .fvs import greedy_fvs, is_feedback_vertex_set
-from .girth import shortest_cycle_through, weighted_girth
 from .horton import horton_mcb, horton_set, perturbed_weights
-from .isometric import filter_isometric, is_isometric, isometric_mcb
 from .mehlhorn_michail import MMContext, MMReport, mm_mcb
 from .signed_graph import build_signed_graph, min_odd_cycle
 from .spanning import SpanningStructure, spanning_structure
@@ -25,14 +23,9 @@ __all__ = [
     "minimum_cycle_basis",
     "greedy_fvs",
     "is_feedback_vertex_set",
-    "shortest_cycle_through",
-    "weighted_girth",
     "horton_mcb",
     "horton_set",
     "perturbed_weights",
-    "filter_isometric",
-    "is_isometric",
-    "isometric_mcb",
     "MMContext",
     "MMReport",
     "mm_mcb",

@@ -16,8 +16,9 @@ This package makes that accounting first-class for the reproduction:
   ``summary()`` pretty-printer (per-phase wall time, % of total, counter
   table).
 * :mod:`repro.obs.memory` — per-phase memory accounting (tracemalloc
-  current/peak + peak RSS, recorded by :func:`phase`) and the exact byte
-  accounting behind the paper's Table 1 (``a² + Σ nᵢ²`` vs dense ``n²``).
+  current/peak + peak RSS, recorded by :func:`repro.obs.trace.phase`) and
+  the exact byte accounting behind the paper's Table 1 (``a² + Σ nᵢ²`` vs
+  dense ``n²``).
 * :mod:`repro.obs.ledger` — the append-only JSONL run database: every
   benchmark run stamped with git SHA, host fingerprint, knobs, per-phase
   times, counters, and memory stats.
@@ -51,190 +52,46 @@ open the traces in Perfetto.
 
 from __future__ import annotations
 
-from .events import (
-    EVENT_SCHEMA_VERSION,
-    EventLog,
-    EventSink,
-    current_sink,
-    default_events_dir,
-    emit,
-    emitting,
-    events_to,
-)
-from .events import enabled as events_enabled
-from .critpath import (
-    CRITPATH_SCHEMA_VERSION,
-    CritPathResult,
-    analyze_chrome,
-    analyze_collector,
-    validate_critpath_doc,
-)
-from .critpath import render_text as render_critpath
-from .export import (
-    VIRTUAL_PID,
-    chrome_trace,
-    summary,
-    validate_chrome_trace,
-    virtual_clock_events,
-    write_chrome_trace,
-)
-from .ledger import (
-    SCHEMA_VERSION,
-    Ledger,
-    LedgerError,
-    RunRecord,
-    default_ledger_path,
-    git_sha,
-    host_fingerprint,
-    repro_knobs,
-)
-from .memory import (
-    MemoryProfile,
-    MemSpan,
-    Table1Bytes,
-    current_memory_profile,
-    format_bytes,
-    measured_component_bytes,
-    memory_profiling,
-    memory_profiling_enabled,
-    peak_rss_bytes,
-    table1_bytes,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-    metrics_diff,
-    registry,
-    reset_metrics,
-    snapshot,
-)
-from .regress import (
-    PhaseVerdict,
-    RegressionReport,
-    compare,
-    diff_chrome_traces,
-    extract_phases,
-    is_higher_better_phase,
-    measure_profile_phases,
-    phase_totals,
-)
-from .report import REPORT_SECTIONS, build_report, validate_report, write_report
-from .sampler import (
-    DEFAULT_HZ,
-    DEFAULT_PROFILE_DIR,
-    StackSampler,
-    active_sampler,
-    parse_collapsed,
-    read_profile,
-    sampling_to,
-    top_stacks,
-)
-from .trace import (
-    Span,
-    TraceCollector,
-    current_collector,
-    phase,
-    span,
-    tracing,
-    tracing_enabled,
-)
-from .watch import Watchdog, heartbeats_from_events, resolve_stall_after
+# Imported for its side effect: the sampler arms itself from
+# ``REPRO_SAMPLER`` at import, so every process that imports the package
+# (pool workers included, under ``fork`` and ``spawn``) samples itself.
+from . import sampler as _sampler  # noqa: F401
+from .critpath import validate_critpath_doc
+from .export import chrome_trace, summary, validate_chrome_trace, write_chrome_trace
+from .memory import format_bytes, memory_profiling
+from .metrics import counter, metrics_diff, reset_metrics, snapshot
+from .regress import phase_totals
+from .report import REPORT_SECTIONS, validate_report
+from .trace import Span, TraceCollector, current_collector, span, tracing, tracing_enabled
 
+# The names callers import through the package; everything else is
+# imported from its submodule (``from repro.obs.ledger import Ledger``).
 __all__ = [
     # trace
     "Span",
     "TraceCollector",
     "current_collector",
-    "phase",
     "span",
     "tracing",
     "tracing_enabled",
     # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "counter",
-    "gauge",
-    "histogram",
     "metrics_diff",
-    "registry",
     "reset_metrics",
     "snapshot",
-    # events
-    "EVENT_SCHEMA_VERSION",
-    "EventLog",
-    "EventSink",
-    "current_sink",
-    "default_events_dir",
-    "emit",
-    "emitting",
-    "events_enabled",
-    "events_to",
-    # watch
-    "Watchdog",
-    "heartbeats_from_events",
-    "resolve_stall_after",
-    # sampler
-    "DEFAULT_HZ",
-    "DEFAULT_PROFILE_DIR",
-    "StackSampler",
-    "active_sampler",
-    "parse_collapsed",
-    "read_profile",
-    "sampling_to",
-    "top_stacks",
+    # export
+    "chrome_trace",
+    "summary",
+    "validate_chrome_trace",
+    "write_chrome_trace",
+    # memory
+    "format_bytes",
+    "memory_profiling",
+    # regress
+    "phase_totals",
     # report
     "REPORT_SECTIONS",
-    "build_report",
     "validate_report",
-    "write_report",
-    # export
-    "VIRTUAL_PID",
-    "chrome_trace",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "virtual_clock_events",
-    "summary",
-    # memory
-    "MemSpan",
-    "MemoryProfile",
-    "memory_profiling",
-    "memory_profiling_enabled",
-    "current_memory_profile",
-    "peak_rss_bytes",
-    "Table1Bytes",
-    "table1_bytes",
-    "measured_component_bytes",
-    "format_bytes",
-    # ledger
-    "SCHEMA_VERSION",
-    "Ledger",
-    "LedgerError",
-    "RunRecord",
-    "default_ledger_path",
-    "git_sha",
-    "host_fingerprint",
-    "repro_knobs",
-    # regress
-    "PhaseVerdict",
-    "RegressionReport",
-    "compare",
-    "diff_chrome_traces",
-    "extract_phases",
-    "is_higher_better_phase",
-    "measure_profile_phases",
-    "phase_totals",
     # critpath
-    "CRITPATH_SCHEMA_VERSION",
-    "CritPathResult",
-    "analyze_chrome",
-    "analyze_collector",
-    "render_critpath",
     "validate_critpath_doc",
 ]

@@ -148,21 +148,6 @@ class CritPathResult:
             "annotations": self.annotations,
         }
 
-    def summary_dict(self) -> dict:
-        """Compact form for ledger meta: headline numbers + top path spans."""
-        return {
-            "length_ns": self.total_ns,
-            "parallel_efficiency": self.parallel_efficiency,
-            "entries": len(self.path),
-            "dispatches": len(self.dispatches),
-            "stragglers": self.stragglers,
-            "orphans": self.orphans,
-            "top": [
-                e["name"]
-                for e in sorted(self.path, key=lambda e: -e["path_ns"])[:3]
-            ],
-        }
-
 
 # --------------------------------------------------------------------- #
 # Input normalization

@@ -57,7 +57,6 @@ __all__ = [
     "enabled",
     "current_sink",
     "events_to",
-    "default_events_dir",
 ]
 
 #: Bump when a reader would misinterpret older events.  Readers accept
@@ -334,12 +333,6 @@ def _resolve_dir(val: str) -> str | None:
     if val.lower() in _FLAGGY:
         return DEFAULT_EVENTS_DIR
     return val
-
-
-def default_events_dir() -> Path | None:
-    """The event directory named by ``REPRO_EVENTS``, or ``None``."""
-    d = _resolve_dir(os.environ.get("REPRO_EVENTS", ""))
-    return Path(d) if d else None
 
 
 class events_to:

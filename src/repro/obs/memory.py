@@ -46,7 +46,6 @@ __all__ = [
     "MemoryProfile",
     "memory_profiling",
     "memory_profiling_enabled",
-    "current_memory_profile",
     "peak_rss_bytes",
     "Table1Bytes",
     "table1_bytes",
@@ -163,11 +162,6 @@ class MemoryProfile:
 
 _profile: MemoryProfile | None = None
 _profile_lock = threading.Lock()
-
-
-def current_memory_profile() -> MemoryProfile | None:
-    """The active profile, or ``None`` while memory profiling is disabled."""
-    return _profile
 
 
 def memory_profiling_enabled() -> bool:

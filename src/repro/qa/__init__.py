@@ -13,9 +13,9 @@ package is the machinery that keeps every implementation honest about it:
   implementation plus a differential-oracle runner that cross-checks them
   pairwise on generated graphs and serializes any disagreeing graph for
   replay.
-* :mod:`repro.qa.invariants` — checkable contracts (ear partition, chain
-  weight preservation, GF(2) basis independence) wired into the library
-  behind the ``REPRO_CHECK_INVARIANTS`` env knob.
+* :mod:`repro.qa.invariants` — checkable contracts (chain weight
+  preservation, maximal reduction, GF(2) basis independence) wired into
+  the library behind the ``REPRO_CHECK_INVARIANTS`` env knob.
 * :mod:`repro.qa.faultinject` — fault injection for the process-parallel
   backend (worker crashes, shared-memory allocation failure, hangs),
   used to prove the parallel→serial degradation path is lossless.
@@ -45,7 +45,6 @@ _EXPORTS = {
     "invariants": (
         "InvariantViolation",
         "check_cycle_basis",
-        "check_ear_decomposition",
         "check_reduction",
         "invariants_enabled",
     ),
@@ -82,7 +81,6 @@ __all__ = [
     "run_suite",
     "InvariantViolation",
     "check_cycle_basis",
-    "check_ear_decomposition",
     "check_reduction",
     "invariants_enabled",
     "adversarial_corpus",

@@ -3,8 +3,6 @@
 Each function raises :class:`InvariantViolation` with a precise message
 when a structural contract of the pipeline is broken:
 
-* :func:`check_ear_decomposition` — the ears partition the edge set, walk
-  consistency, and the open-ear property (Section 2.1.1).
 * :func:`check_reduction` — removed vertices have degree 2 in ``G``,
   chains partition the edges with exact weight preservation, and no
   reduced vertex is left contractible (degree 2 in ``G^r`` without being a
@@ -15,7 +13,6 @@ when a structural contract of the pipeline is broken:
 
 ``REPRO_CHECK_INVARIANTS`` (any of ``1/true/yes/on``) turns on the hooks
 embedded in :func:`repro.decomposition.reduce.reduce_graph`,
-:func:`repro.decomposition.ear.ear_decomposition`,
 :func:`repro.mcb.ear_mcb.minimum_cycle_basis`, and the de Pina witness
 loop.  When the knob is off, each hook costs a single dict lookup, so the
 checks can ride along in CI at near-zero production cost.
@@ -33,10 +30,8 @@ from ..obs import metrics as _metrics
 __all__ = [
     "InvariantViolation",
     "invariants_enabled",
-    "check_ear_decomposition",
     "check_reduction",
     "check_cycle_basis",
-    "maybe_check_ear_decomposition",
     "maybe_check_reduction",
     "maybe_check_cycle_basis",
 ]
@@ -57,37 +52,6 @@ def invariants_enabled() -> bool:
 
 def _fail(message: str) -> None:
     raise InvariantViolation(message)
-
-
-# ------------------------------------------------------------------ #
-# Ear decomposition
-# ------------------------------------------------------------------ #
-
-
-def check_ear_decomposition(g: CSRGraph, dec) -> None:
-    """Every edge on exactly one ear; walks consistent; first ear a cycle."""
-    counts = np.zeros(g.m, dtype=np.int64)
-    for ear in dec.ears:
-        np.add.at(counts, ear.edges, 1)
-    if np.any(counts != 1):
-        missing = int((counts == 0).sum())
-        dup = int((counts > 1).sum())
-        _fail(
-            f"ears do not partition the edge set: {missing} edges uncovered, "
-            f"{dup} covered more than once"
-        )
-    for k, ear in enumerate(dec.ears):
-        if ear.vertices.size != ear.edges.size + 1:
-            _fail(f"ear {k}: walk has {ear.vertices.size} vertices for {ear.edges.size} edges")
-        for i, eid in enumerate(ear.edges):
-            a, b = g.edge_endpoints(int(eid))
-            u, v = int(ear.vertices[i]), int(ear.vertices[i + 1])
-            if {a, b} != {u, v}:
-                _fail(f"ear {k}: edge {eid} does not join walk vertices {u}-{v}")
-    if not dec.ears[0].is_cycle:
-        _fail("first ear is not a cycle")
-    if dec.is_open and any(e.is_cycle for e in dec.ears[1:]):
-        _fail("decomposition marked open but a later ear is a cycle")
 
 
 # ------------------------------------------------------------------ #
@@ -162,12 +126,6 @@ def check_cycle_basis(g: CSRGraph, cycles: list) -> None:
 # ------------------------------------------------------------------ #
 # Hooks (near-zero cost when the knob is off)
 # ------------------------------------------------------------------ #
-
-
-def maybe_check_ear_decomposition(g: CSRGraph, dec) -> None:
-    if invariants_enabled():
-        _C_CHECKS.inc()
-        check_ear_decomposition(g, dec)
 
 
 def maybe_check_reduction(red, strict_degree: bool | None = None) -> None:

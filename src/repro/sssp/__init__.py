@@ -1,8 +1,5 @@
-"""Single-source shortest path kernels (CPU reference, GPU-style, bulk)."""
+"""Single-source shortest path kernels (CPU reference and bulk engine)."""
 
-from .bellman_ford import bellman_ford
-from .bidirectional import bidirectional_dijkstra
-from .delta_stepping import delta_stepping
 from .dijkstra import dijkstra, dijkstra_tree, shortest_path
 from .engine import (
     AdjacencyCache,
@@ -15,12 +12,8 @@ from .engine import (
     spt_forest,
     sssp,
 )
-from .frontier import FrontierStats, frontier_sssp, frontier_sssp_batch
 
 __all__ = [
-    "bellman_ford",
-    "bidirectional_dijkstra",
-    "delta_stepping",
     "dijkstra",
     "dijkstra_tree",
     "shortest_path",
@@ -33,7 +26,4 @@ __all__ = [
     "multi_source",
     "spt_forest",
     "sssp",
-    "FrontierStats",
-    "frontier_sssp",
-    "frontier_sssp_batch",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.decomposition import biconnected_components
 from repro.graph import (
     CSRGraph,
     attach_blocks,
@@ -37,3 +38,19 @@ def composite_graph(seed: int, n: int = 30, m: int = 45) -> CSRGraph:
 def biconnected_weighted(seed: int, n: int = 40, extra: int = 25) -> CSRGraph:
     """Random biconnected graph with random weights."""
     return randomize_weights(random_biconnected_graph(n, extra, seed=seed), seed=seed)
+
+
+def bridge_mask(g: CSRGraph) -> np.ndarray:
+    """Bridges of ``g`` as an edge mask: one-edge biconnected components
+    whose edge is not a self-loop (a loop is a one-edge component too, but
+    never a bridge)."""
+    mask = np.zeros(g.m, dtype=bool)
+    for e in biconnected_components(g).component_edges:
+        if e.size == 1 and g.edge_u[e[0]] != g.edge_v[e[0]]:
+            mask[e[0]] = True
+    return mask
+
+
+def bridge_count(g: CSRGraph) -> int:
+    """Number of bridges of ``g`` (see :func:`bridge_mask`)."""
+    return int(bridge_mask(g).sum())

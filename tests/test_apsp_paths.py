@@ -1,10 +1,11 @@
-"""Path reconstruction through the ear reduction."""
+"""Shortest-path reconstruction (``repro.sssp.shortest_path``) against APSP."""
 
 import numpy as np
 import pytest
 
-from repro.apsp import EarPathReconstructor, dijkstra_apsp
+from repro.apsp import dijkstra_apsp
 from repro.graph import CSRGraph, cycle_graph, path_graph, randomize_weights
+from repro.sssp import dijkstra, shortest_path
 
 from _support import composite_graph
 
@@ -17,12 +18,11 @@ def check_walk(g, walk, d):
 @pytest.mark.parametrize("seed", range(4))
 def test_paths_exact_and_valid(seed):
     g = composite_graph(seed)
-    pr = EarPathReconstructor(g)
     ref = dijkstra_apsp(g)
     rng = np.random.default_rng(seed)
     for _ in range(60):
         u, v = map(int, rng.integers(0, g.n, 2))
-        d, walk = pr.path(u, v)
+        d, walk = shortest_path(g, u, v)
         if np.isinf(ref[u, v]):
             assert np.isinf(d) and walk == []
             continue
@@ -33,39 +33,34 @@ def test_paths_exact_and_valid(seed):
 
 def test_identity():
     g = cycle_graph(5)
-    pr = EarPathReconstructor(g)
-    assert pr.path(2, 2) == (0.0, [2])
-    assert pr.distance(2, 2) == 0.0
+    assert shortest_path(g, 2, 2) == (0.0, [2])
+    assert dijkstra(g, 2)[2] == 0.0
 
 
 def test_same_chain_direct():
     g = path_graph(8)
-    pr = EarPathReconstructor(g)
-    d, walk = pr.path(2, 5)
+    d, walk = shortest_path(g, 2, 5)
     assert d == 3.0 and walk == [2, 3, 4, 5]
 
 
 def test_ring_both_directions():
     g = randomize_weights(cycle_graph(9), seed=1, low=1.0, high=1.0)
-    pr = EarPathReconstructor(g)
-    d, walk = pr.path(1, 8)
+    d, walk = shortest_path(g, 1, 8)
     assert d == pytest.approx(2.0)
     assert walk == [1, 0, 8]
 
 
 def test_disconnected():
     g = CSRGraph(4, [0, 2], [1, 3])
-    pr = EarPathReconstructor(g)
-    d, walk = pr.path(0, 3)
+    d, walk = shortest_path(g, 0, 3)
     assert np.isinf(d) and walk == []
 
 
 def test_distance_matches_path():
     g = composite_graph(2)
-    pr = EarPathReconstructor(g)
     rng = np.random.default_rng(0)
     for _ in range(40):
         u, v = map(int, rng.integers(0, g.n, 2))
-        d, _ = pr.path(u, v)
-        d2 = pr.distance(u, v)
+        d, _ = shortest_path(g, u, v)
+        d2 = dijkstra(g, u, target=v)[v]
         assert (np.isinf(d) and np.isinf(d2)) or d == pytest.approx(d2, abs=1e-9)

@@ -1,24 +1,35 @@
-"""Unweighted BFS APSP and its ear-reduced variant."""
+"""Hop counts: the exact pipelines on unit-weight graphs against networkx BFS."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.apsp import bfs_apsp, bfs_distances, dijkstra_apsp, ear_bfs_apsp
-from repro.graph import CSRGraph, cycle_graph, grid_graph, gnm_random_graph
+from repro.apsp import dijkstra_apsp, ear_apsp_full
+from repro.graph import CSRGraph, gnm_random_graph, grid_graph, to_networkx
+from repro.sssp import dijkstra
 
-from _support import close, composite_graph
+from _support import close
+
+
+def hops(g):
+    """All-pairs hop counts by networkx BFS (``inf`` when unreachable)."""
+    d = np.full((g.n, g.n), np.inf)
+    for u, row in nx.all_pairs_shortest_path_length(to_networkx(g)):
+        for v, h in row.items():
+            d[u, v] = h
+    return d
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_bfs_matches_unit_dijkstra(seed):
     g = gnm_random_graph(40, 70, seed=seed, connected=(seed % 2 == 0))
     g = g.with_weights(np.ones(g.m))
-    assert close(bfs_apsp(g), dijkstra_apsp(g))
+    assert close(hops(g), dijkstra_apsp(g))
 
 
 def test_bfs_distances_grid(grid):
-    d = bfs_distances(grid, 0)
-    # manhattan distance on the grid
+    d = dijkstra(grid, 0)
+    # manhattan distance on the unit-weight grid
     rows, cols = 5, 6
     for v in range(grid.n):
         assert d[v] == (v // cols) + (v % cols)
@@ -26,28 +37,10 @@ def test_bfs_distances_grid(grid):
 
 def test_bfs_unreachable():
     g = CSRGraph(4, [0], [1])
-    d = bfs_distances(g, 0)
+    d = dijkstra(g, 0)
     assert np.isinf(d[2]) and d[1] == 1.0
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_ear_bfs_apsp_exact(seed):
-    # hop metric on graphs with chains: contracted edges become > 1 so the
-    # weighted fallback path is exercised too
-    core = gnm_random_graph(25, 40, seed=seed)
-    from repro.graph import subdivide_edges
-
-    g = subdivide_edges(core, 0.5, seed=seed)
-    g = g.with_weights(np.ones(g.m))
-    assert close(ear_bfs_apsp(g), dijkstra_apsp(g))
 
 
 def test_ear_bfs_on_pure_unit_graph():
     g = grid_graph(4, 5)  # no chains contract to length > 1 except corners
-    assert close(ear_bfs_apsp(g), bfs_apsp(g))
-
-
-def test_ear_bfs_ignores_input_weights():
-    g = cycle_graph(6).with_weights(np.full(6, 7.5))
-    d = ear_bfs_apsp(g)
-    assert d[0, 3] == 3.0  # hops, not weights
+    assert close(ear_apsp_full(g), hops(g))

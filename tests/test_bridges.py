@@ -1,18 +1,18 @@
-"""Bridges / 2-edge-connected components vs networkx."""
+"""Bridges read off the biconnected components, checked against networkx.
+
+A bridge is a one-edge biconnected component whose edge is not a
+self-loop; :func:`_support.bridge_mask` reads them that way, so these
+tests pin down how :func:`repro.decomposition.biconnected_components`
+splits bridges, parallel edges and self-loops.
+"""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.decomposition import (
-    ear_decomposition,
-    find_bridges,
-    is_two_edge_connected,
-    two_edge_connected_components,
-)
-from repro.graph import CSRGraph, cycle_graph, grid_graph, path_graph, to_networkx
+from repro.graph import CSRGraph, from_networkx, path_graph, to_networkx
 
-from _support import composite_graph
+from _support import bridge_mask, composite_graph
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -20,13 +20,11 @@ def test_bridges_match_networkx(seed):
     g = composite_graph(seed)
     G = to_networkx(g)
     if G.is_multigraph():
-        G = nx.Graph(G)
         # multigraph parallels make pairwise comparison ambiguous; compare
         # on the simplified graph instead
-        from repro.graph import from_networkx
-
+        G = nx.Graph(G)
         g = from_networkx(G)
-    mask = find_bridges(g)
+    mask = bridge_mask(g)
     ours = {
         (min(int(g.edge_u[e]), int(g.edge_v[e])), max(int(g.edge_u[e]), int(g.edge_v[e])))
         for e in np.nonzero(mask)[0]
@@ -37,50 +35,21 @@ def test_bridges_match_networkx(seed):
 
 def test_path_all_bridges():
     g = path_graph(6)
-    assert find_bridges(g).all()
+    assert bridge_mask(g).all()
 
 
 def test_cycle_no_bridges(ring):
-    assert not find_bridges(ring).any()
+    assert not bridge_mask(ring).any()
 
 
 def test_parallel_edges_not_bridges():
     g = CSRGraph(3, [0, 0, 1], [1, 1, 2])
-    mask = find_bridges(g)
+    mask = bridge_mask(g)
     assert not mask[0] and not mask[1]
     assert mask[2]
 
 
 def test_self_loop_not_bridge():
     g = CSRGraph(2, [0, 0], [0, 1])
-    mask = find_bridges(g)
+    mask = bridge_mask(g)
     assert not mask[0] and mask[1]
-
-
-def test_two_ecc_labels():
-    # two triangles joined by a bridge
-    g = CSRGraph(6, [0, 1, 2, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5, 3])
-    dec = two_edge_connected_components(g)
-    assert dec.count == 2
-    assert dec.component[0] == dec.component[1] == dec.component[2]
-    assert dec.component[3] == dec.component[4] == dec.component[5]
-    assert dec.component[0] != dec.component[3]
-    assert len(dec.bridges) == 1
-
-
-def test_is_two_edge_connected_matches_ear_existence():
-    from repro.graph import GraphError, random_biconnected_graph
-
-    for g in (cycle_graph(5), grid_graph(3, 3), random_biconnected_graph(12, 8, seed=1)):
-        assert is_two_edge_connected(g)
-        ear_decomposition(g)  # must not raise
-    for g in (path_graph(4), CSRGraph(4, [0, 2], [1, 3])):
-        assert not is_two_edge_connected(g)
-        with pytest.raises(GraphError):
-            ear_decomposition(g)
-
-
-def test_trivial_graphs():
-    assert is_two_edge_connected(CSRGraph(1, [], []))
-    assert is_two_edge_connected(CSRGraph(0, [], []))
-    assert not is_two_edge_connected(CSRGraph(2, [], []))

@@ -96,6 +96,17 @@ class TestPairValidation:
         with pytest.raises(ValueError, match=rf"vertex id {vid} is outside \[0, {g.n}\)"):
             o.query_many(np.array([[vid, 0]]))
 
+    @pytest.mark.parametrize(
+        "u, v, bad", [(-1, 0, -1), (10, 0, 10), (0, -1, -1), (-1, -1, -1)]
+    )
+    def test_scalar_query_rejects_out_of_range_id(self, oracle_cls, u, v, bad):
+        # Unchecked, an unknown id answered ``inf`` (and ``(-1, -1)`` 0.0
+        # through the ``u == v`` shortcut) instead of failing like query_many.
+        g = strategies.star_of_cycles(arms=3, cycle_len=4, seed=5)
+        assert g.n == 10
+        with pytest.raises(ValueError, match=rf"vertex id {bad} is outside \[0, 10\)"):
+            oracle_cls(g).query(u, v)
+
 
 class TestRegistry:
     def test_bulk_paths_enrolled(self):
@@ -118,32 +129,3 @@ class TestCounters:
         before = metrics.counter("bulk_query.pairs").value
         o.query_many(pairs)
         assert metrics.counter("bulk_query.pairs").value - before == len(pairs)
-
-    def test_delta_stepping_counters(self):
-        g = strategies.theta_graph(3, 5, seed=7)
-        before = metrics.counter("delta.edges_relaxed").value
-        from repro.sssp.delta_stepping import delta_stepping
-
-        delta_stepping(g, 0)
-        assert metrics.counter("delta.edges_relaxed").value > before
-
-
-class TestDeltaSteppingWeighted:
-    """Delta-stepping vs the engine on explicitly re-weighted graphs."""
-
-    @pytest.mark.parametrize("mode", ["ties", "few", "near-zero"])
-    def test_weighted_corpus(self, mode, repro_seed):
-        from repro.sssp import engine
-        from repro.sssp.delta_stepping import delta_stepping
-
-        for name, g in strategies.corpus(count=25, seed=repro_seed):
-            if g.n == 0 or g.m == 0:
-                continue
-            gw = strategies.reweighted(g, mode, seed=repro_seed)
-            np.testing.assert_allclose(
-                delta_stepping(gw, 0),
-                engine.sssp(gw, 0),
-                rtol=1e-9,
-                atol=1e-12,
-                err_msg=f"{name} ({mode})",
-            )

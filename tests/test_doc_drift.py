@@ -34,7 +34,7 @@ from repro.qa import strategies
 DOC = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
 
 # The families this suite asserts are *exhaustively* documented-and-live.
-# Other families (mcb.*, delta.*, parallel.*...) have workload-specific
+# Other families (mcb.*, reduce.*, parallel.*...) have workload-specific
 # triggers and are covered by the emitted=>documented direction only.
 OWNED_PREFIXES = ("bulk_query.", "critpath.", "sampler.")
 

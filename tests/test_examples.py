@@ -16,7 +16,7 @@ FAST = {"quickstart.py", "chemistry_rings.py", "electrical_network.py"}
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script, capsys, monkeypatch):
     if script.name not in FAST:
-        pytest.skip("slow example covered by the benchmark stage")
+        pytest.skip("slow example: run by the 'Run every example' step of CI's qa job")
     monkeypatch.setattr(sys, "argv", [str(script)])
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out

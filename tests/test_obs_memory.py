@@ -31,7 +31,7 @@ TINY = 0.012
 
 
 class TestMemorySpan:
-    """Memory spans are recorded by ``obs.phase`` as ``<cat>.<name>``."""
+    """Memory spans are recorded by ``obs.trace.phase`` as ``<cat>.<name>``."""
 
     def test_disabled_is_shared_null_singleton(self):
         assert not memory_profiling_enabled()

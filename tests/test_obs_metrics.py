@@ -287,14 +287,14 @@ class TestMCBWiring:
 
 class TestQAWiring:
     def test_invariant_check_counter(self, monkeypatch):
-        from repro.decomposition.ear import ear_decomposition
+        from repro.decomposition import reduce_graph
         from repro.qa import invariants
 
         g = grid_graph(4, 4)
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        dec = ear_decomposition(g)  # knob off: no check fires in here
+        red = reduce_graph(g)  # knob off: no check fires in here
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         before = snapshot()
-        invariants.maybe_check_ear_decomposition(g, dec)
+        invariants.maybe_check_reduction(red)
         d = metrics_diff(before, snapshot())
         assert d.get("qa.invariant_checks", 0) == 1

@@ -215,7 +215,7 @@ class TestExceptionSafety:
 
 
 class TestPhase:
-    """``obs.phase``: span, memory span and phase events from one call."""
+    """``obs.trace.phase``: span, memory span and phase events from one call."""
 
     def test_records_all_three_layers(self, tmp_path):
         from repro.obs.events import EventLog, events_to

@@ -11,8 +11,6 @@ from repro.hetero.parallel import (
     ParallelEngine,
     SharedCSRBuffers,
     parallel_all_pairs,
-    parallel_multi_source,
-    parallel_spt_forest,
     resolve_workers,
 )
 from repro.sssp import engine
@@ -70,13 +68,15 @@ class TestParallelParity:
         rng = np.random.default_rng(0)
         sources = rng.integers(0, medium.n, size=23)
         want = engine.multi_source(medium, sources)
-        got = parallel_multi_source(medium, sources, workers=2, chunk_size=5)
+        with ParallelEngine(medium, workers=2, chunk_size=5) as eng:
+            got = eng.multi_source(sources)
         assert np.array_equal(got, want)
 
     def test_spt_forest_parity(self, medium):
         sources = np.arange(0, medium.n, 3)
         d_want, p_want = engine.spt_forest(medium, sources)
-        d_got, p_got = parallel_spt_forest(medium, sources, workers=2, chunk_size=7)
+        with ParallelEngine(medium, workers=2, chunk_size=7) as eng:
+            d_got, p_got = eng.spt_forest(sources)
         assert np.array_equal(d_got, d_want)
         assert np.array_equal(p_got, p_want)
 

