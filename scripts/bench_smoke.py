@@ -17,7 +17,9 @@ root, giving every change to the bulk-SSSP engine a before/after anchor:
   of a recorded 2-worker run (``repro.obs.critpath``); the regression
   gate watches both, efficiency on the higher-is-better side.
 * ``fig2`` / ``table2`` — tiny-scale rows of the two headline paper
-  benchmarks, correctness-checked by the harness itself.
+  benchmarks, correctness-checked by the harness itself.  Each leg is its
+  fastest of ``LEG_REPEATS`` calls, with the spread (max − min) of those
+  calls beside it (``*_spread_s``).
 
 Usage: ``PYTHONPATH=src python scripts/bench_smoke.py [--scale 0.02]``
 """
@@ -246,6 +248,8 @@ def bench_fig2(scale: float) -> list[dict]:
             "m": r.m,
             "t_ours_s": r.t_ours,
             "t_baseline_s": r.t_baseline,
+            "t_ours_spread_s": r.t_ours_spread,
+            "t_baseline_spread_s": r.t_baseline_spread,
             "baseline": r.baseline,
             "speedup": r.speedup,
         }
@@ -265,6 +269,8 @@ def bench_table2(scale: float) -> list[dict]:
             "f": r.f,
             "wall_with_ear_s": r.wall_with_ear,
             "wall_without_ear_s": r.wall_without_ear,
+            "wall_with_ear_spread_s": r.wall_with_ear_spread,
+            "wall_without_ear_spread_s": r.wall_without_ear_spread,
             "virtual_speedup_cpu_gpu": (
                 r.seconds["sequential"][0] / r.seconds["cpu+gpu"][0]
                 if r.seconds["cpu+gpu"][0]

@@ -86,6 +86,10 @@ def bcc_apsp(g: CSRGraph, peel: bool = True) -> np.ndarray:
         return assemble_full_matrix(g, ct)
 
     core, core_ids, peel_ops = peel_pendants(g)
+    if not peel_ops:
+        # Nothing peeled: the core is ``g`` itself, so its assembled
+        # matrix is the answer; embedding it would only copy it.
+        return assemble_full_matrix(core, build_component_tables(core, solver=all_pairs))
     out = np.full((n, n), np.inf, dtype=np.float64)
     if core.n:
         ct = build_component_tables(core, solver=all_pairs)

@@ -28,7 +28,7 @@ import scipy.sparse.csgraph as csgraph
 from ..decomposition.biconnected import BCCDecomposition, biconnected_components
 from ..graph.csr import CSRGraph
 from ..sssp.engine import ZERO_WEIGHT_NUDGE
-from .ear_apsp import solve_component
+from .ear_apsp import block_rows, solve_component
 
 Solver = Callable[[CSRGraph], np.ndarray]
 
@@ -159,48 +159,80 @@ def build_component_tables(
 def assemble_full_matrix(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
     """Materialise the full ``n × n`` matrix from component tables.
 
-    Used by tests and the full-matrix benchmarks; production queries
-    should go through :class:`repro.apsp.DistanceOracle`, which keeps the
+    The Stage-3 assembly of Section 2.2: the composed pipeline,
+    :func:`~repro.apsp.bcc_apsp.bcc_apsp` and
+    :func:`~repro.hetero.apsp_runner.apsp_with_trace` call it.  Queries
+    that do not need every pair should go through
+    :class:`repro.apsp.DistanceOracle`, which keeps the
     ``O(a² + Σ nᵢ²)`` footprint.
+
+    Row ``u`` is the minimum over one candidate set, for every component
+    ``c`` containing ``u``: the intra-component row ``tables[c][u]``,
+    then ``tables[c][u, a] + d(a, ·)`` for *every* articulation point
+    ``a`` of ``c`` (keeping the non-exit ones fixes the last-ulp bits).
+    Rows of vertices in one component are built in row blocks of
+    :data:`~repro.apsp.ear_apsp.ROW_BLOCK_BYTES` and written once;
+    rows of vertices in several components (articulation points and
+    self-loop vertices) are accumulated one at a time, and rows of
+    vertices in none stay ``inf`` off the diagonal.
     """
     n = g.n
-    out = np.full((n, n), np.inf, dtype=np.float64)
     bcc = ct.bcc
     a = len(ct.ap_ids)
+    ap_pos = np.full(n, -1, dtype=np.int64)
+    ap_pos[ct.ap_ids] = np.arange(a)
+    members = np.zeros(n, dtype=np.int64)
+    # Per component: (global AP index, local index) of each of its APs.
+    comp_aps: list[tuple[np.ndarray, np.ndarray]] = []
+    for verts in bcc.component_vertices:
+        members[verts] += 1
+        local = np.flatnonzero(ap_pos[verts] >= 0)
+        comp_aps.append((ap_pos[verts[local]], local))
 
     # ap_to_all[k, v]: exact distance from AP k to every vertex v, built
     # per component as min over that component's APs.
     ap_to_all = np.full((a, n), np.inf, dtype=np.float64)
-    for cid in range(bcc.count):
-        verts = bcc.component_vertices[cid]
-        local_aps = [
-            (ct.ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ct.ap_index
-        ]
-        for gk, lk in local_aps:
-            cand = ct.ap_matrix[:, gk : gk + 1] + ct.tables[cid][lk : lk + 1, :]
-            block = ap_to_all[:, verts]
-            np.minimum(block, cand, out=block)
-            ap_to_all[:, verts] = block
-
-    for cid in range(bcc.count):
-        verts = bcc.component_vertices[cid]
-        # Intra-component pairs straight from the table.
-        blk = out[np.ix_(verts, verts)]
-        np.minimum(blk, ct.tables[cid], out=blk)
-        out[np.ix_(verts, verts)] = blk
-        # Cross-component: exit through one of this component's APs.
-        local_aps = [
-            (ct.ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ct.ap_index
-        ]
-        if not local_aps:
+    for cid, (gks, lks) in enumerate(comp_aps):
+        if not gks.size:
             continue
-        # One in-place pass per AP keeps peak memory at O(n_i · n) instead
-        # of materialising an (n_i × k_i × n) broadcast cube.
-        blk = out[verts, :]
-        for gk, lk in local_aps:
-            np.minimum(
-                blk, ct.tables[cid][:, lk : lk + 1] + ap_to_all[gk : gk + 1, :], out=blk
-            )
-        out[verts, :] = blk
-    np.fill_diagonal(out, 0.0)
+        verts = bcc.component_vertices[cid]
+        table = ct.tables[cid]
+        blk = ap_to_all[:, verts]
+        cand = np.empty_like(blk)
+        for gk, lk in zip(gks, lks):
+            np.add(ct.ap_matrix[:, gk, None], table[lk], out=cand)
+            np.minimum(blk, cand, out=blk)
+        ap_to_all[:, verts] = blk
+
+    def candidates(blk: np.ndarray, cand: np.ndarray, cid: int, rows: np.ndarray) -> None:
+        """``blk[i]``: minimum over component ``cid``'s candidates of its
+        local row ``rows[i]``."""
+        verts = bcc.component_vertices[cid]
+        table = ct.tables[cid]
+        blk.fill(np.inf)
+        blk[:, verts] = table[rows]
+        gks, lks = comp_aps[cid]
+        for gk, lk in zip(gks, lks):
+            np.add(table[rows, lk, None], ap_to_all[gk], out=cand)
+            np.minimum(blk, cand, out=blk)
+
+    out = np.empty((n, n), dtype=np.float64)
+    b = block_rows(n)
+    block = np.empty((b, n), dtype=np.float64)
+    scratch = np.empty((b if a else 0, n), dtype=np.float64)  # AP candidates; none without APs
+    for cid, verts in enumerate(bcc.component_vertices):
+        own = np.flatnonzero(members[verts] == 1)
+        for j0 in range(0, own.size, b):
+            rows = own[j0 : j0 + b]
+            blk = block[: rows.size]
+            candidates(blk, scratch[: rows.size], cid, rows)
+            blk[np.arange(rows.size), verts[rows]] = 0.0
+            out[verts[rows]] = blk
+    for v in np.flatnonzero(members != 1):
+        row = out[v]
+        row.fill(np.inf)
+        for cid, lv in ct.component_of(v):
+            candidates(block[:1], scratch[:1], cid, np.array([lv]))
+            np.minimum(row, block[0], out=row)
+        row[v] = 0.0
     return out

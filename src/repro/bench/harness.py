@@ -133,6 +133,9 @@ class Fig2Row:
     t_baseline: float
     baseline: str       # "banerjee" or "djidjev"
     nodes_removed_pct: float = 0.0
+    #: max − min over each leg's :data:`LEG_REPEATS` calls (``t_*`` is the min)
+    t_ours_spread: float = 0.0
+    t_baseline_spread: float = 0.0
 
     @property
     def speedup(self) -> float:
@@ -143,16 +146,19 @@ class Fig2Row:
 LEG_REPEATS = 5
 
 
-def _fastest_alternating(legs) -> tuple[list, list[float]]:
-    """``(outputs, seconds)``: each leg's last output and fastest call.
+def _fastest_alternating(legs) -> tuple[list, list[list[float]]]:
+    """``(outputs, seconds)``: each leg's last output and the seconds of
+    every one of its :data:`LEG_REPEATS` calls, in call order.
 
-    Round ``i`` runs the legs forwards when ``i`` is even and backwards
-    when odd, so neither always runs first on a cold interpreter.  Every
-    call starts with an empty adjacency cache, as a one-shot caller does,
-    and garbage is collected outside the timed region.
+    A leg reports its fastest call, with the spread (max − min) beside it
+    to show how far host noise moved it.  Round ``i`` runs the legs
+    forwards when ``i`` is even and backwards when odd, so neither always
+    runs first on a cold interpreter.  Every call starts with an empty
+    adjacency cache, as a one-shot caller does, and garbage is collected
+    outside the timed region.
     """
     outs: list = [None] * len(legs)
-    best = [float("inf")] * len(legs)
+    times: list[list[float]] = [[] for _ in legs]
     for i in range(LEG_REPEATS):
         order = range(len(legs)) if i % 2 == 0 else reversed(range(len(legs)))
         for k in order:
@@ -160,8 +166,8 @@ def _fastest_alternating(legs) -> tuple[list, list[float]]:
             gc.collect()
             t0 = time.perf_counter()
             outs[k] = legs[k]()
-            best[k] = min(best[k], time.perf_counter() - t0)
-    return outs, best
+            times[k].append(time.perf_counter() - t0)
+    return outs, times
 
 
 def run_fig2(
@@ -202,10 +208,12 @@ def run_fig2(
                 kind="planar" if spec.planar else "general",
                 n=g.n,
                 m=g.m,
-                t_ours=t_ours,
-                t_baseline=t_base,
+                t_ours=min(t_ours),
+                t_baseline=min(t_base),
                 baseline=baseline,
                 nodes_removed_pct=100.0 * rep.n_removed / max(g.n, 1),
+                t_ours_spread=max(t_ours) - min(t_ours),
+                t_baseline_spread=max(t_base) - min(t_base),
             )
         )
     return rows
@@ -241,6 +249,9 @@ class Table2Row:
     wall_with_ear: float = 0.0
     wall_without_ear: float = 0.0
     basis_weight: float = 0.0
+    #: max − min over each leg's :data:`LEG_REPEATS` calls (``wall_*`` is the min)
+    wall_with_ear_spread: float = 0.0
+    wall_without_ear_spread: float = 0.0
 
 
 def run_table2(
@@ -267,9 +278,10 @@ def run_table2(
                     return mcb_with_trace(g, use_ear=use_ear)
             return call
 
-        outs, (row.wall_with_ear, row.wall_without_ear) = _fastest_alternating(
-            [leg(True), leg(False)]
-        )
+        outs, (t_with, t_without) = _fastest_alternating([leg(True), leg(False)])
+        row.wall_with_ear, row.wall_without_ear = min(t_with), min(t_without)
+        row.wall_with_ear_spread = max(t_with) - min(t_with)
+        row.wall_without_ear_spread = max(t_without) - min(t_without)
         for k, (use_ear, (cycles, trace)) in enumerate(zip((True, False), outs)):
             if check:
                 rep = verify_cycle_basis(g, cycles)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 import scipy.sparse as sp
 
 from .csr import CSRGraph, GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "from_networkx",
@@ -50,6 +54,8 @@ def to_networkx(g: CSRGraph) -> "nx.Graph":
     Isolated vertices are preserved.  When the graph has parallel edges and
     the caller converts back, edge multiplicity round-trips exactly.
     """
+    import networkx as nx  # here, not at module level: ``import repro`` skips it
+
     out: nx.Graph = nx.MultiGraph() if not g.is_simple() else nx.Graph()
     out.add_nodes_from(range(g.n))
     for u, v, w in g.edges():

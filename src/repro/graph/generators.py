@@ -11,7 +11,6 @@ All generators take an integer ``seed`` and are reproducible across runs.
 from __future__ import annotations
 
 import numpy as np
-import scipy.spatial
 
 from .csr import CSRGraph, GraphError
 
@@ -70,6 +69,8 @@ def delaunay_graph(n: int, seed: int = 0) -> CSRGraph:
     biconnected, and with essentially zero degree-2 vertices.  Edge weights
     are the Euclidean lengths scaled to the ``(0, 2]`` range.
     """
+    import scipy.spatial  # here, not at module level: ``import repro`` skips it
+
     if n < 3:
         raise GraphError("Delaunay needs at least three points")
     rng = np.random.default_rng(seed)

@@ -132,6 +132,7 @@ class TestHarness:
         rows = run_fig2(scale=TINY, names=FAST + ["Planar_1"])
         assert {r.kind for r in rows} == {"general", "planar"}
         assert all(r.t_ours > 0 and r.t_baseline > 0 for r in rows)
+        assert all(r.t_ours_spread >= 0 and r.t_baseline_spread >= 0 for r in rows)
         m = run_fig3(rows)
         assert all(d["mteps_ours"] > 0 for d in m)
 
@@ -150,8 +151,9 @@ class TestHarness:
                 return k
             return call
 
-        outs, best = _fastest_alternating([leg(0), leg(1)])
-        assert outs == [0, 1] and all(0 < t < 1 for t in best)
+        outs, times = _fastest_alternating([leg(0), leg(1)])
+        assert outs == [0, 1]
+        assert all(len(ts) == LEG_REPEATS and all(0 < t < 1 for t in ts) for ts in times)
         firsts = [order[2 * i][0] for i in range(LEG_REPEATS)]
         assert firsts == [i % 2 for i in range(LEG_REPEATS)]
         assert all(size == 0 for _, size in order)
@@ -191,6 +193,7 @@ class TestHarness:
         assert firsts == [i % 2 == 0 for i in range(harness.LEG_REPEATS)]
         assert all(size == 0 for _, size in calls)
         assert 0 < row.wall_with_ear < 1 and 0 < row.wall_without_ear < 1
+        assert row.wall_with_ear_spread >= 0 and row.wall_without_ear_spread >= 0
 
     def test_table2_fig5_fig6(self):
         rows = run_table2(scale=TINY, names=FAST)

@@ -92,3 +92,8 @@ def test_paper_rows_present(baseline):
     assert {r["name"] for r in baseline["table2"]} == {"nopoly", "OPF_3754"}
     for r in baseline["table2"]:
         assert r["virtual_speedup_cpu_gpu"] > 1.0
+    # Every min-of-k leg carries its spread (max − min over the k calls).
+    for section, legs in (("fig2", ("t_ours", "t_baseline")),
+                          ("table2", ("wall_with_ear", "wall_without_ear"))):
+        for r in baseline[section]:
+            assert all(r[f"{leg}_spread_s"] >= 0 for leg in legs), (section, r["name"])

@@ -12,6 +12,9 @@ package's re-exports.  The ``repro.cli`` entry point is exempt.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +78,15 @@ def unreached_modules() -> list[str]:
 
 def test_every_module_has_a_non_test_importer():
     assert unreached_modules() == []
+
+
+def test_import_repro_skips_networkx_and_scipy_spatial():
+    """Only ``to_networkx`` and ``delaunay_graph`` need these; each imports
+    its own, so ``import repro`` does not pay for them."""
+    code = "import sys, repro; print([m for m in ('networkx', 'scipy.spatial') if m in sys.modules])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "[]", proc.stdout
