@@ -13,9 +13,6 @@ root, giving every change to the bulk-SSSP engine a before/after anchor:
   win; the number is recorded honestly, not asserted).
 * ``bulk_query`` — vectorized oracle ``query_many`` vs the scalar per-pair
   loop on a chain-heavy theta graph, checked bit-identical first.
-* ``critpath`` — critical-path length and span-based parallel efficiency
-  of a recorded 2-worker run (``repro.obs.critpath``); the regression
-  gate watches both, efficiency on the higher-is-better side.
 * ``fig2`` / ``table2`` — tiny-scale rows of the two headline paper
   benchmarks, correctness-checked by the harness itself.  Each leg is its
   fastest of ``LEG_REPEATS`` calls, with the spread (max − min) of those
@@ -133,110 +130,6 @@ def bench_bulk_query(scale: float) -> dict:
     }
 
 
-def bench_sampler_overhead(scale: float) -> dict:
-    """Oracle serving throughput with the stack sampler off vs armed.
-
-    The continuous profiler's contract is "cheap enough to leave on": a
-    daemon thread waking at ~97 Hz against a query workload that holds
-    the GIL in NumPy kernels most of the time.  ``overhead_frac`` is the
-    fractional slowdown of ``query_many`` with sampling armed; the
-    regression gate in CI holds it under 5%.
-
-    Measurement note: the sample itself costs ~20 us, so on a multi-core
-    host the sampler rides a spare core and the true overhead is well
-    under 1%.  On a *single*-core host any periodically waking thread
-    costs a few percent of scheduler/GIL churn regardless of what it
-    does, and wall-clock noise is the same order — hence the alternating
-    off/on rounds below.  The CI gate runs on multi-core runners.
-    """
-    import tempfile
-
-    from repro.apsp.reduced_oracle import ReducedDistanceOracle
-    from repro.obs.sampler import DEFAULT_HZ, read_profile, sampling_to
-    from repro.qa.strategies import theta_graph
-
-    n_chains, chain_len = 6, max(8, int(2000 * scale))
-    g = theta_graph(n_chains=n_chains, chain_len=chain_len, seed=7)
-    oracle = ReducedDistanceOracle(g)
-    rng = np.random.default_rng(11)
-    pairs = rng.integers(0, g.n, size=(20_000, 2), dtype=np.int64)
-
-    def serve() -> None:
-        for _ in range(40):
-            oracle.query_many(pairs)
-
-    serve()  # warm the bulk index so neither timing pays the build
-    # Interleave the off/on windows and alternate which side goes first
-    # each round, keeping the best of each: CPU warm-up / frequency drift
-    # and within-round position bias then cancel instead of flattering
-    # whichever side happens to run later.
-    t_off = t_on = float("inf")
-    samples = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for i in range(9):
-            def timed_on() -> float:
-                nonlocal samples
-                shard_dir = f"{tmp}/{i}"
-                with sampling_to(shard_dir, hz=DEFAULT_HZ):
-                    t = _time(serve, repeat=1)
-                samples += sum(read_profile(shard_dir).values())
-                return t
-
-            if i % 2 == 0:
-                t_off = min(t_off, _time(serve, repeat=1))
-                t_on = min(t_on, timed_on())
-            else:
-                t_on = min(t_on, timed_on())
-                t_off = min(t_off, _time(serve, repeat=1))
-    return {
-        "graph": {"name": f"theta-{n_chains}x{chain_len}", "n": g.n, "m": g.m},
-        "pairs": int(pairs.shape[0]),
-        "hz": float(DEFAULT_HZ),
-        "disabled_s": t_off,
-        "enabled_s": t_on,
-        "overhead_frac": t_on / t_off - 1.0 if t_off else 0.0,
-        "samples": int(samples),
-    }
-
-
-def bench_critpath(scale: float) -> dict:
-    """Critical-path attribution of a recorded 2-worker parallel run.
-
-    Records a real ``ParallelEngine`` run (two dispatches, two workers)
-    under a root span, then runs the offline span-DAG analyzer on the
-    collected trace.  ``length_ns`` and ``parallel_efficiency`` feed the
-    phase map so the regression gate watches the critical path shrinking
-    (or the efficiency collapsing) exactly like a wall-clock phase —
-    efficiency gates on the higher-is-better side
-    (``repro.obs.regress.is_higher_better_phase``).
-    """
-    from repro import datasets
-    from repro.hetero.parallel import ParallelEngine
-    from repro.obs import span, tracing
-    from repro.obs.critpath import analyze_collector
-
-    g = datasets.load("OPF_3754", scale)
-    sources = np.arange(min(g.n, 64), dtype=np.int64)
-    half = sources.size // 2 or 1
-    with tracing() as tr, span("bench.critpath", graph="OPF_3754"):
-        with ParallelEngine(g, workers=2, chunk_size=16) as eng:
-            eng.multi_source(sources[:half])
-            eng.multi_source(sources[half:])
-    result = analyze_collector(tr)
-    top = max(result.path, key=lambda e: e["path_ns"]) if result.path else None
-    return {
-        "graph": {"name": "OPF_3754", "n": g.n, "m": g.m},
-        "length_ns": int(result.total_ns),
-        "parallel_efficiency": float(result.parallel_efficiency),
-        "spans": int(result.span_count),
-        "path_entries": len(result.path),
-        "dispatches": len(result.dispatches),
-        "stragglers": int(result.stragglers),
-        "orphans": int(result.orphans),
-        "heaviest": top["name"] if top else None,
-    }
-
-
 def bench_fig2(scale: float) -> list[dict]:
     from repro.bench import run_fig2
 
@@ -298,14 +191,6 @@ def _phases(baseline: dict) -> dict:
         "smoke.parallel.parallel": pl["parallel_s"],
         "smoke.bulk_query.scalar": baseline["bulk_query"]["scalar_s"],
         "smoke.bulk_query.vectorized": baseline["bulk_query"]["vectorized_s"],
-        "smoke.sampler.disabled": baseline["sampler"]["disabled_s"],
-        "smoke.sampler.enabled": baseline["sampler"]["enabled_s"],
-        # Critical-path phases keep their canonical (un-prefixed) names so
-        # profile-run records and bench records gate against each other.
-        "critpath.length_ns": float(baseline["critpath"]["length_ns"]),
-        "critpath.parallel_efficiency": baseline["critpath"][
-            "parallel_efficiency"
-        ],
     }
     for row in baseline["fig2"]:
         phases[f"smoke.fig2.{row['name']}.ours"] = row["t_ours_s"]
@@ -355,8 +240,6 @@ def main() -> None:
         "repeated_sssp": bench_repeated_sssp(args.scale),
         "parallel": bench_parallel(args.scale),
         "bulk_query": bench_bulk_query(args.scale),
-        "sampler": bench_sampler_overhead(args.scale),
-        "critpath": bench_critpath(args.scale),
         "fig2": bench_fig2(args.scale),
         "table2": bench_table2(args.scale),
     }
@@ -415,18 +298,6 @@ def main() -> None:
         f"bulk query: scalar {bq['scalar_s']:.3f}s vs vectorized "
         f"{bq['vectorized_s']:.4f}s ({bq['speedup']:.1f}x, "
         f"bit_identical={bq['bit_identical']})"
-    )
-    sp = baseline["sampler"]
-    print(
-        f"sampler overhead: off {sp['disabled_s']:.4f}s vs armed "
-        f"{sp['enabled_s']:.4f}s at {sp['hz']:g} Hz "
-        f"({sp['overhead_frac'] * 100:+.2f}%, {sp['samples']} samples)"
-    )
-    cp = baseline["critpath"]
-    print(
-        f"critical path: {cp['length_ns'] / 1e9:.3f}s over {cp['spans']} "
-        f"span(s), efficiency {cp['parallel_efficiency']:.3f}, "
-        f"{cp['stragglers']} straggler(s), heaviest {cp['heaviest']}"
     )
 
 

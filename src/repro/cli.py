@@ -14,8 +14,7 @@ Examples
     repro-bench regress --baseline BENCH_BASELINE.json --ledger BENCH_LEDGER.jsonl
     repro-bench regress --trace-a before.json --trace-b after.json
     repro-bench report --ledger RUN_LEDGER.jsonl --out run-report.html
-    repro-bench critpath --trace trace.json --events run-events
-    repro-bench critpath --json --out critpath.json --ledger RUN_LEDGER.jsonl
+    repro-bench critpath --trace trace.json
 """
 
 from __future__ import annotations
@@ -283,15 +282,14 @@ def _cmd_profile(args) -> None:
     ``trace_event`` JSON when ``--trace-out`` is given (with the
     simulated platform's virtual device clocks as extra tracks), records
     a structured event stream when ``--events-out`` is given, and prints
-    the per-phase wall/memory summaries, the counter table, and — for the
-    APSP workload — the measured Table 1 byte accounting.  With a ledger
+    the per-track self-time table (:func:`repro.obs.summary`), the
+    counter table, the per-phase memory table and — for the APSP
+    workload — the measured Table 1 byte accounting.  With a ledger
     configured (``--ledger`` or ``REPRO_LEDGER``) the run is appended as
     a schema-versioned record that also points at the event stream and
     trace file, so ``repro-bench report`` can reassemble the run later.
     """
     import contextlib
-
-    import numpy as np
 
     from . import datasets
     from .obs import (
@@ -311,27 +309,13 @@ def _cmd_profile(args) -> None:
     before = snapshot()
     clocks: dict | None = None
     ev_ctx = events_to(args.events_out) if args.events_out else contextlib.nullcontext()
-    sample_hz = getattr(args, "sample_hz", None)
-    if sample_hz:
-        from .obs.sampler import sampling_to
-
-        profile_dir = getattr(args, "profile_out", None) or "repro-profile"
-        smp_ctx = sampling_to(profile_dir, hz=sample_hz)
-    else:
-        profile_dir = None
-        smp_ctx = contextlib.nullcontext()
-    with ev_ctx, smp_ctx, tracing() as tr, memory_profiling() as mp:
+    with ev_ctx, tracing() as tr, memory_profiling() as mp:
         if workload in ("apsp", "both"):
             from .hetero.apsp_runner import apsp_with_trace
             from .hetero.executor import Platform
-            from .hetero.parallel import ParallelEngine
             from .hetero.trace import simulate_trace
 
             _, work_trace = apsp_with_trace(g)
-            # A short parallel-backend burst so the trace carries
-            # per-worker tracks alongside the serial pipeline spans.
-            with ParallelEngine(g, workers=args.workers) as eng:
-                eng.multi_source(np.arange(min(g.n, 128), dtype=np.int64))
             # Replay on the simulated CPU+GPU platform with per-interval
             # clock accounting: the virtual device tracks ride along in
             # the Chrome trace (and the report's occupancy timeline).
@@ -350,15 +334,6 @@ def _cmd_profile(args) -> None:
         n_events = len(log.read())
         print(f"wrote {n_events} events to {args.events_out}/ "
               f"({len(log.shards())} shard(s); render with repro-bench report --events)")
-    if profile_dir:
-        from .obs.sampler import read_profile
-
-        merged = read_profile(profile_dir)
-        print(
-            f"sampler: {sum(merged.values())} samples / "
-            f"{len(merged)} unique stack(s) at {sample_hz:g} Hz -> "
-            f"{profile_dir}/ (collapsed-stack shards; feed to flamegraph.pl)"
-        )
     if args.trace_out:
         tr.write_chrome(args.trace_out, clocks=clocks)
         print(f"wrote Chrome trace to {args.trace_out} "
@@ -367,17 +342,6 @@ def _cmd_profile(args) -> None:
     print(f"profile of {workload!r} on {name} (n={g.n}, m={g.m})")
     print()
     print(summary(tr, counters))
-    print()
-    # Critical-path headline (full tables via ``repro-bench critpath``).
-    from .obs.critpath import analyze_collector
-
-    cp = analyze_collector(tr)
-    print(
-        f"critical path: {cp.total_ns / 1e9:.6f} s over {cp.span_count} "
-        f"span(s); parallel efficiency {cp.parallel_efficiency:.3f}; "
-        f"{cp.stragglers} straggler(s) "
-        "(details: repro-bench critpath)"
-    )
     print()
     mem = mp.as_dict()
     if mem:
@@ -417,19 +381,10 @@ def _cmd_profile(args) -> None:
             meta["events_dir"] = str(Path(args.events_out).resolve())
         if args.trace_out:
             meta["trace_path"] = str(Path(args.trace_out).resolve())
-        if profile_dir:
-            meta["profile_dir"] = str(Path(profile_dir).resolve())
-            meta["sampler_hz"] = float(sample_hz)
-        # The two critpath headline numbers ride in phases so the
-        # regression gate holds the line on critical-path length and
-        # parallel efficiency, not just aggregate phase medians.
-        phases = dict(phase_totals(tr))
-        phases["critpath.length_ns"] = float(cp.total_ns)
-        phases["critpath.parallel_efficiency"] = float(cp.parallel_efficiency)
         ledger.append(
             RunRecord.new(
                 kind="profile",
-                phases=phases,
+                phases=phase_totals(tr),
                 counters={
                     k: v for k, v in counters.items() if not isinstance(v, dict)
                 },
@@ -559,14 +514,11 @@ def _cmd_report(args) -> None:
 
     trace_path = args.trace
     events_dir = args.events
-    profile_dir = getattr(args, "profile", None)
     if record is not None:
         if trace_path is None:
             trace_path = record.meta.get("trace_path")
         if events_dir is None:
             events_dir = record.meta.get("events_dir")
-        if profile_dir is None:
-            profile_dir = record.meta.get("profile_dir")
 
     trace = None
     if trace_path and Path(trace_path).exists():
@@ -578,11 +530,6 @@ def _cmd_report(args) -> None:
         events = log.read()
         if log.skipped:
             print(f"events: skipped {log.skipped} unreadable line(s)")
-    profile = None
-    if profile_dir and Path(profile_dir).is_dir():
-        from .obs.sampler import read_profile
-
-        profile = read_profile(profile_dir) or None
 
     title = "repro run report"
     if record is not None:
@@ -598,7 +545,6 @@ def _cmd_report(args) -> None:
         events=events,
         record=record,
         history=history,
-        profile=profile,
     )
     with open(out) as fh:
         problems = validate_report(fh.read())
@@ -609,70 +555,53 @@ def _cmd_report(args) -> None:
     srcs = [
         f"trace={trace_path}" if trace is not None else None,
         f"events={events_dir}" if events is not None else None,
-        f"profile={profile_dir}" if profile is not None else None,
         f"ledger={ledger_path}" if record is not None else None,
     ]
     print(f"wrote report to {out} ({', '.join(s for s in srcs if s) or 'no inputs'})")
 
 
 def _cmd_critpath(args) -> None:
-    """``repro-bench critpath`` — critical-path attribution over a trace.
+    """``repro-bench critpath`` — where a recorded run's time went.
 
     Reads a recorded Chrome trace (``--trace``, or the newest ledgered
-    profile record's ``trace_path``) plus, when available, the matching
-    event stream, and prints which spans actually bound end-to-end time:
-    the critical path with per-category attribution, inclusive-vs-self
-    rollups, per-dispatch straggler flags, per-worker busy/idle, and the
-    Amdahl-style what-if estimates.  ``--json`` emits the full
-    schema-versioned analysis instead of tables.  Exits 2 when the trace
-    carries no analyzable spans.
+    profile record's ``trace_path``) through
+    :func:`repro.obs.export.load_chrome_trace` and prints one header
+    line — the traced window (first span start to last span end), the
+    time root spans cover, and the untraced gap — followed by the same
+    per-track self-time table ``repro-bench profile`` prints.  For a
+    single-threaded run the window is its end-to-end time.  Exits 2 when
+    the trace carries no spans.
     """
-    from .obs.critpath import analyze_chrome, render_text
-    from .obs.events import EventLog
+    from .obs.export import load_chrome_trace, summary, traced_window
     from .obs.ledger import Ledger, default_ledger_path
 
     trace_path = args.trace
-    events_dir = args.events
-    if trace_path is None or events_dir is None:
+    if trace_path is None:
         ledger_path = Path(args.ledger) if args.ledger else default_ledger_path()
         if ledger_path is not None and Path(ledger_path).exists():
             ledger = Ledger(ledger_path)
             records = ledger.records(kind="profile")
             record = records[-1] if records else ledger.latest()
             if record is not None:
-                if trace_path is None:
-                    trace_path = record.meta.get("trace_path")
-                if events_dir is None:
-                    events_dir = record.meta.get("events_dir")
+                trace_path = record.meta.get("trace_path")
     if not trace_path or not Path(trace_path).exists():
         raise SystemExit(
             "critpath: no Chrome trace (pass --trace, or run "
             "repro-bench profile --trace-out with a ledger configured)"
         )
     with open(trace_path) as fh:
-        trace = json.load(fh)
-    events = None
-    if events_dir and Path(events_dir).is_dir():
-        log = EventLog(events_dir)
-        events = log.read()
-        if log.skipped and not args.json:
-            print(f"events: skipped {log.skipped} unreadable line(s)")
-    result = analyze_chrome(trace, events=events, straggler_k=args.straggler_k)
-    if not result.span_count:
-        print(f"critpath: {trace_path} carries no analyzable spans")
+        tr = load_chrome_trace(json.load(fh))
+    if not len(tr):
+        print(f"critpath: {trace_path} carries no spans")
         raise SystemExit(2)
-    if args.json:
-        doc = json.dumps(result.as_dict(), indent=1)
-        if args.out:
-            Path(args.out).write_text(doc + "\n")
-            print(f"wrote critpath analysis to {args.out}")
-        else:
-            print(doc)
-        return
-    print(f"critpath over {trace_path}"
-          + (f" + {len(events)} event(s)" if events else ""))
+    window, covered = traced_window(tr)
+    print(
+        f"critical path: {window / 1e9:.6f} s traced window over {len(tr)} "
+        f"span(s); root spans cover {covered / 1e9:.6f} s, untraced gap "
+        f"{(window - covered) / 1e9:.6f} s"
+    )
     print()
-    print(render_text(result))
+    print(summary(tr))
 
 
 def _cmd_all(args) -> None:
@@ -723,60 +652,21 @@ def main(argv: list[str] | None = None) -> int:
              "(per-pid JSONL shards)",
     )
     parser.add_argument(
-        "--sample-hz",
-        type=float,
-        default=None,
-        help="profile: arm the continuous stack sampler at this rate "
-             "(collapsed-stack shards land in --profile-out)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        default=None,
-        help="profile: directory for collapsed-stack sampler shards "
-             "(default repro-profile/ when --sample-hz is set)",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        help="report: collapsed-stack profile directory to render "
-             "(default: the ledgered run's profile_dir)",
-    )
-    parser.add_argument(
         "--events",
         default=None,
-        help="report/critpath: event-stream directory to read "
+        help="report: event-stream directory to read "
              "(default: the ledgered run's events_dir)",
     )
     parser.add_argument(
         "--trace",
         default=None,
-        help="report/critpath: Chrome trace JSON to analyze "
+        help="report/critpath: Chrome trace JSON to read "
              "(default: the ledgered run's trace_path)",
     )
     parser.add_argument(
         "--out",
         default=None,
-        help="report: output HTML path (default run-report.html); "
-             "critpath --json: output JSON path (default stdout)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="critpath: emit the full schema-versioned JSON analysis "
-             "instead of text tables",
-    )
-    parser.add_argument(
-        "--straggler-k",
-        type=float,
-        default=4.0,
-        help="critpath: MAD multiplier for the straggler band "
-             "(finish > median + k*MAD)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="profile: worker count for the parallel-backend burst",
+        help="report: output HTML path (default run-report.html)",
     )
     parser.add_argument(
         "--ledger",

@@ -30,7 +30,6 @@ builds on.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
 import os
 import time
@@ -54,12 +53,6 @@ _C_DEGRADED = _metrics.counter("parallel.degraded")
 _G_WORKERS = _metrics.gauge("parallel.workers")
 _G_UTIL = _metrics.gauge("parallel.worker_utilisation")
 _H_DISPATCH_UTIL = _metrics.histogram("parallel.dispatch_utilisation")
-
-# Process-wide dispatch sequence: stamped on the parent's dispatch span
-# and threaded through every task so worker-chunk spans carry the same id.
-# This is the causal edge repro.obs.critpath uses to re-attach the
-# cross-process chunk spans to their dispatch bracket.
-_dispatch_seq = itertools.count(1)
 
 __all__ = [
     "resolve_workers",
@@ -223,20 +216,17 @@ def _worker_init(spec: dict) -> None:
         raise
 
 
-def _worker_dijkstra(task: tuple[np.ndarray, bool, bool, int, int]):
+def _worker_dijkstra(task: tuple[np.ndarray, bool, bool]):
     """One chunk in a pool worker.
 
     When the parent is tracing (``want_spans``), the chunk runs under a
     private worker-local collector and the recorded spans ride back with
     the result as a picklable payload; the parent ingests them with their
     worker ``pid`` intact, which the Chrome export turns into per-worker
-    tracks.  The ``dispatch``/``chunk`` ids stamped into the span args
-    are the causal link back to the parent's dispatch bracket (worker
-    spans live on their own pid track, so containment alone cannot pair
-    them).  A crashing chunk returns nothing — the parent's trace only
+    tracks.  A crashing chunk returns nothing — the parent's trace only
     ever receives complete, well-formed spans.
     """
-    sources, want_pred, want_spans, dispatch_id, chunk_idx = task
+    sources, want_pred, want_spans = task
     if not want_spans:
         return _worker_chunk(sources, want_pred)
     with _trace.tracing() as col:
@@ -245,8 +235,6 @@ def _worker_dijkstra(task: tuple[np.ndarray, bool, bool, int, int]):
             cat="parallel",
             sources=int(len(sources)),
             first_source=int(sources[0]) if len(sources) else -1,
-            dispatch=int(dispatch_id),
-            chunk=int(chunk_idx),
         ):
             out = _worker_chunk(sources, want_pred)
     return out, col.export_spans()
@@ -362,11 +350,7 @@ class ParallelEngine:
         and a utilisation gauge computed from the merged busy time.
         """
         col = _trace.current_collector()
-        did = next(_dispatch_seq)
-        tasks = [
-            (c, want_pred, col is not None, did, idx)
-            for idx, c in enumerate(chunks)
-        ]
+        tasks = [(c, want_pred, col is not None) for c in chunks]
         _C_CHUNKS.inc(len(tasks))
         # With events enabled, a watchdog thread consumes the workers'
         # heartbeat shards for the duration of the fan-out: a hung worker
@@ -379,7 +363,6 @@ class ParallelEngine:
                 "dispatch.start",
                 chunks=len(tasks),
                 workers=self.workers,
-                dispatch=did,
             )
             watchdog = _watch.Watchdog(
                 _watch.heartbeats_from_events(sink.dir),
@@ -389,7 +372,7 @@ class ParallelEngine:
         try:
             with _trace.span(
                 "parallel.dispatch", cat="parallel",
-                chunks=len(tasks), workers=self.workers, dispatch=did,
+                chunks=len(tasks), workers=self.workers,
             ):
                 if self.timeout is None:
                     raw = self._pool.map(_worker_dijkstra, tasks)
@@ -405,7 +388,6 @@ class ParallelEngine:
                     chunks=len(tasks),
                     workers=self.workers,
                     stalls=len(watchdog.stalled),
-                    dispatch=did,
                 )
         if col is None:
             return raw

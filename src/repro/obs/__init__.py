@@ -12,9 +12,11 @@ This package makes that accounting first-class for the reproduction:
   histograms with a snapshot/diff API.  The hot paths (adjacency cache,
   chunk dispatch, witness updates, invariant checks) increment counters
   unconditionally — integer adds are cheap enough to always stay on.
-* :mod:`repro.obs.export` — Chrome-trace serialization and the
-  ``summary()`` pretty-printer (per-phase wall time, % of total, counter
-  table).
+* :mod:`repro.obs.export` — Chrome-trace serialization, the trace loader
+  and ``summary()``: one count / wall / self-time table per track, the
+  answer to "where did this run's time go, per layer".  Printed live by
+  ``repro-bench profile`` and from any recorded trace by
+  ``repro-bench critpath --trace``.
 * :mod:`repro.obs.memory` — per-phase memory accounting (tracemalloc
   current/peak + peak RSS, recorded by :func:`repro.obs.trace.phase`) and
   the exact byte accounting behind the paper's Table 1 (``a² + Σ nᵢ²`` vs
@@ -25,15 +27,6 @@ This package makes that accounting first-class for the reproduction:
 * :mod:`repro.obs.regress` — the noise-aware regression gate over the
   ledger (median + MAD bands, per-phase attribution) plus the
   Chrome-trace differ; surfaced as ``repro-bench regress``.
-* :mod:`repro.obs.sampler` — zero-dependency continuous profiling: a
-  thread-based stack sampler with collapsed-stack (flamegraph) export,
-  armed via ``REPRO_SAMPLER`` / ``repro-bench profile --sample-hz``.
-* :mod:`repro.obs.critpath` — offline critical-path attribution over a
-  recorded trace: the span-DAG (causal dispatch/chunk links included),
-  the longest causally-ordered chain with per-category attribution,
-  inclusive-vs-self rollups, per-worker straggler stats, and
-  Amdahl-style what-if estimates; surfaced as ``repro-bench critpath``
-  and the report's "critical path & stragglers" section.
 
 Enable tracing with the ``REPRO_TRACE`` environment variable (``1`` to
 collect, a ``*.json`` path to also write a Chrome trace at process exit)
@@ -52,11 +45,6 @@ open the traces in Perfetto.
 
 from __future__ import annotations
 
-# Imported for its side effect: the sampler arms itself from
-# ``REPRO_SAMPLER`` at import, so every process that imports the package
-# (pool workers included, under ``fork`` and ``spawn``) samples itself.
-from . import sampler as _sampler  # noqa: F401
-from .critpath import validate_critpath_doc
 from .export import chrome_trace, summary, validate_chrome_trace, write_chrome_trace
 from .memory import format_bytes, memory_profiling
 from .metrics import counter, metrics_diff, reset_metrics, snapshot
@@ -92,6 +80,4 @@ __all__ = [
     # report
     "REPORT_SECTIONS",
     "validate_report",
-    # critpath
-    "validate_critpath_doc",
 ]

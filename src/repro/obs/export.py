@@ -1,4 +1,4 @@
-"""Chrome ``trace_event`` export and the human-readable summary.
+"""Chrome ``trace_event`` export, its loader, and the self-time summary.
 
 The Chrome trace format (the JSON consumed by ``chrome://tracing`` and
 https://ui.perfetto.dev) wants complete events (``"ph": "X"``) with
@@ -9,9 +9,12 @@ origin so traces start near zero, and every distinct ``(pid, tid)`` pair
 own named track.
 
 :func:`validate_chrome_trace` is the schema check the test-suite (and any
-downstream consumer) runs against emitted files; :func:`summary` renders
-the per-phase wall-time table the paper's Section 2.4 phase accounting
-corresponds to, plus the counter table from :mod:`repro.obs.metrics`.
+downstream consumer) runs against emitted files.  :func:`summary` answers
+"where did the time go" for the paper's Section 2.4 phase accounting: one
+count / wall / self table per track, plus the counter table from
+:mod:`repro.obs.metrics`.  :func:`load_chrome_trace` turns any recorded
+trace back into a collector, so ``repro-bench profile`` (live) and
+``repro-bench critpath --trace`` (recorded) print the same table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ __all__ = [
     "virtual_clock_events",
     "write_chrome_trace",
     "validate_chrome_trace",
+    "load_chrome_trace",
     "self_times",
+    "traced_window",
     "summary",
 ]
 
@@ -115,9 +120,10 @@ def chrome_trace(collector: "TraceCollector", clocks: dict | None = None) -> dic
              "args": {"name": label}}
         )
     for pid, tid in sorted(tracks):
+        label = collector.track_names.get((pid, tid), f"tid {tid}")
         meta.append(
             {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-             "args": {"name": f"tid {tid}"}}
+             "args": {"name": label}}
         )
     virtual = virtual_clock_events(clocks) if clocks else []
     return {"traceEvents": meta + events + virtual, "displayTimeUnit": "ms"}
@@ -182,17 +188,53 @@ def _union_len_ns(intervals: "list[tuple[int, int]]") -> int:
     return total
 
 
-def self_times(collector: "TraceCollector") -> "dict[str, tuple[int, int]]":
-    """Per span name: ``(count, self_ns)`` — exclusive time over the tree.
+def load_chrome_trace(doc: dict) -> "TraceCollector":
+    """A recorded Chrome trace as a collector, ready for :func:`summary`.
+
+    Reads complete (``"X"``) events only, skips the :data:`VIRTUAL_PID`
+    device tracks (virtual seconds are not wall clock), converts
+    microseconds back to integer nanoseconds, and keeps each track's
+    ``thread_name`` as its label.  Depth is not recorded in the format,
+    so every loaded span has depth 0; :meth:`TraceCollector.span_tree`
+    recovers nesting from the intervals.
+    """
+    from .trace import Span, TraceCollector
+
+    col = TraceCollector()
+    col.t_origin_ns = 0
+    for ev in doc.get("traceEvents", []):
+        if not isinstance(ev, dict) or ev.get("pid") == VIRTUAL_PID:
+            continue
+        track = (ev.get("pid"), ev.get("tid"))
+        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
+            col.track_names[track] = str((ev.get("args") or {}).get("name", ""))
+        elif ev.get("ph") == "X":
+            col.spans.append(
+                Span(
+                    name=str(ev.get("name")),
+                    cat=str(ev.get("cat", "")),
+                    start_ns=round(ev["ts"] * 1e3),
+                    dur_ns=round(ev["dur"] * 1e3),
+                    pid=track[0],
+                    tid=track[1],
+                    depth=0,
+                    args=ev.get("args") or {},
+                )
+            )
+    return col
+
+
+def _span_selfs(tree: "list[dict]"):
+    """Every span of a span tree with its self time: ``(span, self_ns)``.
 
     Self time is a span's duration minus the *union* of its children's
     intervals (clipped to the span).  Union, not sum: the cross-process
     chunk spans stitched under a dispatch bracket overlap in time, and a
     plain subtraction would push the dispatch's self time negative.
     """
-    out: dict[str, tuple[int, int]] = {}
-
-    def visit(node: dict) -> None:
+    stack = list(tree)
+    while stack:
+        node = stack.pop()
         s = node["span"]
         end = s.start_ns + s.dur_ns
         covered = _union_len_ns(
@@ -204,61 +246,78 @@ def self_times(collector: "TraceCollector") -> "dict[str, tuple[int, int]]":
                 for c in node["children"]
             ]
         )
-        cnt, tot = out.get(s.name, (0, 0))
-        out[s.name] = (cnt + 1, tot + max(0, s.dur_ns - covered))
-        for c in node["children"]:
-            visit(c)
+        yield s, max(0, s.dur_ns - covered)
+        stack.extend(node["children"])
 
-    for root in collector.span_tree():
-        visit(root)
+
+def self_times(collector: "TraceCollector") -> "dict[str, tuple[int, int]]":
+    """Per span name: ``(count, self_ns)`` — exclusive time over the tree."""
+    out: dict[str, tuple[int, int]] = {}
+    for s, self_ns in _span_selfs(collector.span_tree()):
+        cnt, tot = out.get(s.name, (0, 0))
+        out[s.name] = (cnt + 1, tot + self_ns)
     return out
 
 
-def summary(
-    collector: "TraceCollector",
-    metrics: dict | None = None,
-    top_level_only: bool = True,
-) -> str:
-    """Per-phase wall/self-time table plus (optionally) a counter table.
+def traced_window(collector: "TraceCollector") -> "tuple[int, int]":
+    """``(window_ns, covered_ns)``: first span start to last span end, and
+    how much of that window the root spans cover (their union)."""
+    roots = [(n["span"].start_ns, n["span"].start_ns + n["span"].dur_ns)
+             for n in collector.span_tree()]
+    if not roots:
+        return 0, 0
+    window = max(end for _, end in roots) - min(lo for lo, _ in roots)
+    return window, _union_len_ns(roots)
 
-    ``top_level_only`` aggregates root spans of the span tree — the
-    preprocess/process/post-process stages of the pipeline drivers — so
-    percentages add up to the traced wall time rather than double-counting
-    nested children.  The ``self (s)`` column is exclusive time (children
-    removed; see :func:`self_times`), so a phase that spends everything in
-    nested spans shows near-zero self.  Pass ``metrics=obs.snapshot()`` to
-    append counters.
+
+def summary(collector: "TraceCollector", metrics: dict | None = None) -> str:
+    """Where the time went: one self-time table per track, then counters.
+
+    Per ``(pid, tid)`` track, every span name gets its count, wall time
+    (summed durations) and self time (children removed; see
+    :func:`self_times`), both summed over the same spans, so self never
+    exceeds wall.  ``% total`` is self time as a share of the track's
+    root-span time, so each track's column adds up to 100%.  Tracks are
+    labelled by ``collector.track_names`` (a loaded trace's
+    ``thread_name``), else ``tid <tid>`` as :func:`chrome_trace` names
+    them.  Pass ``metrics=obs.snapshot()`` to append counters.
     """
-    from .trace import Span  # noqa: F401 - documents the input type
-
-    rows: dict[str, tuple[int, int]] = {}  # name -> (count, total_ns)
-    if top_level_only:
-        spans = [node["span"] for node in collector.span_tree()]
-    else:
-        spans = list(collector.spans)
-    for s in spans:
-        cnt, tot = rows.get(s.name, (0, 0))
-        rows[s.name] = (cnt + 1, tot + s.dur_ns)
-    selfs = self_times(collector)
-    total_ns = sum(t for _, t in rows.values())
+    tree = collector.span_tree()
+    tracks: dict[tuple, dict] = {}
+    for node in tree:
+        s = node["span"]
+        t = tracks.setdefault((s.pid, s.tid), {"roots": 0, "root_ns": 0, "rows": {}})
+        t["roots"] += 1
+        t["root_ns"] += s.dur_ns
+    for s, self_ns in _span_selfs(tree):
+        rows = tracks[(s.pid, s.tid)]["rows"]
+        cnt, wall, own = rows.get(s.name, (0, 0, 0))
+        rows[s.name] = (cnt + 1, wall + s.dur_ns, own + self_ns)
     lines: list[str] = []
-    title = "span" if not top_level_only else "phase"
-    lines.append(
-        f"{title:<28} {'count':>7} {'wall (s)':>12} {'self (s)':>12} "
-        f"{'% total':>8}"
-    )
-    lines.append("-" * 71)
-    for name, (cnt, tot) in sorted(rows.items(), key=lambda kv: -kv[1][1]):
-        pct = 100.0 * tot / total_ns if total_ns else 0.0
-        self_ns = selfs.get(name, (0, 0))[1]
+    if not tracks:
+        lines.append("no spans recorded")
+    for (pid, tid), t in sorted(tracks.items()):
+        label = collector.track_names.get((pid, tid), f"tid {tid}")
+        root_ns = t["root_ns"]
+        if lines:
+            lines.append("")
         lines.append(
-            f"{name:<28} {cnt:>7} {tot / 1e9:>12.6f} {self_ns / 1e9:>12.6f} "
-            f"{pct:>7.1f}%"
+            f"{label} (pid {pid}): {t['roots']} root span(s), "
+            f"{root_ns / 1e6:.3f} ms"
         )
-    lines.append("-" * 71)
-    lines.append(
-        f"{'total':<28} {'':>7} {total_ns / 1e9:>12.6f} {'':>12} {'100.0%':>8}"
-    )
+        lines.append(
+            f"{'span':<32} {'count':>7} {'wall ms':>12} {'self ms':>12} "
+            f"{'% total':>8}"
+        )
+        lines.append("-" * 75)
+        for name, (cnt, wall, own) in sorted(
+            t["rows"].items(), key=lambda kv: (-kv[1][2], kv[0])
+        ):
+            pct = 100.0 * own / root_ns if root_ns else 0.0
+            lines.append(
+                f"{name:<32} {cnt:>7} {wall / 1e6:>12.3f} {own / 1e6:>12.3f} "
+                f"{pct:>7.1f}%"
+            )
     if metrics:
         lines.append("")
         lines.append(f"{'metric':<44} {'value':>12}")

@@ -35,26 +35,12 @@ __all__ = [
     "diff_chrome_traces",
     "measure_profile_phases",
     "phase_totals",
-    "HIGHER_IS_BETTER_MARKERS",
-    "is_higher_better_phase",
 ]
 
 #: Phases faster than this (both sides) are noise-floor exempt.
 DEFAULT_MIN_SECONDS = 1e-3
 DEFAULT_REL_TOL = 0.25
 DEFAULT_MAD_K = 5.0
-
-#: Phase-name markers identifying metrics where *bigger* is better —
-#: efficiency ratios and speedups, not wall times.  These gate in the
-#: inverted direction: a regression is the candidate falling *below*
-#: ``median × (1 − tol)`` and ``median − mad_k × MAD``; a higher value is
-#: an improvement, never a failure.
-HIGHER_IS_BETTER_MARKERS = (".parallel_efficiency", ".speedup", ".utilisation")
-
-
-def is_higher_better_phase(name: str) -> bool:
-    """Whether a ledger phase name is a bigger-is-better metric."""
-    return any(m in name for m in HIGHER_IS_BETTER_MARKERS)
 
 
 def median(values: list[float]) -> float:
@@ -174,13 +160,6 @@ def compare(
     entry is fine — the MAD band then degenerates to the relative band).
     Phases present on only one side are reported (``new`` / ``missing``)
     but never fail the gate: a renamed phase should be visible, not fatal.
-
-    Bigger-is-better phases (names carrying a
-    :data:`HIGHER_IS_BETTER_MARKERS` token, e.g. the
-    ``critpath.parallel_efficiency`` value profile/bench runs ledger) are
-    gated in the *inverted* direction — the candidate falling below both
-    lower bands is the regression; exceeding the baseline is an
-    improvement.
     """
     if rel_tol < 0 or mad_k < 0:
         raise ValueError("rel_tol and mad_k must be non-negative")
@@ -195,34 +174,14 @@ def compare(
             continue
         base_med = median(hist)
         base_mad = mad(hist)
-        inverted = is_higher_better_phase(name)
-        if inverted:
-            # Bigger is better: a regression is *dropping below* both
-            # bands, and the noise floor is judged on the baseline alone
-            # (an efficiency collapsing toward zero must still fail).
-            threshold = min(
-                base_med * (1.0 - rel_tol), base_med - mad_k * base_mad
-            )
-        else:
-            threshold = max(
-                base_med * (1.0 + rel_tol), base_med + mad_k * base_mad
-            )
+        threshold = max(base_med * (1.0 + rel_tol), base_med + mad_k * base_mad)
         if cand is None:
             verdicts.append(
                 PhaseVerdict(name, base_med, base_mad, None, threshold, "missing")
             )
             continue
         cand = float(cand)
-        if inverted:
-            if base_med < min_seconds:
-                status = "noise-floor"
-            elif cand < threshold:
-                status = "regressed"
-            elif cand > base_med * (1.0 + rel_tol):
-                status = "improved"
-            else:
-                status = "ok"
-        elif base_med < min_seconds and cand < min_seconds:
+        if base_med < min_seconds and cand < min_seconds:
             status = "noise-floor"
         elif cand > threshold:
             status = "regressed"
@@ -286,26 +245,24 @@ def extract_phases(doc: dict) -> dict[str, float]:
 # --------------------------------------------------------------------- #
 
 
-def _span_seconds(doc: dict) -> dict[str, float]:
-    """Total seconds per span name over a trace's complete ("X") events."""
-    out: dict[str, float] = {}
-    for ev in doc.get("traceEvents", []):
-        if isinstance(ev, dict) and ev.get("ph") == "X":
-            dur = ev.get("dur")
-            if isinstance(dur, (int, float)):
-                name = str(ev.get("name"))
-                out[name] = out.get(name, 0.0) + float(dur) / 1e6
-    return out
-
-
 def diff_chrome_traces(a: dict, b: dict) -> list[dict]:
     """Per-span-name wall-time deltas between two Chrome trace documents.
 
     Returns rows ``{name, a_s, b_s, delta_s, ratio}`` sorted by absolute
     delta, biggest mover first — the "which phase moved" answer for two
-    ``repro-bench profile --trace-out`` files.
+    ``repro-bench profile --trace-out`` files.  Both traces are read
+    through :func:`repro.obs.export.load_chrome_trace`, so the virtual
+    device tracks never mix into the wall-clock rows.
     """
-    ta, tb = _span_seconds(a), _span_seconds(b)
+    from .export import load_chrome_trace
+
+    def seconds(doc: dict) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for s in load_chrome_trace(doc).spans:
+            out[s.name] = out.get(s.name, 0.0) + s.dur_ns / 1e9
+        return out
+
+    ta, tb = seconds(a), seconds(b)
     rows = []
     for name in sorted(set(ta) | set(tb)):
         a_s = ta.get(name, 0.0)

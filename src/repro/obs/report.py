@@ -15,12 +15,7 @@ obs layer knows about a run:
    (``a² + Σ nᵢ²`` against dense ``n²``) from :mod:`repro.obs.memory`
    gauges and the recorded model block.
 4. **Counters** — the run's :mod:`repro.obs.metrics` counter diff.
-5. **Continuous profiling** — the hottest stacks of the
-   :mod:`repro.obs.sampler` collapsed-stack profile.
-6. **Critical path & stragglers** — the :mod:`repro.obs.critpath`
-   span-DAG analysis: which spans bound end-to-end time, per-dispatch
-   straggler flags, and the Amdahl-style what-if estimates.
-7. **Ledger history** — per-phase sparklines over the run ledger with
+5. **Ledger history** — per-phase sparklines over the run ledger with
    the :mod:`repro.obs.regress` verdict for the newest run.
 
 Sections degrade independently: missing inputs render as an explicit
@@ -44,10 +39,7 @@ __all__ = ["REPORT_SECTIONS", "build_report", "write_report", "validate_report"]
 
 #: The mandatory sections, in render order; ``validate_report``
 #: checks each ``id="section-<name>"`` anchor exists.
-REPORT_SECTIONS = (
-    "waterfall", "timeline", "memory", "counters", "profile", "critpath",
-    "history",
-)
+REPORT_SECTIONS = ("waterfall", "timeline", "memory", "counters", "history")
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2",
@@ -469,162 +461,7 @@ def _counters_section(record: "RunRecord | None") -> str:
 
 
 # --------------------------------------------------------------------- #
-# Section 5 — continuous-profiling flamegraph data
-# --------------------------------------------------------------------- #
-
-
-def _profile_section(
-    profile: "dict | None", record: "RunRecord | None"
-) -> str:
-    """The sampler's hottest stacks + where the collapsed shards live.
-
-    ``profile`` is the merged ``{stack_tuple: count}`` map from
-    :func:`repro.obs.sampler.read_profile`.  The full collapsed files are
-    the flamegraph input (flamegraph.pl / speedscope); the report shows
-    the top stacks inline so the artifact is useful without a renderer.
-    """
-    parts: list[str] = []
-    profile_dir = (record.meta.get("profile_dir") if record is not None else None)
-    if not profile:
-        hint = (
-            f"collapsed shards expected under <code>{_esc(profile_dir)}</code>"
-            if profile_dir
-            else "run repro-bench profile --sample-hz HZ (or set REPRO_SAMPLER)"
-        )
-        return _nodata(f"no profiling samples ({hint})")
-    from .sampler import top_stacks
-
-    total = sum(profile.values())
-    rows = []
-    for stack, n in top_stacks(profile, k=15):
-        frames = stack.split(";")
-        leaf = frames[-1]
-        rows.append(
-            f"<tr><td>{n}</td><td>{100.0 * n / total:.1f}%</td>"
-            f"<td><code>{_esc(leaf)}</code></td>"
-            f"<td><code>{_esc(';'.join(frames[-4:-1]) or '-')}</code></td></tr>"
-        )
-    parts.append(
-        f'<p class="note">{total} samples over {len(profile)} unique '
-        "stack(s), merged across per-pid shards</p>"
-    )
-    parts.append(
-        "<table><tr><th>samples</th><th>%</th><th>leaf frame</th>"
-        "<th>callers (innermost last)</th></tr>" + "".join(rows) + "</table>"
-    )
-    if profile_dir:
-        parts.append(
-            f'<p class="note">full collapsed-stack shards (flamegraph.pl / '
-            f"speedscope input): <code>{_esc(profile_dir)}</code></p>"
-        )
-    return "".join(parts)
-
-
-# --------------------------------------------------------------------- #
-# Section 6 — critical path & stragglers
-# --------------------------------------------------------------------- #
-
-
-def _critpath_section(
-    trace: dict | None, events: list[dict] | None
-) -> str:
-    """Critical-path attribution, straggler flags, and what-if estimates.
-
-    Runs the :mod:`repro.obs.critpath` analyzer over the same Chrome
-    trace the waterfall renders (plus the event stream for fault/degrade
-    annotations) and shows the chains that actually bound end-to-end
-    time.
-    """
-    if not trace:
-        return _nodata(
-            "no Chrome trace (run repro-bench profile --trace-out, or pass "
-            "--trace)"
-        )
-    from .critpath import analyze_chrome
-
-    res = analyze_chrome(trace, events=events)
-    if not res.span_count:
-        return _nodata("trace carries no real-pid complete events")
-    parts: list[str] = []
-    eff_cls = "ok" if res.parallel_efficiency >= 0.5 else "bad"
-    parts.append(
-        f"<p>end-to-end <b>{res.total_ns / 1e6:.3f} ms</b> over "
-        f"{res.span_count} span(s); parallel efficiency "
-        f'<span class="{eff_cls}">{res.parallel_efficiency:.3f}</span>; '
-        f"{res.stragglers} straggler(s), {res.orphans} orphan span(s)</p>"
-    )
-    path_rows = sorted(res.path, key=lambda e: -e["path_ns"])[:12]
-    rows = "".join(
-        f"<tr><td>{_esc(e['name'])}</td><td>{_esc(e['cat'])}</td>"
-        f"<td>{_esc(e['pid'] if e['pid'] is not None else '-')}</td>"
-        f"<td>{e['dur_ns'] / 1e6:.3f}</td><td>{e['path_ns'] / 1e6:.3f}</td>"
-        f"<td>{100.0 * e['path_ns'] / max(1, res.total_ns):.1f}%</td></tr>"
-        for e in path_rows
-    )
-    parts.append(
-        '<p class="note">heaviest critical-path entries (per-entry '
-        "contributions sum to the traced window)</p>"
-        "<table><tr><th>span</th><th>cat</th><th>pid</th><th>dur ms</th>"
-        "<th>on-path ms</th><th>share</th></tr>" + rows + "</table>"
-    )
-    if res.dispatches:
-        rows = "".join(
-            f"<tr><td>{_esc(d['dispatch'] if d['dispatch'] is not None else '-')}</td>"
-            f"<td>{d['chunks']}</td><td>{d['workers']}</td>"
-            f"<td>{d['wall_ns'] / 1e6:.3f}</td>"
-            f"<td>{d['utilisation']:.2f}</td>"
-            + (
-                f'<td><span class="bad">'
-                + _esc(
-                    ", ".join(
-                        f"pid {s['pid']} chunk {s['chunk']} "
-                        f"(+{s['excess_ns'] / 1e6:.3f} ms)"
-                        for s in d["stragglers"]
-                    )
-                )
-                + "</span></td>"
-                if d["stragglers"]
-                else "<td>-</td>"
-            )
-            + "</tr>"
-            for d in res.dispatches
-        )
-        parts.append(
-            f'<p class="note">straggler = dispatch-relative finish &gt; '
-            f"median + {res.straggler_k:g}&middot;MAD</p>"
-            "<table><tr><th>dispatch</th><th>chunks</th><th>workers</th>"
-            "<th>wall ms</th><th>util</th><th>stragglers</th></tr>"
-            + rows + "</table>"
-        )
-    if res.whatif:
-        rows = "".join(
-            f"<tr><td>{_esc(w['label'])}</td>"
-            f"<td>{w['saving_ns'] / 1e6:.3f}</td>"
-            f"<td>{w['new_length_ns'] / 1e6:.3f}</td>"
-            f"<td>{w['improvement_pct']:.1f}%</td></tr>"
-            for w in res.whatif
-        )
-        parts.append(
-            '<p class="note">what-if estimates (savings only for '
-            "dispatches on the critical path)</p>"
-            "<table><tr><th>scenario</th><th>saving ms</th>"
-            "<th>new length ms</th><th>improvement</th></tr>"
-            + rows + "</table>"
-        )
-    if res.annotations:
-        items = "".join(
-            f"<li><b>{_esc(a['kind'])}</b>: {_esc(a['detail'])}</li>"
-            for a in res.annotations
-        )
-        parts.append(
-            '<p class="note">event annotations (why the path looks like '
-            f"this)</p><ul>{items}</ul>"
-        )
-    return "".join(parts)
-
-
-# --------------------------------------------------------------------- #
-# Section 7 — ledger-history sparklines + regression verdict
+# Section 5 — ledger-history sparklines + regression verdict
 # --------------------------------------------------------------------- #
 
 
@@ -707,7 +544,6 @@ def build_report(
     events: list[dict] | None = None,
     record: "RunRecord | None" = None,
     history: "list[RunRecord] | None" = None,
-    profile: dict | None = None,
 ) -> str:
     """Assemble the single-file HTML report (:data:`REPORT_SECTIONS`).
 
@@ -742,14 +578,6 @@ def build_report(
         ),
         "memory": ("Table-1 memory: measured vs model", _memory_section(record)),
         "counters": ("Counters", _counters_section(record)),
-        "profile": (
-            "Continuous profiling (collapsed stacks)",
-            _profile_section(profile, record),
-        ),
-        "critpath": (
-            "Critical path & stragglers",
-            _critpath_section(trace, events),
-        ),
         "history": ("Ledger history & regression verdict", _history_section(history)),
     }
     body = "".join(

@@ -129,6 +129,9 @@ class TraceCollector:
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
+        # Optional per-(pid, tid) track labels; a loaded trace keeps its
+        # ``thread_name`` metadata here (see ``export.load_chrome_trace``).
+        self.track_names: dict[tuple[int, int], str] = {}
         self.t_origin_ns = time.perf_counter_ns()
         self._lock = threading.Lock()
         self._tls = threading.local()

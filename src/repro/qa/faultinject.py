@@ -17,11 +17,6 @@ methods.  The spec is a comma-separated list of ``site[:arg]`` entries:
 ``worker.hang:SECONDS``
     Each chunk sleeps ``SECONDS`` before computing; combined with the
     backend's ``timeout`` this simulates a stuck worker.
-``worker.hang:SECONDS@K``
-    Only chunks whose first source id is ≥ ``K`` sleep — the other
-    chunks finish on time, which makes the delayed chunk a *straggler*
-    rather than a uniform slowdown (the contrast the critical-path
-    analyzer's straggler detector keys on).
 ``shm.oom``
     Shared-memory segment creation raises ``OSError`` (allocation
     failure), exercising the constructor's serial fallback.
@@ -84,11 +79,8 @@ def fire(seam: str, first_source: int | None = None) -> None:
         return
     for site, arg in parse_spec(spec):
         if seam == "worker.chunk" and site == "worker.hang":
-            seconds, _, floor = (arg or "").partition("@")
-            if floor and (first_source is None or first_source < int(floor)):
-                continue
             _emit_fired(seam, site, arg, first_source)
-            time.sleep(float(seconds) if seconds else 60.0)
+            time.sleep(float(arg) if arg else 60.0)
         elif seam == "worker.chunk" and site == "worker.crash":
             if arg is None or first_source is None or first_source >= int(arg):
                 _emit_fired(seam, site, arg, first_source)
@@ -137,16 +129,9 @@ def inject_worker_crash(from_source: int | None = None):
     return inject(spec)
 
 
-def inject_worker_hang(seconds: float, from_source: int | None = None):
-    """Hang every chunk, or only those starting at ``from_source`` or later.
-
-    The targeted form turns one chunk into a straggler while its siblings
-    run clean — the minimal reproducible input for straggler detection.
-    """
-    spec = f"worker.hang:{seconds}"
-    if from_source is not None:
-        spec += f"@{from_source}"
-    return inject(spec)
+def inject_worker_hang(seconds: float):
+    """Hang every chunk for ``seconds`` before it computes."""
+    return inject(f"worker.hang:{seconds}")
 
 
 def inject_shm_failure():

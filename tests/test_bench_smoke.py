@@ -73,20 +73,6 @@ def test_bulk_query_fast_path(baseline):
     )
 
 
-def test_sampler_overhead_section(baseline):
-    sp = baseline["sampler"]
-    assert sp["samples"] > 0
-    assert sp["disabled_s"] > 0 and sp["enabled_s"] > 0
-    assert {"smoke.sampler.disabled", "smoke.sampler.enabled"} <= set(
-        baseline["phases"]
-    )
-    # The < 5% contract holds where the sampler thread gets its own
-    # core; on a single-core host scheduler churn swamps the signal
-    # (see bench_sampler_overhead's docstring), so judge presence only.
-    if baseline["parallel"]["host_cores"] >= 2:
-        assert sp["overhead_frac"] < 0.05
-
-
 def test_paper_rows_present(baseline):
     assert {r["name"] for r in baseline["fig2"]} == {"nopoly", "OPF_3754"}
     assert {r["name"] for r in baseline["table2"]} == {"nopoly", "OPF_3754"}

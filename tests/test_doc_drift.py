@@ -6,11 +6,11 @@ row doesn't, and the observability contract quietly narrows.  This
 suite closes the loop in both directions:
 
 * **emitted => documented** — run a smoke workload spanning the oracle
-  bulk-query path (build, ``query_many``, a sampler window), and assert
-  every counter that moved appears in the table;
-* **documented => emitted** — for the families this suite owns
-  (``bulk_query.``, ``critpath.``, ``sampler.``), assert every
-  documented name actually moves, so stale rows fail too.
+  bulk-query path (build, ``query_many``), and assert every counter that
+  moved appears in the table;
+* **documented => emitted** — for the family this suite owns
+  (``bulk_query.``), assert every documented name actually moves, so
+  stale rows fail too.
 
 Table rows pack sibling names as ``` `bulk_query.batches` / `.pairs` ```;
 a bare ``.suffix`` continuation expands against the preceding full name.
@@ -19,7 +19,6 @@ a bare ``.suffix`` continuation expands against the preceding full name.
 from __future__ import annotations
 
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ import pytest
 from repro.apsp.oracle import DistanceOracle
 from repro.apsp.reduced_oracle import ReducedDistanceOracle
 from repro.obs.metrics import Counter, registry, snapshot
-from repro.obs.sampler import StackSampler, read_profile
 from repro.qa import strategies
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
@@ -36,7 +34,7 @@ DOC = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
 # The families this suite asserts are *exhaustively* documented-and-live.
 # Other families (mcb.*, reduce.*, parallel.*...) have workload-specific
 # triggers and are covered by the emitted=>documented direction only.
-OWNED_PREFIXES = ("bulk_query.", "critpath.", "sampler.")
+OWNED_PREFIXES = ("bulk_query.",)
 
 _NAME_RE = re.compile(r"`([^`]+)`")
 _METRIC_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
@@ -78,14 +76,12 @@ def _all_pairs(n: int) -> np.ndarray:
     return np.column_stack([uu.ravel(), vv.ravel()]).astype(np.int64)
 
 
-def _run_smoke_workload(tmp_path: Path) -> None:
-    """Touch every owned counter family once, for real.
+def _run_smoke_workload() -> None:
+    """Touch every owned counter once, for real.
 
     star_of_cycles drives same-bcc / cross-bcc / component-group
-    traffic, the disconnected graph drives unreachable pairs, both
-    oracles run query_many, a live sampler window
-    drives ``sampler.samples``, and a deliberately malformed shard
-    drives ``sampler.errors`` through ``read_profile``'s tolerant merge.
+    traffic, the disconnected graph drives unreachable pairs, and both
+    oracles run query_many.
     """
     graphs = [
         strategies.star_of_cycles(arms=3, cycle_len=4, seed=5),
@@ -95,48 +91,6 @@ def _run_smoke_workload(tmp_path: Path) -> None:
         pairs = _all_pairs(g.n)
         for oracle_cls in (DistanceOracle, ReducedDistanceOracle):
             oracle_cls(g).query_many(pairs)
-
-    s = StackSampler(hz=500).start()
-    try:
-        deadline = time.monotonic() + 5.0
-        while s.samples == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-    finally:
-        s.stop()
-    assert s.samples > 0, "sampler took no stack snapshots within 5s"
-
-    bad = tmp_path / "drift-profile"
-    bad.mkdir()
-    (bad / "profile-1.collapsed").write_text("frame;frame not_a_count\n")
-    read_profile(bad)
-
-    # critpath.*: one analysis over a synthetic trace that carries both a
-    # fabricated straggler (finishes 1/1/1/50 ms inside one dispatch) and
-    # an orphan worker chunk with no dispatch bracket, so the analyses /
-    # stragglers / orphans counters all move in a single pass.
-    from repro.obs.critpath import analyze_collector
-    from repro.obs.trace import Span, TraceCollector
-
-    ms = 1_000_000
-    tr = TraceCollector()
-    tr.ingest(
-        [
-            Span(name="parallel.dispatch", cat="parallel", start_ns=0,
-                 dur_ns=51 * ms, pid=1, tid=1, depth=0,
-                 args={"dispatch": 1, "workers": 4}).to_tuple(),
-            *(
-                Span(name="parallel.worker_chunk", cat="parallel",
-                     start_ns=0, dur_ns=dur * ms, pid=10 + i, tid=1,
-                     depth=0, args={"dispatch": 1, "chunk": i}).to_tuple()
-                for i, dur in enumerate((1, 1, 1, 50))
-            ),
-            Span(name="parallel.worker_chunk", cat="parallel",
-                 start_ns=60 * ms, dur_ns=ms, pid=99, tid=1, depth=0,
-                 args={"dispatch": 777, "chunk": 0}).to_tuple(),
-        ]
-    )
-    res = analyze_collector(tr)
-    assert res.stragglers and res.orphans, "drift workload lost its shape"
 
 
 def _counter_names() -> set[str]:
@@ -157,7 +111,6 @@ class TestCounterTableParser:
         assert "bulk_query.pairs" in doc          # from `.pairs`
         assert "engine.adj_cache.hits" in doc
         assert "engine.adj_cache.misses" in doc   # from `.misses`
-        assert "sampler.errors" in doc
         assert not any(n.startswith(".") for n in doc)
 
     def test_gauge_rows_excluded(self):
@@ -168,9 +121,9 @@ class TestCounterTableParser:
 
 class TestDocDrift:
     @pytest.fixture(scope="class")
-    def drift(self, tmp_path_factory):
+    def drift(self):
         before = snapshot()
-        _run_smoke_workload(tmp_path_factory.mktemp("drift"))
+        _run_smoke_workload()
         after = snapshot()
         counters = _counter_names()
         emitted = {

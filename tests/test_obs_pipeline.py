@@ -153,6 +153,10 @@ class TestProfileCLI:
         text = capsys.readouterr().out
         assert "phase" in text and "% total" in text
         assert "engine.adj_cache" in text  # counter table rides along
+        rows = [l.split() for l in text.splitlines() if l.endswith("%")]
+        assert {r[0] for r in rows} >= {"process", "sssp.chunk"}
+        for name, _, wall, own, _ in rows:  # self never exceeds wall
+            assert float(own) <= float(wall), name
 
     def test_profile_mcb_summary_only(self, capsys):
         rc = main(["profile", "mcb", "--scale", str(TINY), "--datasets", "nopoly"])

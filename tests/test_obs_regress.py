@@ -182,6 +182,20 @@ class TestTraceDiff:
         a = {"traceEvents": [{"ph": "M", "name": "meta"}]}
         assert diff_chrome_traces(a, a) == []
 
+    def test_virtual_device_time_stays_out_of_wall_rows(self):
+        from repro.obs.export import VIRTUAL_PID
+
+        a = _trace_doc({"postprocess": 0.5})
+        b = _trace_doc({"postprocess": 0.5})
+        b["traceEvents"] += [
+            {"ph": "X", "name": name, "ts": 0, "dur": 30.0, "pid": VIRTUAL_PID,
+             "tid": 0, "cat": "virtual"}
+            for name in ("postprocess", "dijkstra")
+        ]
+        rows = diff_chrome_traces(a, b)
+        assert [r["name"] for r in rows] == ["postprocess"]
+        assert rows[0]["b_s"] == rows[0]["a_s"] == 0.5
+
 
 class TestMeasureProfilePhases:
     def test_apsp_phase_names_and_positivity(self):

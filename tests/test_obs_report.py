@@ -4,7 +4,7 @@ Every section must render (data or explicit "no data" note) from any
 subset of inputs, the emitted document must pass ``validate_report`` (the
 CI smoke contract: doctype, one anchor per section, balanced tags, no
 network references), and the CLI must assemble reports from a ledgered
-run's ``events_dir``/``trace_path``/``profile_dir`` meta alone.
+run's ``events_dir``/``trace_path`` meta alone.
 """
 
 from __future__ import annotations
@@ -106,20 +106,6 @@ class TestBuildReport:
         assert "engine.chunks_dispatched" in doc
         assert 'class="spark"' in doc       # history sparklines
         assert "regression gate" in doc
-
-    def test_profile_section_renders_top_stacks(self):
-        profile = {
-            ("main.py:main", "engine.py:all_pairs", "numeric.py:min"): 40,
-            ("main.py:main", "oracle.py:query_many"): 10,
-        }
-        doc = build_report(profile=profile)
-        assert validate_report(doc) == []
-        assert "numeric.py:min" in doc      # hottest leaf frame
-        assert "50" in doc                  # total sample count
-        rec = _record(meta={"workload": "apsp", "profile_dir": "/tmp/prof"})
-        doc = build_report(record=rec)      # no samples: explicit note
-        assert validate_report(doc) == []
-        assert 'id="section-profile"' in doc
 
     def test_history_regression_verdict_flags_slowdown(self):
         history = [_record(phases={"process": 0.1}) for _ in range(6)]

@@ -118,9 +118,8 @@ class TestNesting:
 class TestSpanTreeEdgeCases:
     """Degenerate geometries the containment sweep must not mangle.
 
-    These are the same shapes the critical-path analyzer walks
-    (``repro.obs.critpath`` reuses the sort/sweep), so the tree contract
-    here is what lets that analysis degrade gracefully downstream.
+    The self-time table (``repro.obs.export.summary``) walks this tree,
+    so the contract here is what keeps its rows exact on odd traces.
     """
 
     @staticmethod

@@ -117,3 +117,20 @@ class TestSerialFallback:
         eng.close()
         # After close the engine degrades to the serial path.
         assert np.array_equal(eng.all_pairs(), want)
+
+
+class TestDispatchUtilisationHistogram:
+    def test_observed_once_per_dispatch(self):
+        from repro.obs import tracing
+        from repro.obs.metrics import registry
+        from repro.qa.strategies import star_of_cycles
+
+        g = star_of_cycles(arms=4, cycle_len=8, seed=3)
+        hist = registry().histogram("parallel.dispatch_utilisation")
+        before = hist.count
+        with tracing():
+            with ParallelEngine(g, workers=2, chunk_size=16) as eng:
+                eng.multi_source(np.arange(g.n, dtype=np.int64))
+                eng.multi_source(np.arange(g.n, dtype=np.int64))
+        assert hist.count == before + 2
+        assert 0.0 < hist.max <= 1.0
