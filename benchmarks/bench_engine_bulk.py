@@ -1,24 +1,18 @@
 """Bulk-SSSP engine — adjacency cache + chunked dispatch micro-benchmarks.
 
 The workload the engine optimises: many SSSPs against the same frozen
-graph (per-BCC APSP, oracle construction, MCB restarts).  Three shapes are
+graph (per-BCC APSP, oracle construction, MCB restarts).  Two shapes are
 measured and checked:
 
 * rebuilding the scipy adjacency per source (the pre-cache behaviour) vs
   one cached, chunked ``multi_source`` call — must be >= 2x;
-* chunk-size sweep — all chunkings bit-identical, timings reported;
-* the process-parallel backend vs the serial engine — bit-identical, with
-  the wall-clock ratio recorded honestly (it can only win on multi-core
-  hosts; this environment has one core).
+* chunk-size sweep — all chunkings bit-identical, timings reported.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro import datasets
-from repro.hetero.parallel import ParallelEngine, resolve_workers
 from repro.sssp import engine
 
 
@@ -70,12 +64,3 @@ def test_chunk_size_sweep(benchmark, graph):
         str(k): round(v, 4) for k, v in timings.items()
     }
 
-
-def test_parallel_backend_parity(benchmark, graph):
-    serial = engine.all_pairs(graph)
-    with ParallelEngine(graph, workers=2) as eng:
-        out = benchmark.pedantic(eng.all_pairs, rounds=1, iterations=1)
-        result = eng.all_pairs()
-    assert np.array_equal(result, serial)
-    benchmark.extra_info["host_cores"] = resolve_workers(None)
-    benchmark.extra_info["env_workers"] = os.environ.get("REPRO_WORKERS", "")

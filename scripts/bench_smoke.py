@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Smoke benchmark: engine caching/chunking + parallel backend + paper rows.
+"""Smoke benchmark: engine caching/chunking, bulk queries and paper rows.
 
 Runs in well under a minute and writes ``BENCH_BASELINE.json`` at the repo
 root, giving every change to the bulk-SSSP engine a before/after anchor:
@@ -8,9 +8,6 @@ root, giving every change to the bulk-SSSP engine a before/after anchor:
   target: many SSSPs on one graph.  ``uncached_per_source`` rebuilds the
   scipy adjacency for every source (the pre-cache behaviour);
   ``cached_chunked`` is one ``multi_source`` call through the cache.
-* ``parallel`` — process-pool APSP vs the serial engine on the same graph,
-  with the host core count recorded (on a single-core host the pool cannot
-  win; the number is recorded honestly, not asserted).
 * ``bulk_query`` — vectorized oracle ``query_many`` vs the scalar per-pair
   loop on a chain-heavy theta graph, checked bit-identical first.
 * ``fig2`` / ``table2`` — tiny-scale rows of the two headline paper
@@ -69,30 +66,6 @@ def bench_repeated_sssp(scale: float) -> dict:
         "cached_chunked_s": t_cached,
         "speedup": speedup(t_uncached, t_cached),
         "cache": {"hits": info.hits, "misses": info.misses},
-    }
-
-
-def bench_parallel(scale: float) -> dict:
-    from repro import datasets
-    from repro.bench.metrics import speedup
-    from repro.hetero.parallel import ParallelEngine, resolve_workers
-    from repro.sssp import engine
-
-    g = datasets.load("OPF_3754", scale)
-    t_serial = _time(lambda: engine.all_pairs(g))
-    with ParallelEngine(g, workers=2) as eng:
-        live = eng.is_parallel
-        t_parallel = _time(eng.all_pairs)
-        parity = bool(np.array_equal(eng.all_pairs(), engine.all_pairs(g)))
-    return {
-        "graph": {"name": "OPF_3754", "n": g.n, "m": g.m},
-        "host_cores": resolve_workers(None),
-        "pool_workers": 2,
-        "pool_live": live,
-        "serial_s": t_serial,
-        "parallel_s": t_parallel,
-        "speedup": speedup(t_serial, t_parallel),
-        "bit_identical": parity,
     }
 
 
@@ -183,12 +156,9 @@ def _phases(baseline: dict) -> dict:
     legacy un-stamped baselines).
     """
     rs = baseline["repeated_sssp"]
-    pl = baseline["parallel"]
     phases = {
         "smoke.repeated_sssp.uncached": rs["uncached_per_source_s"],
         "smoke.repeated_sssp.cached": rs["cached_chunked_s"],
-        "smoke.parallel.serial": pl["serial_s"],
-        "smoke.parallel.parallel": pl["parallel_s"],
         "smoke.bulk_query.scalar": baseline["bulk_query"]["scalar_s"],
         "smoke.bulk_query.vectorized": baseline["bulk_query"]["vectorized_s"],
     }
@@ -238,14 +208,13 @@ def main() -> None:
         "scale": args.scale,
         "chunk_size": os.environ.get("REPRO_SSSP_CHUNK", "32 (default)"),
         "repeated_sssp": bench_repeated_sssp(args.scale),
-        "parallel": bench_parallel(args.scale),
         "bulk_query": bench_bulk_query(args.scale),
         "fig2": bench_fig2(args.scale),
         "table2": bench_table2(args.scale),
     }
     baseline["phases"] = _phases(baseline)
     # Whole-run observability counters: cache efficacy, chunk dispatch
-    # volume, parallel-backend activity (repro.obs.metrics snapshot).
+    # volume (repro.obs.metrics snapshot).
     from repro.obs import snapshot
     from repro.sssp.engine import adjacency_cache
 
@@ -278,7 +247,6 @@ def main() -> None:
         )
         print(f"appended run record to {ledger.path}")
     rs = baseline["repeated_sssp"]
-    pl = baseline["parallel"]
     print(f"wrote {args.out} (schema v{SCHEMA_VERSION}, "
           f"sha {(baseline['git_sha'] or 'unknown')[:12]})")
     cache = baseline["obs"]["adjacency_cache"]
@@ -287,11 +255,6 @@ def main() -> None:
         f"repeated-sssp: uncached {rs['uncached_per_source_s']:.3f}s "
         f"vs cached+chunked {rs['cached_chunked_s']:.3f}s "
         f"({rs['speedup']:.1f}x)"
-    )
-    print(
-        f"parallel apsp: serial {pl['serial_s']:.3f}s vs 2-proc "
-        f"{pl['parallel_s']:.3f}s ({pl['speedup']:.2f}x on "
-        f"{pl['host_cores']} core(s))"
     )
     bq = baseline["bulk_query"]
     print(

@@ -14,7 +14,7 @@ Usage::
 
     python scripts/run_qa.py [--artifacts DIR] [--seed N] [pytest args...]
 
-Extra arguments are forwarded to pytest (e.g. ``-k faultinject -x``).
+Extra arguments are forwarded to pytest (e.g. ``-k differential -x``).
 Exits with pytest's status; on failure the saved artifacts are listed.
 """
 

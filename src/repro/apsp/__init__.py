@@ -5,12 +5,7 @@ from .bulk_query import BulkOracleIndex
 from .composition import ComponentTables, assemble_full_matrix, build_component_tables
 from .dense import blocked_floyd_warshall, floyd_warshall
 from .dijkstra_apsp import dijkstra_apsp
-from .ear_apsp import (
-    EarAPSPReport,
-    ear_apsp_full,
-    extend_reduced_distances,
-    solve_component,
-)
+from .ear_apsp import EarAPSPReport, ear_apsp_full, extend_reduced_distances
 from .oracle import DistanceOracle, MemoryModel, memory_model
 from .partition_apsp import partition_apsp
 from .reduced_oracle import ReducedDistanceOracle
@@ -28,7 +23,6 @@ __all__ = [
     "EarAPSPReport",
     "ear_apsp_full",
     "extend_reduced_distances",
-    "solve_component",
     "DistanceOracle",
     "MemoryModel",
     "memory_model",

@@ -28,7 +28,7 @@ import scipy.sparse.csgraph as csgraph
 from ..decomposition.biconnected import BCCDecomposition, biconnected_components
 from ..graph.csr import CSRGraph
 from ..sssp.engine import ZERO_WEIGHT_NUDGE
-from .ear_apsp import block_rows, solve_component
+from .ear_apsp import block_rows, ear_apsp_full
 
 Solver = Callable[[CSRGraph], np.ndarray]
 
@@ -78,25 +78,14 @@ class ComponentTables:
 
 def build_component_tables(
     g: CSRGraph,
-    solver: Solver | None = None,
+    solver: Solver = ear_apsp_full,
     bcc: BCCDecomposition | None = None,
-    engine: str = "scipy",
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> ComponentTables:
     """Solve every biconnected component and close distances over the APs.
 
     ``solver`` maps a component subgraph to its exact distance matrix; it
-    defaults to the ear-reduced Algorithm 1 (:func:`solve_component`) with
-    the given ``engine``/``chunk_size``/``workers`` forwarded to its
-    Phase-II bulk-SSSP dispatch.  An explicit ``solver`` wins over those
-    knobs.
+    defaults to the ear-reduced Algorithm 1 (:func:`ear_apsp_full`).
     """
-    if solver is None:
-        def solver(sub: CSRGraph) -> np.ndarray:
-            return solve_component(
-                sub, engine=engine, chunk_size=chunk_size, workers=workers
-            )
     if bcc is None:
         bcc = biconnected_components(g)
     tables: list[np.ndarray] = []

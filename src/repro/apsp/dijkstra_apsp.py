@@ -6,15 +6,12 @@ decomposition techniques in the paper are measured.  Two code paths:
 * ``engine="scipy"`` — bulk compiled path (default; what benchmarks use),
   with the adjacency cache and chunked dispatch of
   :mod:`repro.sssp.engine`.
-* ``engine="parallel"`` — the process-parallel backend of
-  :mod:`repro.hetero.parallel`: source chunks fan out over worker
-  processes sharing the CSR buffers through shared memory.
 * ``engine="python"`` — per-source pure-Python heap Dijkstra, matching the
   paper's "one Dijkstra instance per thread" structure; used for the work
   accounting of the heterogeneous executor and as a correctness oracle.
 
-All three return bit-identical matrices (per-source runs are independent,
-so neither chunking nor the process fan-out changes any arithmetic).
+Both return bit-identical matrices (per-source runs are independent, so
+chunking changes no arithmetic).
 """
 
 from __future__ import annotations
@@ -29,25 +26,14 @@ __all__ = ["dijkstra_apsp"]
 
 
 def dijkstra_apsp(
-    g: CSRGraph,
-    engine: str = "scipy",
-    chunk_size: int | None = None,
-    workers: int | None = None,
+    g: CSRGraph, engine: str = "scipy", chunk_size: int | None = None
 ) -> np.ndarray:
     """Full ``n × n`` distance matrix by one SSSP per vertex."""
     if engine == "scipy":
         return all_pairs(g, chunk_size=chunk_size)
-    if engine == "parallel":
-        # Imported lazily: repro.hetero pulls in the APSP composition layer,
-        # so a module-level import here would be circular.
-        from ..hetero.parallel import parallel_all_pairs
-
-        return parallel_all_pairs(g, workers=workers, chunk_size=chunk_size)
     if engine == "python":
         out = np.empty((g.n, g.n), dtype=np.float64)
         for s in range(g.n):
             out[s] = dijkstra(g, s)
         return out
-    raise ValueError(
-        f"unknown engine {engine!r} (use 'scipy', 'parallel' or 'python')"
-    )
+    raise ValueError(f"unknown engine {engine!r} (use 'scipy' or 'python')")

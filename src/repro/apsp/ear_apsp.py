@@ -4,8 +4,8 @@ Three phases (Section 2.1):
 
 1. **Preprocess** — contract degree-2 chains: ``G → G^r``.
 2. **Process** — Dijkstra from every vertex of ``G^r`` (heterogeneous in
-   the paper; here either the compiled bulk engine or, under the
-   heterogeneous executor, per-source work units).
+   the paper; here the compiled bulk engine, or per-source work units
+   under the heterogeneous executor).
 3. **Post-process** — extend ``S^r`` to all of ``G`` with the closed-form
    minima over chain anchors ``left(x)/right(x)`` (Section 2.1.3),
    vectorized per row block: the removed-to-removed entries are two
@@ -18,7 +18,8 @@ valid for any connected or disconnected input (the anchor-exit argument
 only needs chain interiors to have degree 2).  The per-biconnected-
 component organisation of Section 2.2 — which is what gives the
 ``O(a² + Σ nᵢ²)`` memory — lives in :mod:`repro.apsp.composition` and
-:mod:`repro.apsp.oracle` and reuses :func:`solve_component` below.
+:mod:`repro.apsp.oracle`, which solve each component with
+:func:`ear_apsp_full` by default.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
 from ..obs.trace import phase
 from ..sssp.engine import all_pairs
-from .dijkstra_apsp import dijkstra_apsp
 
-__all__ = ["EarAPSPReport", "extend_reduced_distances", "ear_apsp_full", "solve_component"]
+__all__ = ["EarAPSPReport", "extend_reduced_distances", "ear_apsp_full"]
 
 
 @dataclass
@@ -161,31 +161,22 @@ def extend_reduced_distances(red: ReducedGraph, s_r: np.ndarray) -> np.ndarray:
 
 def ear_apsp_full(
     g: CSRGraph,
-    engine: str = "scipy",
     report: EarAPSPReport | None = None,
     chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Algorithm 1 on the whole graph: full exact ``n × n`` matrix.
 
-    ``engine`` selects the Phase-II SSSP implementation: ``"scipy"``
-    (cached + chunked bulk dispatch, the default), ``"python"`` (per-source
-    heaps), or ``"parallel"`` (the process-parallel backend of
-    :mod:`repro.hetero.parallel` — ``workers`` processes fan out
-    ``chunk_size``-source chunks over shared-memory CSR buffers).  Pass a
-    :class:`EarAPSPReport` to collect the reduction counts.  The three
-    phases are timed as ``obs.trace.phase`` spans with cat ``apsp``.
+    Phase II runs the cached, chunked bulk engine
+    (:func:`repro.sssp.engine.all_pairs`, ``chunk_size`` sources per
+    compiled call).  Pass a :class:`EarAPSPReport` to collect the
+    reduction counts.  The three phases are timed as ``obs.trace.phase``
+    spans with cat ``apsp``.
     """
     with phase("preprocess", "apsp", stage="reduce", n=g.n):
         red = reduce_graph(g)
         simple = red.simple_graph()
     with phase("process", "apsp", stage="dijkstra", n=simple.n):
-        if engine == "scipy":
-            s_r = all_pairs(simple, chunk_size=chunk_size)
-        else:
-            s_r = dijkstra_apsp(
-                simple, engine=engine, chunk_size=chunk_size, workers=workers
-            )
+        s_r = all_pairs(simple, chunk_size=chunk_size)
     with phase("postprocess", "apsp", stage="extend", n=g.n):
         out = extend_reduced_distances(red, s_r)
     if report is not None:
@@ -194,18 +185,3 @@ def ear_apsp_full(
         report.n_removed = red.n_removed
         report.m_reduced = simple.m
     return out
-
-
-def solve_component(
-    sub: CSRGraph,
-    engine: str = "scipy",
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Per-biconnected-component solver used by the composed pipeline.
-
-    This is exactly :func:`ear_apsp_full` — named separately so that the
-    composition layer (:mod:`repro.apsp.composition`) can swap in the
-    Banerjee-style undecomposed solver for the baseline comparison.
-    """
-    return ear_apsp_full(sub, engine=engine, chunk_size=chunk_size, workers=workers)

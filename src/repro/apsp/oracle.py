@@ -24,6 +24,7 @@ from ..decomposition.block_cut_tree import BlockCutTree
 from ..graph.csr import CSRGraph
 from .bulk_query import check_vertex_ids
 from .composition import Solver, build_component_tables
+from .ear_apsp import ear_apsp_full
 
 __all__ = ["DistanceOracle", "memory_model"]
 
@@ -31,24 +32,10 @@ __all__ = ["DistanceOracle", "memory_model"]
 class DistanceOracle:
     """Exact all-pairs distance oracle with the paper's memory footprint."""
 
-    def __init__(
-        self,
-        g: CSRGraph,
-        solver: Solver | None = None,
-        engine: str = "scipy",
-        chunk_size: int | None = None,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, g: CSRGraph, solver: Solver = ear_apsp_full) -> None:
         self.graph = g
         bcc = biconnected_components(g)
-        self.tables = build_component_tables(
-            g,
-            solver=solver,
-            bcc=bcc,
-            engine=engine,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        self.tables = build_component_tables(g, solver=solver, bcc=bcc)
         self.tree = BlockCutTree(g, bcc)
         # Local index of each vertex inside each of its components.
         self._local = self.tables.vertex_local

@@ -283,11 +283,12 @@ def _cmd_profile(args) -> None:
     simulated platform's virtual device clocks as extra tracks), records
     a structured event stream when ``--events-out`` is given, and prints
     the per-track self-time table (:func:`repro.obs.summary`), the
-    counter table, the per-phase memory table and — for the APSP
-    workload — the measured Table 1 byte accounting.  With a ledger
+    instruments the run moved, the per-phase memory table and — for the
+    APSP workload — the measured Table 1 byte accounting.  With a ledger
     configured (``--ledger`` or ``REPRO_LEDGER``) the run is appended as
-    a schema-versioned record that also points at the event stream and
-    trace file, so ``repro-bench report`` can reassemble the run later.
+    a schema-versioned record with the full counter diff that also points
+    at the event stream and trace file, so ``repro-bench report`` can
+    reassemble the run later.
     """
     import contextlib
 
@@ -301,7 +302,7 @@ def _cmd_profile(args) -> None:
         tracing,
     )
     from .obs.events import events_to
-    from .obs.metrics import metrics_diff
+    from .obs.metrics import metrics_diff, moved_metrics
 
     workload = args.workload or "apsp"
     name = (args.datasets or ["OPF_3754"])[0]
@@ -326,7 +327,8 @@ def _cmd_profile(args) -> None:
             from .hetero.mcb_runner import mcb_with_trace
 
             mcb_with_trace(g)
-    counters = metrics_diff(before, snapshot())
+    after = snapshot()
+    counters = metrics_diff(before, after)
     if args.events_out:
         from .obs.events import EventLog
 
@@ -341,7 +343,7 @@ def _cmd_profile(args) -> None:
         print()
     print(f"profile of {workload!r} on {name} (n={g.n}, m={g.m})")
     print()
-    print(summary(tr, counters))
+    print(summary(tr, moved_metrics(before, after)))
     print()
     mem = mp.as_dict()
     if mem:

@@ -18,12 +18,6 @@ from .device import (
 )
 from .executor import HeterogeneousExecutor, Platform, StageReport
 from .mcb_runner import HeteroMCBResult, mcb_with_trace, run_mcb_on_platforms
-from .parallel import (
-    ParallelEngine,
-    SharedCSRBuffers,
-    parallel_all_pairs,
-    resolve_workers,
-)
 from .simt import SIMTDevice, gpu_device
 from .timing import ClockSample, VirtualClock
 from .trace import SimulationResult, Stage, WorkTrace, simulate_trace
@@ -37,10 +31,6 @@ __all__ = [
     "GPU_EFFECTIVE_BW",
     "cpu_device",
     "sequential_device",
-    "ParallelEngine",
-    "SharedCSRBuffers",
-    "parallel_all_pairs",
-    "resolve_workers",
     "HeterogeneousExecutor",
     "Platform",
     "StageReport",

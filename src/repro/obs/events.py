@@ -3,11 +3,10 @@
 Spans (:mod:`repro.obs.trace`) answer "how long did each phase take";
 events answer "what happened, in what order, across every process" — the
 runtime dynamics the paper's heterogeneous story is built on (the
-double-ended queue grabs of Indarapu et al., device occupancy, worker
-liveness).  Each event is one small JSON object appended to a per-process
-shard file, so a run can be read *while it executes* (the stall
-watchdog of :mod:`repro.obs.watch`) and reconstructed afterwards
-(``repro-bench report``).
+double-ended queue grabs of Indarapu et al., device occupancy, phase
+transitions).  Each event is one small JSON object appended to a
+per-process shard file, so a run can be read while it executes and
+reconstructed afterwards (``repro-bench report``).
 
 Design constraints, mirroring the rest of ``repro.obs``:
 
@@ -19,8 +18,8 @@ Design constraints, mirroring the rest of ``repro.obs``:
 2. **Multi-process safe by construction.**  Every process writes only its
    own shard (``events-<pid>.jsonl``), opened ``O_APPEND`` and written as
    one ``os.write`` per line — no cross-process locks, no interleaved
-   partial lines.  A forked worker notices the pid change and re-opens
-   its own shard; a spawned worker re-arms from the inherited environment
+   partial lines.  A forked child notices the pid change and re-opens
+   its own shard; a spawned child re-arms from the inherited environment
    variable.
 3. **Tolerant reader.**  :class:`EventLog` merges every shard, skipping
    (and counting) malformed or future-schema lines — the same
@@ -78,8 +77,8 @@ class EventSink:
     """Appends events to this process's shard under one directory.
 
     The shard file (``events-<pid>.jsonl``) is opened lazily on first
-    emit *in the emitting process*: a pool worker — fork and spawn alike
-    — therefore writes its own shard, keyed by its own pid, and the
+    emit *in the emitting process*: a child process — fork and spawn
+    alike — therefore writes its own shard, keyed by its own pid, and the
     parent's shard is never shared.  Each line is a single ``O_APPEND``
     ``os.write``, so even threads racing within one process never
     interleave partial lines.
@@ -154,7 +153,7 @@ class EventLog:
     ``skipped`` counts lines the last :meth:`read` could not interpret
     (corrupt JSON, missing fields, future schema) — reported, never
     fatal, so an old checkout can read a stream written by a newer one
-    and the live stall watchdog can race the writers safely.
+    and a live reader can race the writers safely.
 
     ``clamped`` counts events whose ``ts_ns`` ran *backwards* within
     their own shard.  ``perf_counter_ns`` is monotonic per host, but a
@@ -338,7 +337,7 @@ def _resolve_dir(val: str) -> str | None:
 class events_to:
     """Install an :class:`EventSink` on ``dir_path`` for a ``with`` block.
 
-    Also exports ``REPRO_EVENTS=<dir>`` for the duration, so worker
+    Also exports ``REPRO_EVENTS=<dir>`` for the duration, so child
     processes started under the ``spawn`` method (which re-import rather
     than inherit globals) arm their own sinks on the same directory.
     Nestable; the previous sink and environment value are restored on
@@ -375,7 +374,7 @@ def _install_from_env() -> None:
     """Arm the ambient sink when ``REPRO_EVENTS`` is truthy.
 
     A bare flag value (``1``/``true``/...) writes shards under
-    ``repro-events/``; anything else is the directory path.  Worker
+    ``repro-events/``; anything else is the directory path.  Child
     processes inherit the variable, so their sinks arm automatically
     under both ``fork`` and ``spawn``.
     """

@@ -5,8 +5,8 @@ https://ui.perfetto.dev) wants complete events (``"ph": "X"``) with
 microsecond timestamps plus optional metadata events naming each
 process/thread track.  Span timestamps are re-based to the collector's
 origin so traces start near zero, and every distinct ``(pid, tid)`` pair
-— including worker pids ingested across the pool boundary — becomes its
-own named track.
+— including pids ingested from other processes — becomes its own named
+track.
 
 :func:`validate_chrome_trace` is the schema check the test-suite (and any
 downstream consumer) runs against emitted files.  :func:`summary` answers
@@ -41,7 +41,7 @@ __all__ = [
 
 #: Synthetic pid under which simulated-platform device clocks render as
 #: tracks.  Far above any real pid (kernel pid_max is < 2^22), so virtual
-#: tracks can never collide with the stitched worker-pid tracks.
+#: tracks can never collide with real (or ingested) pid tracks.
 VIRTUAL_PID = 9_999_999
 
 
@@ -228,9 +228,9 @@ def _span_selfs(tree: "list[dict]"):
     """Every span of a span tree with its self time: ``(span, self_ns)``.
 
     Self time is a span's duration minus the *union* of its children's
-    intervals (clipped to the span).  Union, not sum: the cross-process
-    chunk spans stitched under a dispatch bracket overlap in time, and a
-    plain subtraction would push the dispatch's self time negative.
+    intervals (clipped to the span).  Union, not sum: children ingested
+    from other processes can overlap in time, and a plain subtraction
+    would push the parent's self time negative.
     """
     stack = list(tree)
     while stack:

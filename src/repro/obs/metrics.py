@@ -11,7 +11,8 @@ enable/disable knob to get wrong.
 :func:`snapshot` returns a plain ``{name: value}`` dict (histograms as
 ``{count, sum, min, max}`` sub-dicts) suitable for JSON reports;
 :func:`metrics_diff` subtracts two snapshots so a benchmark can report
-exactly the activity of its own window.
+exactly the activity of its own window, and :func:`moved_metrics` keeps
+only the instruments that window moved.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "histogram",
     "snapshot",
     "metrics_diff",
+    "moved_metrics",
     "reset_metrics",
 ]
 
@@ -53,7 +55,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-write-wins float (utilisation fractions, pool sizes)."""
+    """Last-write-wins float (byte footprints of the last run)."""
 
     __slots__ = ("name", "value")
 
@@ -234,6 +236,26 @@ def metrics_diff(before: dict, after: dict) -> dict:
         elif isinstance(prev, (int, float)):
             out[name] = val - prev if isinstance(val, int) else val
         else:
+            out[name] = val
+    return out
+
+
+def moved_metrics(before: dict, after: dict) -> dict:
+    """The part of :func:`metrics_diff` that the window moved.
+
+    A counter moved when its delta is not 0, a histogram when it observed
+    a sample, and a gauge when its value differs from its ``before`` value
+    (0.0, a fresh gauge's value, when absent).
+    """
+    out: dict = {}
+    for name, val in metrics_diff(before, after).items():
+        if isinstance(val, dict):
+            moved = val["count"] != 0
+        elif isinstance(val, int):
+            moved = val != 0
+        else:
+            moved = val != before.get(name, 0.0)
+        if moved:
             out[name] = val
     return out
 

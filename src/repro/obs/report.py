@@ -8,9 +8,9 @@ obs layer knows about a run:
 1. **Phase waterfall** — the Chrome-trace spans as per-track horizontal
    bars (real pid/tid tracks plus the virtual-platform device tracks of
    :func:`repro.obs.export.virtual_clock_events`).
-2. **Queue & device timeline** — work-queue grabs, worker heartbeats and
-   dispatch windows from the structured event stream
-   (:mod:`repro.obs.events`), with the queue-depth curve overlaid.
+2. **Queue & device timeline** — work-queue grabs and phase windows
+   from the structured event stream (:mod:`repro.obs.events`), with the
+   queue-depth curve overlaid.
 3. **Table-1 memory** — the measured-vs-model byte accounting
    (``a² + Σ nᵢ²`` against dense ``n²``) from :mod:`repro.obs.memory`
    gauges and the recorded model block.
@@ -255,54 +255,6 @@ def _timeline_svg(events: list[dict], trace: dict | None = None) -> str:
                 ],
             )
         )
-
-    # Dispatch windows (parent-side fan-out brackets).
-    dispatches = [
-        e for e in events if e["kind"] in ("dispatch.start", "dispatch.finish")
-    ]
-    if dispatches:
-        marks = []
-        start_ts = None
-        for ev in dispatches:
-            if ev["kind"] == "dispatch.start":
-                start_ts = ev["ts_ns"]
-            elif start_ts is not None:
-                x = x_of(start_ts)
-                w = max(x_of(ev["ts_ns"]) - x, 1.0)
-                marks.append(
-                    f'<rect x="{x:.1f}" y="4" width="{w:.1f}" height="12"'
-                    ' fill="#76b7b2" opacity="0.55" rx="2">'
-                    f"<title>dispatch: {ev.get('chunks', '?')} chunk(s)</title></rect>"
-                )
-                start_ts = None
-        if start_ts is not None:  # never finished — render to the edge
-            x = x_of(start_ts)
-            marks.append(
-                f'<rect x="{x:.1f}" y="4" width="{left + plot_w - x:.1f}" height="12"'
-                ' fill="#e15759" opacity="0.45" rx="2">'
-                "<title>dispatch never finished</title></rect>"
-            )
-        lanes.append(("pool dispatches", marks))
-
-    # Per-pid heartbeat lanes.
-    beats: dict[int, list[dict]] = {}
-    for ev in events:
-        if ev["kind"] == "worker.heartbeat":
-            beats.setdefault(ev["pid"], []).append(ev)
-    for pid, pid_evs in sorted(beats.items()):
-        marks = [
-            f'<circle cx="{x_of(ev["ts_ns"]):.1f}" cy="11" r="2.4" '
-            f'fill="{"#59a14f" if ev.get("status") == "chunk_done" else "#4e79a7"}">'
-            f"<title>pid {pid} {_esc(ev.get('status') or 'beat')}</title></circle>"
-            for ev in pid_evs
-        ]
-        for st in (e for e in events if e["kind"] == "engine.stall_detected"):
-            if st.get("worker") == pid:
-                marks.append(
-                    f'<text x="{x_of(st["ts_ns"]):.1f}" y="9" fill="#c0392b">'
-                    "&#9888; stall</text>"
-                )
-        lanes.append((f"worker pid {pid} ({len(pid_evs)} beats)", marks))
 
     # Phase band: start/finish brackets from the runners.
     phases = [e for e in events if e["kind"] in ("phase.start", "phase.finish")]

@@ -14,9 +14,9 @@ Design constraints, in order:
    nesting of its siblings.
 3. **Cross-process stitchable.**  Spans carry ``pid``/``tid`` and a
    monotonic timestamp (``time.perf_counter_ns``, CLOCK_MONOTONIC on
-   Linux — shared by every process on the host), so worker-recorded
-   spans can be shipped back over a pool boundary and merged into the
-   parent trace as per-worker tracks (:meth:`TraceCollector.ingest`).
+   Linux — shared by every process on the host), so spans recorded in
+   another process can be shipped back and merged into this trace as
+   per-process tracks (:meth:`TraceCollector.ingest`).
 
 Enablement is either programmatic (the :func:`tracing` context manager)
 or ambient via ``REPRO_TRACE``: any truthy value installs a process-wide
@@ -164,8 +164,7 @@ class TraceCollector:
         """Merge spans exported by another process (see :meth:`export_spans`).
 
         Spans keep their own ``pid``/``tid``, which the Chrome export maps
-        to separate tracks — this is how the parallel backend's per-worker
-        activity is stitched into the parent trace.
+        to separate tracks.
         """
         incoming = [Span.from_tuple(t) for t in payload]
         with self._lock:

@@ -16,9 +16,6 @@ package is the machinery that keeps every implementation honest about it:
 * :mod:`repro.qa.invariants` — checkable contracts (chain weight
   preservation, maximal reduction, GF(2) basis independence) wired into
   the library behind the ``REPRO_CHECK_INVARIANTS`` env knob.
-* :mod:`repro.qa.faultinject` — fault injection for the process-parallel
-  backend (worker crashes, shared-memory allocation failure, hangs),
-  used to prove the parallel→serial degradation path is lossless.
 """
 
 from importlib import import_module
@@ -49,7 +46,6 @@ _EXPORTS = {
         "invariants_enabled",
     ),
     "strategies": ("adversarial_corpus", "corpus", "graph_strategy", "random_corpus"),
-    "faultinject": (),
 }
 _ATTR_TO_MODULE = {
     attr: mod for mod, attrs in _EXPORTS.items() for attr in attrs

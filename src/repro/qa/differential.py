@@ -3,9 +3,7 @@
 APSP: all registered implementations are run on the same graph and their
 distance matrices compared against the registry's reference entry —
 infinities must match exactly, finite entries to tight tolerance (the
-implementations legitimately differ in summation order; serial-vs-parallel
-engine pairs are additionally asserted bit-identical by the fault-injection
-tests).  MCB: every implementation must return a *verified* cycle basis
+implementations legitimately differ in summation order).  MCB: every implementation must return a *verified* cycle basis
 (:func:`repro.mcb.verify.verify_cycle_basis`) whose total support weight —
 the quantity Lemma 3.1 preserves, and which is unique for minimum bases
 even when the basis itself is not — matches the reference's.
@@ -59,8 +57,8 @@ class Implementation:
     ``max_n`` caps the graphs this implementation is asked to solve
     (Horton's candidate enumeration is O(n·m·f) — fine as an oracle on
     small graphs, pointless on large ones); ``stride`` runs it on every
-    k-th corpus graph only (the process-pool backend pays a pool spin-up
-    per graph).  ``reference`` marks the registry's comparison baseline.
+    k-th corpus graph only (for implementations with a high fixed cost per
+    call).  ``reference`` marks the registry's comparison baseline.
     """
 
     name: str
@@ -202,11 +200,6 @@ def _builtin_registrations() -> None:
     register_apsp("hetero-apsp", lambda g: apsp_with_trace(g)[0])
     register_apsp("partition", partition_apsp)
     register_apsp("bcc", bcc_apsp)
-    register_apsp(
-        "parallel",
-        lambda g: dijkstra_apsp(g, engine="parallel", workers=2, chunk_size=4),
-        stride=25,
-    )
     # Bulk-query fast paths: the vectorized oracle query_many over every
     # pair must reproduce the full matrix (and is additionally asserted
     # bit-identical to the scalar query loop by tests/test_bulk_query.py).

@@ -21,9 +21,7 @@ dominated per-BCC APSP workloads:
   compiled call.  Each scipy call amortises dispatch overhead over the
   whole chunk, chunk boundaries bound the size of transient predecessor
   buffers, and — because every source's Dijkstra is independent — the
-  result is bit-identical for every chunk size.  Chunks are also the work
-  units the process-parallel backend (:mod:`repro.hetero.parallel`) fans
-  out over workers.
+  result is bit-identical for every chunk size.
 """
 
 from __future__ import annotations
@@ -111,8 +109,7 @@ class AdjacencyCache:
 
     Graphs are immutable, so entries are never invalidated — only evicted
     when the LRU bound is hit.  A process-wide instance backs the module
-    functions; independent instances can be created for isolation (tests,
-    worker processes).
+    functions; independent instances can be created for isolation (tests).
     """
 
     def __init__(self, maxsize: int = 128) -> None:

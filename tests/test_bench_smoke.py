@@ -2,9 +2,8 @@
 
 Runs ``scripts/bench_smoke.py`` at a tiny scale and checks the performance
 claims the engine work is built on: the cached + chunked bulk path beats
-rebuilding the adjacency per source by at least 2x, and the parallel
-backend stays bit-identical (it only has to *win* when the host actually
-has a second core).
+rebuilding the adjacency per source by at least 2x, and the vectorized
+bulk query beats the scalar loop by at least 10x, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,13 +54,6 @@ def test_cache_and_chunking_speedup(baseline):
     rs = baseline["repeated_sssp"]
     assert rs["cache"]["misses"] <= 1
     assert rs["speedup"] >= 2.0
-
-
-def test_parallel_backend(baseline):
-    pl = baseline["parallel"]
-    assert pl["bit_identical"]
-    if pl["host_cores"] >= 2 and pl["pool_live"]:
-        assert pl["speedup"] > 1.0
 
 
 def test_bulk_query_fast_path(baseline):

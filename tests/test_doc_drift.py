@@ -1,4 +1,4 @@
-"""Doc drift: the counter table in docs/OBSERVABILITY.md vs reality.
+"""Doc drift: the counter and knob tables in the docs vs reality.
 
 The "Key instruments" table documents every counter the instrumented
 paths emit.  Tables rot silently: a new counter lands in code, the doc
@@ -14,10 +14,15 @@ suite closes the loop in both directions:
 
 Table rows pack sibling names as ``` `bulk_query.batches` / `.pairs` ```;
 a bare ``.suffix`` continuation expands against the preceding full name.
+
+The ``REPRO_*`` environment variables get the same two-way check: every
+name the code reads has a row in README's "Execution knobs" table or in a
+knob table under ``docs/``, and every documented name is still read.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -29,15 +34,18 @@ from repro.apsp.reduced_oracle import ReducedDistanceOracle
 from repro.obs.metrics import Counter, registry, snapshot
 from repro.qa import strategies
 
-DOC = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+ROOT = Path(__file__).resolve().parent.parent
+DOC = ROOT / "docs" / "OBSERVABILITY.md"
 
 # The families this suite asserts are *exhaustively* documented-and-live.
-# Other families (mcb.*, reduce.*, parallel.*...) have workload-specific
+# Other families (mcb.*, reduce.*, queue.*...) have workload-specific
 # triggers and are covered by the emitted=>documented direction only.
 OWNED_PREFIXES = ("bulk_query.",)
 
 _NAME_RE = re.compile(r"`([^`]+)`")
 _METRIC_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
+_ENV_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
+_KNOB_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|")
 
 
 def documented_counters() -> set[str]:
@@ -69,6 +77,48 @@ def documented_counters() -> set[str]:
             names.add(full)
             prev = full
     return names
+
+
+def env_vars_read(*dirs: str) -> set[str]:
+    """``REPRO_*`` names the Python code under ``dirs`` reads.
+
+    A name counts when a string literal is exactly that name, which covers
+    ``os.environ.get("REPRO_X")``, module constants holding the name and
+    ``monkeypatch.setenv("REPRO_X", ...)``; prose in docstrings does not.
+    """
+    names: set[str] = set()
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and _ENV_RE.match(node.value)
+                ):
+                    names.add(node.value)
+    return names
+
+
+def documented_env_vars() -> dict[str, list[str]]:
+    """``REPRO_*`` name -> the docs whose knob table has a row for it.
+
+    A knob-table row is a markdown row whose first cell is one backticked
+    ``REPRO_*`` name.  README counts only inside its "Execution knobs"
+    section; every ``docs/*.md`` counts in full.
+    """
+    readme = (ROOT / "README.md").read_text().split("\n## ")
+    sources = {
+        "README.md": next(s for s in readme if s.startswith("Execution knobs")),
+    }
+    for path in sorted((ROOT / "docs").glob("*.md")):
+        sources[f"docs/{path.name}"] = path.read_text()
+    rows: dict[str, list[str]] = {}
+    for where, text in sources.items():
+        for line in text.splitlines():
+            m = _KNOB_ROW_RE.match(line.strip())
+            if m:
+                rows.setdefault(m.group(1), []).append(where)
+    return rows
 
 
 def _all_pairs(n: int) -> np.ndarray:
@@ -115,7 +165,7 @@ class TestCounterTableParser:
 
     def test_gauge_rows_excluded(self):
         doc = documented_counters()
-        assert "parallel.workers" not in doc      # documented as gauge
+        assert "memory.engine.adj_cache_bytes" not in doc  # a Gauge-table row
         assert not any(n.startswith("memory.") for n in doc)
 
 
@@ -152,4 +202,26 @@ class TestDocDrift:
         assert not stale, (
             "counters documented in docs/OBSERVABILITY.md that the "
             f"workload never emitted (stale rows?): {sorted(stale)}"
+        )
+
+
+class TestEnvVarDocs:
+    def test_every_read_env_var_is_documented(self):
+        read = env_vars_read("src", "scripts")
+        assert read, "found no REPRO_* reads under src/ or scripts/"
+        undocumented = read - set(documented_env_vars())
+        assert not undocumented, (
+            "environment variables read by src/ or scripts/ with no row in "
+            "README's \"Execution knobs\" table or a docs/ knob table: "
+            f"{sorted(undocumented)}"
+        )
+
+    def test_every_documented_env_var_is_read(self):
+        documented = documented_env_vars()
+        assert documented, "found no REPRO_* knob-table rows"
+        read = env_vars_read("src", "scripts", "tests")
+        stale = {name: where for name, where in documented.items() if name not in read}
+        assert not stale, (
+            "knob-table rows for environment variables that nothing in "
+            f"src/, scripts/ or tests/ reads (stale rows?): {stale}"
         )

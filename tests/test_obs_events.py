@@ -76,9 +76,32 @@ class TestEventSink:
         assert first["seq"] == 0
         assert json.loads(lines[1])["seq"] == 1
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_shard_is_per_pid(self, tmp_path):
         sink = EventSink(tmp_path)
         assert sink.shard_path().name == f"events-{os.getpid()}.jsonl"
+        sink.emit("k", side="parent")
+        # A forked child inherits the open shard; its first emit must
+        # re-open a shard under its own pid rather than share the parent's.
+        child = os.fork()
+        if child == 0:
+            try:
+                sink.emit("k", side="child")
+            finally:
+                os._exit(0)
+        os.waitpid(child, 0)
+        sink.emit("k", side="parent")
+        sink.close()
+        log = EventLog(tmp_path)
+        assert sorted(p.name for p in log.shards()) == sorted(
+            f"events-{pid}.jsonl" for pid in (os.getpid(), child)
+        )
+        evs = log.read()
+        assert [(e["pid"], e["side"]) for e in evs if e["side"] == "child"] == [
+            (child, "child")
+        ]
+        parent = [e for e in evs if e["pid"] == os.getpid()]
+        assert [e["seq"] for e in parent] == [0, 1]  # the child never wrote here
 
     def test_shard_cap_counts_drops(self, tmp_path, monkeypatch):
         monkeypatch.setattr(events, "MAX_EVENTS_PER_SHARD", 3)
@@ -259,28 +282,3 @@ class TestPipelineEmission:
             assert ev["batch"] >= 1
             assert ev["device"]
             assert isinstance(ev["remaining"], int)
-
-    def test_parallel_workers_shard_by_pid(self, tmp_path):
-        from repro.hetero.parallel import ParallelEngine
-        from repro.sssp import engine as serial_engine
-
-        g = grid_graph(6, 7)
-        sources = np.arange(g.n, dtype=np.int64)
-        with events_to(tmp_path):
-            with ParallelEngine(g, workers=2, chunk_size=8) as eng:
-                if not eng.is_parallel:
-                    pytest.skip("no process pool in this sandbox")
-                dist = eng.multi_source(sources)
-        np.testing.assert_array_equal(
-            dist, serial_engine.multi_source(g, sources)
-        )
-        log = EventLog(tmp_path)
-        evs = log.read()
-        beats = [e for e in evs if e["kind"] == "worker.heartbeat"]
-        assert beats
-        worker_pids = {e["pid"] for e in beats}
-        assert os.getpid() not in worker_pids  # beats come from workers
-        assert len(log.shards()) >= 2  # parent + at least one worker shard
-        dispatch = [e for e in evs if e["kind"].startswith("dispatch.")]
-        assert [e["kind"] for e in dispatch] == ["dispatch.start", "dispatch.finish"]
-        assert all(e["pid"] == os.getpid() for e in dispatch)

@@ -1,27 +1,21 @@
-"""End-to-end observability: pipeline spans, worker stitching, profile CLI.
+"""End-to-end observability: pipeline spans and the profile CLI.
 
-Covers the ISSUE's integration criteria: the pipeline drivers emit the
-paper's preprocess/process/post-process phases as top-level spans, the
-parallel backend's worker spans merge into the parent trace as separate
-pid tracks (and survive an injected worker crash uncorrupted), and
-``repro-bench profile`` writes a schema-valid Chrome trace.
+The pipeline drivers emit the paper's preprocess/process/post-process
+phases as top-level spans, and ``repro-bench profile`` writes a
+schema-valid Chrome trace and prints only the instruments its run moved.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-
-import numpy as np
-import pytest
 
 from repro.cli import main
 from repro.graph import grid_graph
 from repro.hetero.apsp_runner import apsp_with_trace
 from repro.hetero.mcb_runner import mcb_with_trace
-from repro.hetero.parallel import ParallelEngine
 from repro.obs import tracing, validate_chrome_trace
-from repro.qa import faultinject
-from repro.sssp import engine as serial_engine
+from repro.obs.metrics import gauge
 
 TINY = 0.012
 
@@ -69,73 +63,6 @@ class TestPipelinePhases:
         assert "decomposition.reduce" in nested
 
 
-class TestWorkerStitching:
-    def test_worker_spans_merge_as_pid_tracks(self):
-        g = grid_graph(10, 10)
-        sources = np.arange(g.n, dtype=np.int64)
-        with ParallelEngine(g, workers=2) as eng:
-            if not eng.is_parallel:
-                pytest.skip("no live pool in this environment")
-            with tracing() as tr:
-                dist = eng.multi_source(sources)
-        assert np.array_equal(dist, serial_engine.multi_source(g, sources))
-        names = {s.name for s in tr.spans}
-        assert "parallel.dispatch" in names
-        assert "parallel.worker_chunk" in names
-        pids = {s.pid for s in tr.spans}
-        assert len(pids) >= 2, "worker spans should carry their own pid"
-        doc = tr.chrome_trace()
-        assert validate_chrome_trace(doc) == []
-        labels = {
-            e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert "repro (parent)" in labels
-        assert any(lb.startswith("repro worker ") for lb in labels)
-
-    def test_untraced_dispatch_ships_no_span_payload(self):
-        # With tracing off the worker protocol must stay lean: results come
-        # back as bare arrays, not (result, spans) pairs.
-        g = grid_graph(8, 8)
-        sources = np.arange(g.n, dtype=np.int64)
-        with ParallelEngine(g, workers=2) as eng:
-            dist = eng.multi_source(sources)
-        assert np.array_equal(dist, serial_engine.multi_source(g, sources))
-
-    def test_injected_worker_crash_keeps_trace_valid(self):
-        """REPRO_FAULTS worker crash must not corrupt the parent trace."""
-        g = grid_graph(8, 8)
-        sources = np.arange(g.n, dtype=np.int64)
-        # Arm the fault before the pool forks so the workers inherit it.
-        with faultinject.inject_worker_crash():
-            with ParallelEngine(g, workers=2) as eng:
-                if not eng.is_parallel:
-                    pytest.skip("no live pool in this environment")
-                with tracing() as tr:
-                    with pytest.warns(RuntimeWarning, match="degrading"):
-                        dist = eng.multi_source(sources)
-        # The degraded path still returns the serial engine's matrices…
-        assert np.array_equal(dist, serial_engine.multi_source(g, sources))
-        # …and every span in the trace is complete and well-formed: the
-        # crashed workers returned nothing, so nothing partial was ingested.
-        assert validate_chrome_trace(tr.chrome_trace()) == []
-        for s in tr.spans:
-            assert s.dur_ns >= 0 and s.name
-
-    def test_spt_forest_dispatch_traced(self):
-        g = grid_graph(7, 7)
-        sources = np.arange(g.n, dtype=np.int64)
-        with ParallelEngine(g, workers=2) as eng:
-            if not eng.is_parallel:
-                pytest.skip("no live pool in this environment")
-            with tracing() as tr:
-                dist, pred = eng.spt_forest(sources)
-        sd, sp = serial_engine.spt_forest(g, sources)
-        assert np.array_equal(dist, sd) and np.array_equal(pred, sp)
-        assert "parallel.dispatch" in {s.name for s in tr.spans}
-
-
 class TestProfileCLI:
     def test_profile_apsp_writes_valid_chrome_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
@@ -157,6 +84,27 @@ class TestProfileCLI:
         assert {r[0] for r in rows} >= {"process", "sssp.chunk"}
         for name, _, wall, own, _ in rows:  # self never exceeds wall
             assert float(own) <= float(wall), name
+
+    def test_profile_prints_only_moved_instruments(self, capsys):
+        # The apsp workload never sets this gauge: a value it held before
+        # the run did not move, so the table must leave it out.
+        idle = gauge("memory.mcb.witness_bytes")
+        kept = idle.value
+        idle.set(kept + 1.0)
+        try:
+            rc = main(["profile", "apsp", "--scale", str(TINY), "--datasets", "nopoly"])
+        finally:
+            idle.set(kept)
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, l in enumerate(lines) if l.startswith("metric ")) + 2
+        rows = dict(
+            l.split(None, 1) for l in itertools.takewhile(str.strip, lines[start:])
+        )
+        assert "engine.chunks_dispatched" in rows
+        assert [n for n, v in rows.items() if v.strip() in ("0", "n=0")] == []
+        assert not any(n.startswith("bulk_query.") for n in rows)  # never touched
+        assert "memory.mcb.witness_bytes" not in rows
 
     def test_profile_mcb_summary_only(self, capsys):
         rc = main(["profile", "mcb", "--scale", str(TINY), "--datasets", "nopoly"])

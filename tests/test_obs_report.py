@@ -47,9 +47,7 @@ def _events():
          "phase": "process", "cat": "apsp"},
         {"v": 1, "seq": 1, "ts_ns": 20, "pid": 1, "kind": "queue.grab",
          "end": "back", "batch": 3, "device": "gpu", "remaining": 5},
-        {"v": 1, "seq": 2, "ts_ns": 30, "pid": 2, "kind": "worker.heartbeat",
-         "status": "chunk_done"},
-        {"v": 1, "seq": 3, "ts_ns": 40, "pid": 1, "kind": "phase.finish",
+        {"v": 1, "seq": 2, "ts_ns": 40, "pid": 1, "kind": "phase.finish",
          "phase": "process", "cat": "apsp"},
     ]
 
@@ -101,7 +99,7 @@ class TestBuildReport:
         assert "preprocess" in doc          # waterfall bars
         assert "virtual platform occupancy" in doc
         assert "queue · gpu" in doc         # timeline device lane
-        assert "worker pid 2" in doc        # heartbeat lane
+        assert "pipeline phases" in doc     # timeline phase band
         assert "a² + Σ nᵢ²" in doc          # memory shape line
         assert "engine.chunks_dispatched" in doc
         assert 'class="spark"' in doc       # history sparklines
