@@ -9,7 +9,7 @@ Examples
     repro-bench table2 --datasets nopoly as-22july06
     repro-bench all --scale 0.02
     repro-bench profile apsp --trace-out trace.json
-    repro-bench profile apsp --events-out run-events --ledger RUN_LEDGER.jsonl
+    repro-bench profile apsp --trace-out trace.json --ledger RUN_LEDGER.jsonl
     repro-bench profile mcb --datasets nopoly --scale 0.02
     repro-bench regress --baseline BENCH_BASELINE.json --ledger BENCH_LEDGER.jsonl
     repro-bench regress --trace-a before.json --trace-b after.json
@@ -280,18 +280,15 @@ def _cmd_profile(args) -> None:
     Runs the named workload under a fresh trace collector *and* a memory
     profile (ambient ``REPRO_TRACE`` is not required), writes a Chrome
     ``trace_event`` JSON when ``--trace-out`` is given (with the
-    simulated platform's virtual device clocks as extra tracks), records
-    a structured event stream when ``--events-out`` is given, and prints
-    the per-track self-time table (:func:`repro.obs.summary`), the
+    simulated platform's virtual device clocks as extra tracks), and
+    prints the per-track self-time table (:func:`repro.obs.summary`), the
     instruments the run moved, the per-phase memory table and — for the
     APSP workload — the measured Table 1 byte accounting.  With a ledger
     configured (``--ledger`` or ``REPRO_LEDGER``) the run is appended as
     a schema-versioned record with the full counter diff that also points
-    at the event stream and trace file, so ``repro-bench report`` can
-    reassemble the run later.
+    at the trace file, so ``repro-bench report`` can reassemble the run
+    later.
     """
-    import contextlib
-
     from . import datasets
     from .obs import (
         format_bytes,
@@ -301,7 +298,6 @@ def _cmd_profile(args) -> None:
         summary,
         tracing,
     )
-    from .obs.events import events_to
     from .obs.metrics import metrics_diff, moved_metrics
 
     workload = args.workload or "apsp"
@@ -309,8 +305,7 @@ def _cmd_profile(args) -> None:
     g = datasets.load(name, args.scale)
     before = snapshot()
     clocks: dict | None = None
-    ev_ctx = events_to(args.events_out) if args.events_out else contextlib.nullcontext()
-    with ev_ctx, tracing() as tr, memory_profiling() as mp:
+    with tracing() as tr, memory_profiling() as mp:
         if workload in ("apsp", "both"):
             from .hetero.apsp_runner import apsp_with_trace
             from .hetero.executor import Platform
@@ -329,13 +324,6 @@ def _cmd_profile(args) -> None:
             mcb_with_trace(g)
     after = snapshot()
     counters = metrics_diff(before, after)
-    if args.events_out:
-        from .obs.events import EventLog
-
-        log = EventLog(args.events_out)
-        n_events = len(log.read())
-        print(f"wrote {n_events} events to {args.events_out}/ "
-              f"({len(log.shards())} shard(s); render with repro-bench report --events)")
     if args.trace_out:
         tr.write_chrome(args.trace_out, clocks=clocks)
         print(f"wrote Chrome trace to {args.trace_out} "
@@ -375,12 +363,10 @@ def _cmd_profile(args) -> None:
     if ledger is not None:
         from .obs.ledger import RunRecord
 
-        # events_dir / trace_path are free-form meta keys: old readers
-        # ignore them, the report command uses them to locate this run's
-        # event stream and Chrome trace from the ledger alone.
+        # trace_path is a free-form meta key: old readers ignore it, the
+        # report command uses it to locate this run's Chrome trace from the
+        # ledger alone.
         meta = {"workload": workload, "dataset": name, "scale": args.scale}
-        if args.events_out:
-            meta["events_dir"] = str(Path(args.events_out).resolve())
         if args.trace_out:
             meta["trace_path"] = str(Path(args.trace_out).resolve())
         ledger.append(
@@ -494,13 +480,12 @@ def _cmd_report(args) -> None:
     """``repro-bench report`` — self-contained single-file HTML run report.
 
     Assembles the report sections from whatever inputs exist: the
-    Chrome trace (``--trace``), the event stream (``--events``), and the
-    run ledger (``--ledger`` / ``REPRO_LEDGER``) for counters, memory,
-    history, and the regression verdict.  When a ledgered profile record
-    carries ``events_dir`` / ``trace_path`` meta (written by ``profile``
-    runs), those are used automatically unless overridden.
+    Chrome trace (``--trace``) for the wall-clock waterfall and the
+    virtual-platform occupancy, and the run ledger (``--ledger`` /
+    ``REPRO_LEDGER``) for counters, memory, history, and the regression
+    verdict.  When a ledgered profile record carries ``trace_path`` meta
+    (written by ``profile`` runs), that trace is used unless overridden.
     """
-    from .obs.events import EventLog
     from .obs.ledger import Ledger, default_ledger_path
     from .obs.report import validate_report, write_report
 
@@ -515,23 +500,13 @@ def _cmd_report(args) -> None:
             print(f"ledger: skipped {ledger.skipped} unreadable record(s)")
 
     trace_path = args.trace
-    events_dir = args.events
-    if record is not None:
-        if trace_path is None:
-            trace_path = record.meta.get("trace_path")
-        if events_dir is None:
-            events_dir = record.meta.get("events_dir")
+    if trace_path is None and record is not None:
+        trace_path = record.meta.get("trace_path")
 
     trace = None
     if trace_path and Path(trace_path).exists():
         with open(trace_path) as fh:
             trace = json.load(fh)
-    events = None
-    if events_dir and Path(events_dir).is_dir():
-        log = EventLog(events_dir)
-        events = log.read()
-        if log.skipped:
-            print(f"events: skipped {log.skipped} unreadable line(s)")
 
     title = "repro run report"
     if record is not None:
@@ -544,7 +519,6 @@ def _cmd_report(args) -> None:
         out,
         title=title,
         trace=trace,
-        events=events,
         record=record,
         history=history,
     )
@@ -556,7 +530,6 @@ def _cmd_report(args) -> None:
         raise SystemExit(1)
     srcs = [
         f"trace={trace_path}" if trace is not None else None,
-        f"events={events_dir}" if events is not None else None,
         f"ledger={ledger_path}" if record is not None else None,
     ]
     print(f"wrote report to {out} ({', '.join(s for s in srcs if s) or 'no inputs'})")
@@ -646,18 +619,6 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         default=None,
         help="profile: path for the Chrome trace_event JSON",
-    )
-    parser.add_argument(
-        "--events-out",
-        default=None,
-        help="profile: directory for the structured event stream "
-             "(per-pid JSONL shards)",
-    )
-    parser.add_argument(
-        "--events",
-        default=None,
-        help="report: event-stream directory to read "
-             "(default: the ledgered run's events_dir)",
     )
     parser.add_argument(
         "--trace",

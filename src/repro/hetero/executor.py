@@ -95,7 +95,7 @@ def race(
     many = len(devices) > 1
     while not queue.empty:
         dev = min(devices, key=_clock_now) if many else devices[0]
-        batch = queue.take(dev.batch_size, dev.takes_from_back, dev.name)
+        batch = queue.take(dev.batch_size, dev.takes_from_back)
         units[dev.name] += len(batch)
         step(dev, batch)
     count_grabs(queue.grabs_front, queue.grabs_back, units)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable
 
-from ..obs import events as _events
 from ..obs import metrics as _metrics
 
 __all__ = ["WorkUnit", "DequeWorkQueue"]
@@ -69,7 +68,7 @@ class DequeWorkQueue:
     def empty(self) -> bool:
         return self._lo == self._hi
 
-    def take(self, batch_size: int, from_back: bool, device: str = "") -> list:
+    def take(self, batch_size: int, from_back: bool) -> list:
         """:meth:`grab` without the counters, which :func:`count_grabs`
         adds (a race adds them once per stage).  A back grab lists the
         biggest unit first."""
@@ -88,24 +87,15 @@ class DequeWorkQueue:
             self._lo = cut
             self.grabs_front += 1
         _H_BATCH.observe(len(out))
-        if _events.enabled():
-            _events.emit(
-                "queue.grab",
-                end="back" if from_back else "front",
-                batch=len(out),
-                device=device,
-                remaining=self._hi - self._lo,
-            )
         return out
 
     def grab(self, batch_size: int, from_back: bool, device: str = "") -> list:
         """Take up to ``batch_size`` units from one end as one grab.
 
-        ``device`` is the grabbing device's name, threaded through purely
-        for telemetry: per-device grab/unit counters and — when events
-        are enabled — one ``queue.grab`` event per non-empty grab.
+        ``device`` is the grabbing device's name, used only for the
+        per-device unit counter.
         """
-        out = self.take(batch_size, from_back, device)
+        out = self.take(batch_size, from_back)
         if out:
             count_grabs(int(not from_back), int(from_back), {device: len(out)})
         return out

@@ -27,6 +27,9 @@ This package makes that accounting first-class for the reproduction:
 * :mod:`repro.obs.regress` — the noise-aware regression gate over the
   ledger (median + MAD bands, per-phase attribution) plus the
   Chrome-trace differ; surfaced as ``repro-bench regress``.
+* :mod:`repro.obs.report` — the self-contained single-file HTML run
+  report built from a recorded Chrome trace and the ledger; surfaced as
+  ``repro-bench report``.
 
 Enable tracing with the ``REPRO_TRACE`` environment variable (``1`` to
 collect, a ``*.json`` path to also write a Chrome trace at process exit)

@@ -5,8 +5,7 @@ https://ui.perfetto.dev) wants complete events (``"ph": "X"``) with
 microsecond timestamps plus optional metadata events naming each
 process/thread track.  Span timestamps are re-based to the collector's
 origin so traces start near zero, and every distinct ``(pid, tid)`` pair
-— including pids ingested from other processes — becomes its own named
-track.
+becomes its own named track.
 
 :func:`validate_chrome_trace` is the schema check the test-suite (and any
 downstream consumer) runs against emitted files.  :func:`summary` answers
@@ -20,7 +19,6 @@ trace back into a collector, so ``repro-bench profile`` (live) and
 from __future__ import annotations
 
 import json
-import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,7 +39,7 @@ __all__ = [
 
 #: Synthetic pid under which simulated-platform device clocks render as
 #: tracks.  Far above any real pid (kernel pid_max is < 2^22), so virtual
-#: tracks can never collide with real (or ingested) pid tracks.
+#: tracks can never collide with a real pid track.
 VIRTUAL_PID = 9_999_999
 
 
@@ -111,14 +109,11 @@ def chrome_trace(collector: "TraceCollector", clocks: dict | None = None) -> dic
         if s.args:
             ev["args"] = s.args
         events.append(ev)
-    meta: list[dict] = []
-    self_pid = os.getpid()
-    for pid in sorted(pids):
-        label = "repro (parent)" if pid == self_pid else f"repro worker {pid}"
-        meta.append(
-            {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-             "args": {"name": label}}
-        )
+    meta: list[dict] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": "repro"}}
+        for pid in sorted(pids)
+    ]
     for pid, tid in sorted(tracks):
         label = collector.track_names.get((pid, tid), f"tid {tid}")
         meta.append(
@@ -228,9 +223,9 @@ def _span_selfs(tree: "list[dict]"):
     """Every span of a span tree with its self time: ``(span, self_ns)``.
 
     Self time is a span's duration minus the *union* of its children's
-    intervals (clipped to the span).  Union, not sum: children ingested
-    from other processes can overlap in time, and a plain subtraction
-    would push the parent's self time negative.
+    intervals (clipped to the span).  Union, not sum: a loaded trace may
+    carry overlapping children on one track, and a plain subtraction would
+    push the parent's self time negative.
     """
     stack = list(tree)
     while stack:

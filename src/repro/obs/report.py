@@ -5,12 +5,13 @@ lines of inline JS — no network fetches, no external assets — that can be
 attached to a CI job or mailed around and still render everything the
 obs layer knows about a run:
 
-1. **Phase waterfall** — the Chrome-trace spans as per-track horizontal
-   bars (real pid/tid tracks plus the virtual-platform device tracks of
-   :func:`repro.obs.export.virtual_clock_events`).
-2. **Queue & device timeline** — work-queue grabs and phase windows
-   from the structured event stream (:mod:`repro.obs.events`), with the
-   queue-depth curve overlaid.
+1. **Phase waterfall** — the Chrome trace's wall-clock spans as
+   per-track horizontal bars, read through
+   :func:`repro.obs.export.load_chrome_trace`.
+2. **Virtual-platform occupancy** — the simulated devices' busy
+   intervals (the :data:`~repro.obs.export.VIRTUAL_PID` tracks of
+   :func:`repro.obs.export.virtual_clock_events`) on their own
+   virtual-seconds axis.
 3. **Table-1 memory** — the measured-vs-model byte accounting
    (``a² + Σ nᵢ²`` against dense ``n²``) from :mod:`repro.obs.memory`
    gauges and the recorded model block.
@@ -20,7 +21,7 @@ obs layer knows about a run:
 
 Sections degrade independently: missing inputs render as an explicit
 "no data" note, never an error, so a report can be built from any subset
-of {trace, events, ledger}.  :func:`validate_report` is the smoke check
+of {trace, ledger}.  :func:`validate_report` is the smoke check
 CI runs against the emitted file.
 """
 
@@ -28,9 +29,10 @@ from __future__ import annotations
 
 import html as _html
 import json
+import zlib
 from typing import TYPE_CHECKING
 
-from .export import VIRTUAL_PID
+from .export import VIRTUAL_PID, load_chrome_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ledger import RunRecord
@@ -85,7 +87,9 @@ def _esc(x) -> str:
 
 
 def _color(name: str) -> str:
-    return _PALETTE[hash(name) % len(_PALETTE)]
+    # crc32, not hash(): str hashes are salted per process, and the same
+    # run must render the same document.
+    return _PALETTE[zlib.crc32(name.encode()) % len(_PALETTE)]
 
 
 def _fmt_bytes(b) -> str:
@@ -99,83 +103,56 @@ def _nodata(msg: str) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Section 1 — phase waterfall from the Chrome trace
+# Section 1 — phase waterfall from the Chrome trace (wall clock)
 # --------------------------------------------------------------------- #
 
 _WATERFALL_MAX_EVENTS = 1200
 
 
-def _track_labels(trace: dict) -> dict[tuple[int, int], str]:
-    proc: dict[int, str] = {}
-    thread: dict[tuple[int, int], str] = {}
-    for ev in trace.get("traceEvents", []):
-        if not isinstance(ev, dict) or ev.get("ph") != "M":
-            continue
-        args = ev.get("args") or {}
-        if ev.get("name") == "process_name":
-            proc[ev.get("pid")] = str(args.get("name", ev.get("pid")))
-        elif ev.get("name") == "thread_name":
-            thread[(ev.get("pid"), ev.get("tid"))] = str(args.get("name", ""))
-    out: dict[tuple[int, int], str] = {}
-    for key, tname in thread.items():
-        pname = proc.get(key[0], f"pid {key[0]}")
-        out[key] = f"{pname} · {tname}" if tname else pname
-    for pid, pname in proc.items():
-        out.setdefault((pid, 0), pname)
-    return out
-
 def _waterfall_svg(trace: dict) -> str:
-    evs = [
-        ev
-        for ev in trace.get("traceEvents", [])
-        if isinstance(ev, dict)
-        and ev.get("ph") == "X"
-        and isinstance(ev.get("ts"), (int, float))
-        and isinstance(ev.get("dur"), (int, float))
-    ]
+    col = load_chrome_trace(trace)
+    evs = col.spans
     if not evs:
-        return _nodata("trace carries no complete events")
+        return _nodata("trace carries no wall-clock spans")
     truncated = 0
     if len(evs) > _WATERFALL_MAX_EVENTS:
         truncated = len(evs) - _WATERFALL_MAX_EVENTS
-        evs = sorted(evs, key=lambda e: -e["dur"])[:_WATERFALL_MAX_EVENTS]
-    labels = _track_labels(trace)
-    t0 = min(e["ts"] for e in evs)
-    t1 = max(e["ts"] + e["dur"] for e in evs)
-    span = max(t1 - t0, 1e-9)
+        evs = sorted(evs, key=lambda s: -s.dur_ns)[:_WATERFALL_MAX_EVENTS]
+    t0 = min(s.start_ns for s in evs)
+    t1 = max(s.start_ns + s.dur_ns for s in evs)
+    span = max(t1 - t0, 1)
     width, left, rowh = 960.0, 190.0, 16.0
     # Group by (pid, tid); within a track, nesting depth = open intervals.
-    tracks: dict[tuple[int, int], list[dict]] = {}
-    for ev in sorted(evs, key=lambda e: (e["pid"], e["tid"], e["ts"], -e["dur"])):
-        tracks.setdefault((ev["pid"], ev["tid"]), []).append(ev)
+    tracks: dict[tuple[int, int], list] = {}
+    for s in sorted(evs, key=lambda s: (s.pid, s.tid, s.start_ns, -s.dur_ns)):
+        tracks.setdefault((s.pid, s.tid), []).append(s)
     rects: list[str] = []
     texts: list[str] = []
     y = 14.0
     for key, track_evs in tracks.items():
-        label = labels.get(key, f"pid {key[0]} tid {key[1]}")
-        open_ends: list[float] = []
+        label = f"pid {key[0]} · {col.track_names.get(key, f'tid {key[1]}')}"
+        open_ends: list[int] = []
         max_depth = 0
         base_y = y
-        for ev in track_evs:
-            while open_ends and ev["ts"] >= open_ends[-1] - 1e-12:
+        for s in track_evs:
+            while open_ends and s.start_ns >= open_ends[-1]:
                 open_ends.pop()
             depth = len(open_ends)
-            open_ends.append(ev["ts"] + ev["dur"])
+            open_ends.append(s.start_ns + s.dur_ns)
             max_depth = max(max_depth, depth)
-            x = left + (ev["ts"] - t0) / span * (width - left - 10)
-            w = max(ev["dur"] / span * (width - left - 10), 1.0)
+            x = left + (s.start_ns - t0) / span * (width - left - 10)
+            w = max(s.dur_ns / span * (width - left - 10), 1.0)
             ry = base_y + depth * rowh
-            name = str(ev.get("name"))
             rects.append(
                 f'<rect x="{x:.1f}" y="{ry:.1f}" width="{w:.1f}" height="{rowh - 3:.1f}"'
-                f' fill="{_color(name)}" rx="1.5">'
-                f"<title>{_esc(name)} — {ev['dur'] / 1e3:.3f} ms"
-                f" (ts {ev['ts'] / 1e3:.3f} ms)</title></rect>"
+                f' fill="{_color(s.name)}" rx="1.5">'
+                f"<title>{_esc(s.name)} — {s.dur_ns / 1e6:.3f} ms"
+                f" (ts {s.start_ns / 1e6:.3f} ms)</title></rect>"
             )
             if w > 60:
                 texts.append(
                     f'<text x="{x + 3:.1f}" y="{ry + rowh - 6:.1f}"'
-                    f' fill="#fff">{_esc(name[:int(w / 6)])}</text>'
+                    f' fill="#fff">{_esc(s.name[:int(w / 6)])}</text>'
                 )
         texts.append(
             f'<text x="4" y="{base_y + rowh - 6:.1f}">{_esc(label[:30])}</text>'
@@ -192,148 +169,57 @@ def _waterfall_svg(trace: dict) -> str:
         f'<svg width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">'
         + "".join(rects) + "".join(texts)
-        + f"</svg><p class=\"note\">traced window: {span / 1e3:.3f} ms; "
+        + f"</svg><p class=\"note\">traced window: {span / 1e6:.3f} ms; "
         f"{len(tracks)} track(s)</p>" + note
     )
 
 
 # --------------------------------------------------------------------- #
-# Section 2 — queue/device timeline from the event stream
+# Section 2 — virtual-platform occupancy from the trace (virtual time)
 # --------------------------------------------------------------------- #
 
 
-def _timeline_svg(events: list[dict], trace: dict | None = None) -> str:
-    if not events:
-        return _nodata("no event stream (set REPRO_EVENTS or pass --events)")
-    t0 = min(e["ts_ns"] for e in events)
-    t1 = max(e["ts_ns"] for e in events)
-    span = max(t1 - t0, 1)
+def _timeline_svg(trace: dict) -> str:
+    evs = [ev for ev in trace.get("traceEvents", []) if isinstance(ev, dict)]
+    virt = [ev for ev in evs if ev.get("ph") == "X" and ev.get("pid") == VIRTUAL_PID]
+    if not virt:
+        return _nodata(
+            "trace carries no virtual-platform tracks (profile apsp or both records them)"
+        )
+    labels = {
+        ev.get("tid"): str((ev.get("args") or {}).get("name", ""))
+        for ev in evs
+        if ev.get("ph") == "M" and ev.get("name") == "thread_name"
+        and ev.get("pid") == VIRTUAL_PID
+    }
     width, left = 960.0, 190.0
     plot_w = width - left - 10
-
-    def x_of(ts_ns: int) -> float:
-        return left + (ts_ns - t0) / span * plot_w
-
-    lanes: list[tuple[str, list[str]]] = []
-
-    # Device lanes: queue.grab ticks sized by batch.
-    grabs = [e for e in events if e["kind"] == "queue.grab"]
-    max_batch = max((int(e.get("batch") or 1) for e in grabs), default=1)
-    per_dev: dict[str, list[dict]] = {}
-    for ev in grabs:
-        per_dev.setdefault(str(ev.get("device") or "?"), []).append(ev)
-    for dev, dev_evs in sorted(per_dev.items()):
-        marks = []
-        for ev in dev_evs:
-            h = 4 + 14.0 * int(ev.get("batch") or 1) / max_batch
-            end = ev.get("end") or "front"
-            marks.append(
-                f'<rect x="{x_of(ev["ts_ns"]):.1f}" y="{18 - h:.1f}" width="2"'
-                f' height="{h:.1f}" fill="{_color(dev)}">'
-                f"<title>{_esc(dev)} grabbed {ev.get('batch')} unit(s) from the"
-                f" {_esc(end)} ({ev.get('remaining')} left)</title></rect>"
-            )
-        lanes.append((f"queue · {dev} ({len(dev_evs)} grabs)", marks))
-
-    # Queue depth polyline across all grabs.
-    depth_pts = [
-        (e["ts_ns"], int(e["remaining"]))
-        for e in grabs
-        if isinstance(e.get("remaining"), int)
-    ]
-    if depth_pts:
-        max_d = max((d for _, d in depth_pts), default=1) or 1
-        pts = " ".join(
-            f"{x_of(ts):.1f},{18 - 16.0 * d / max_d:.1f}" for ts, d in depth_pts
+    vspan = max(max(e["ts"] + e["dur"] for e in virt), 1e-9)
+    rows, y = [], 4.0
+    for tid in sorted({e["tid"] for e in virt}):
+        tevs = [e for e in virt if e["tid"] == tid]
+        busy = sum(e["dur"] for e in tevs)
+        marks = "".join(
+            f'<rect x="{left + e["ts"] / vspan * plot_w:.1f}" y="6" '
+            f'width="{max(e["dur"] / vspan * plot_w, 0.8):.1f}" height="10" '
+            f'fill="{_color(str(e.get("name")))}">'
+            f"<title>{_esc(e.get('name'))} — {e['dur'] / 1e6:.6f} vs</title></rect>"
+            for e in tevs
         )
-        lanes.append(
-            (
-                f"queue depth (max {max_d})",
-                [
-                    f'<polyline points="{pts}" fill="none" stroke="#e15759"'
-                    ' stroke-width="1.5"/>'
-                ],
-            )
-        )
-
-    # Phase band: start/finish brackets from the runners.
-    phases = [e for e in events if e["kind"] in ("phase.start", "phase.finish")]
-    if phases:
-        marks = []
-        opened: dict[tuple, int] = {}
-        for ev in phases:
-            key = (ev.get("cat"), ev.get("phase"))
-            if ev["kind"] == "phase.start":
-                opened[key] = ev["ts_ns"]
-            elif key in opened:
-                x = x_of(opened.pop(key))
-                w = max(x_of(ev["ts_ns"]) - x, 1.0)
-                name = f"{key[0]}/{key[1]}"
-                marks.append(
-                    f'<rect x="{x:.1f}" y="4" width="{w:.1f}" height="12"'
-                    f' fill="{_color(name)}" opacity="0.7" rx="2">'
-                    f"<title>{_esc(name)}</title></rect>"
-                )
-        lanes.append(("pipeline phases", marks))
-
-    rows = []
-    y = 4.0
-    for label, marks in lanes:
         rows.append(
             f'<g transform="translate(0 {y:.1f})">'
-            f'<text x="4" y="14">{_esc(label[:32])}</text>'
-            f'<line x1="{left}" y1="18" x2="{width - 10}" y2="18" '
-            'stroke="#eee"/>' + "".join(marks) + "</g>"
+            f'<text x="4" y="14">{_esc(labels.get(tid, f"virtual tid {tid}")[:26])} '
+            f"({100.0 * busy / vspan:.0f}% busy)</text>"
+            f'<line x1="{left}" y1="16" x2="{width - 10}" y2="16" '
+            'stroke="#eee"/>' + marks + "</g>"
         )
         y += 24.0
-    parts = [
+    return (
         f'<svg width="{width:.0f}" height="{y + 8:.0f}" '
-        f'viewBox="0 0 {width:.0f} {y + 8:.0f}">' + "".join(rows) + "</svg>",
-        f'<p class="note">event window: {(t1 - t0) / 1e9:.3f} s, '
-        f"{len(events)} events</p>",
-    ]
-
-    # Virtual-platform occupancy (clock samples bridged into the trace).
-    if trace:
-        virt = [
-            ev
-            for ev in trace.get("traceEvents", [])
-            if isinstance(ev, dict) and ev.get("ph") == "X"
-            and ev.get("pid") == VIRTUAL_PID
-        ]
-        if virt:
-            vt1 = max(e["ts"] + e["dur"] for e in virt)
-            vspan = max(vt1, 1e-9)
-            vl = _track_labels(trace)
-            vrows, vy = [], 4.0
-            for tid in sorted({e["tid"] for e in virt}):
-                tevs = [e for e in virt if e["tid"] == tid]
-                busy = sum(e["dur"] for e in tevs)
-                label = vl.get((VIRTUAL_PID, tid), f"virtual tid {tid}")
-                marks = "".join(
-                    f'<rect x="{left + e["ts"] / vspan * plot_w:.1f}" y="6" '
-                    f'width="{max(e["dur"] / vspan * plot_w, 0.8):.1f}" height="10" '
-                    f'fill="{_color(str(e.get("name")))}">'
-                    f"<title>{_esc(e.get('name'))} — {e['dur'] / 1e6:.6f} vs</title></rect>"
-                    for e in tevs
-                )
-                vrows.append(
-                    f'<g transform="translate(0 {vy:.1f})">'
-                    f'<text x="4" y="14">{_esc(label[:26])} '
-                    f"({100.0 * busy / vspan:.0f}% busy)</text>"
-                    f'<line x1="{left}" y1="16" x2="{width - 10}" y2="16" '
-                    'stroke="#eee"/>' + marks + "</g>"
-                )
-                vy += 24.0
-            parts.append(
-                "<h3 style=\"font-size:13px;margin:14px 0 4px\">virtual platform "
-                "occupancy (simulated clocks)</h3>"
-                f'<svg width="{width:.0f}" height="{vy + 8:.0f}" '
-                f'viewBox="0 0 {width:.0f} {vy + 8:.0f}">' + "".join(vrows)
-                + f"</svg><p class=\"note\">virtual makespan: {vspan / 1e6:.6f} "
-                "virtual seconds</p>"
-            )
-    return "".join(parts)
+        f'viewBox="0 0 {width:.0f} {y + 8:.0f}">' + "".join(rows)
+        + f"</svg><p class=\"note\">virtual makespan: {vspan / 1e6:.6f} "
+        "virtual seconds</p>"
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -493,7 +379,6 @@ def build_report(
     *,
     title: str = "repro run report",
     trace: dict | None = None,
-    events: list[dict] | None = None,
     record: "RunRecord | None" = None,
     history: "list[RunRecord] | None" = None,
 ) -> str:
@@ -512,21 +397,20 @@ def build_report(
         ds = record.meta.get("dataset")
         if wl or ds:
             meta_bits.append(f"{wl or '?'} on {ds or '?'}")
-    if events:
-        meta_bits.append(f"{len(events)} events")
     if trace:
         meta_bits.append(f"{len(trace.get('traceEvents', []))} trace events")
 
+    no_trace = _nodata(
+        "no Chrome trace (run repro-bench profile --trace-out, or pass --trace)"
+    )
     sections = {
         "waterfall": (
-            "Phase waterfall (Chrome trace)",
-            _waterfall_svg(trace) if trace else _nodata(
-                "no Chrome trace (run repro-bench profile --trace-out, or pass --trace)"
-            ),
+            "Phase waterfall (Chrome trace, wall clock)",
+            _waterfall_svg(trace) if trace else no_trace,
         ),
         "timeline": (
-            "Work-queue & device timeline (event stream)",
-            _timeline_svg(events or [], trace),
+            "Virtual platform occupancy (simulated clocks)",
+            _timeline_svg(trace) if trace else no_trace,
         ),
         "memory": ("Table-1 memory: measured vs model", _memory_section(record)),
         "counters": ("Counters", _counters_section(record)),

@@ -12,20 +12,15 @@ Design constraints, in order:
    recorded (tagged ``error=<ExceptionType>``), and the thread-local
    stack is unwound exactly once, so a crashing phase never corrupts the
    nesting of its siblings.
-3. **Cross-process stitchable.**  Spans carry ``pid``/``tid`` and a
-   monotonic timestamp (``time.perf_counter_ns``, CLOCK_MONOTONIC on
-   Linux — shared by every process on the host), so spans recorded in
-   another process can be shipped back and merged into this trace as
-   per-process tracks (:meth:`TraceCollector.ingest`).
 
 Enablement is either programmatic (the :func:`tracing` context manager)
 or ambient via ``REPRO_TRACE``: any truthy value installs a process-wide
 collector at import time; a value that looks like a path additionally
 writes the Chrome trace there at interpreter exit.
 
-:func:`phase` is the one timer for the paper's Section 2.4 phases: a span,
-the memory delta under ``memory_profiling()`` and the ``phase.start`` /
-``phase.finish`` events, each recorded only while its own layer is armed.
+:func:`phase` is the one timer for the paper's Section 2.4 phases: a span
+and the memory delta under ``memory_profiling()``, each recorded only
+while its own layer is armed.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from . import events as _events
 from . import memory as _memory
 
 __all__ = [
@@ -64,16 +58,6 @@ class Span:
     tid: int
     depth: int  # nesting depth within its thread at record time
     args: dict = field(default_factory=dict)
-
-    def to_tuple(self) -> tuple:
-        """Compact picklable form for crossing process boundaries."""
-        return (self.name, self.cat, self.start_ns, self.dur_ns,
-                self.pid, self.tid, self.depth, self.args)
-
-    @staticmethod
-    def from_tuple(t: tuple) -> "Span":
-        return Span(name=t[0], cat=t[1], start_ns=t[2], dur_ns=t[3],
-                    pid=t[4], tid=t[5], depth=t[6], args=t[7])
 
 
 class _NullSpan:
@@ -125,7 +109,7 @@ class _LiveSpan:
 
 
 class TraceCollector:
-    """Accumulates finished spans; thread-safe, mergeable across processes."""
+    """Accumulates finished spans; thread-safe."""
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
@@ -160,21 +144,6 @@ class TraceCollector:
         with self._lock:
             self.spans.append(sp)
 
-    def ingest(self, payload: list[tuple]) -> None:
-        """Merge spans exported by another process (see :meth:`export_spans`).
-
-        Spans keep their own ``pid``/``tid``, which the Chrome export maps
-        to separate tracks.
-        """
-        incoming = [Span.from_tuple(t) for t in payload]
-        with self._lock:
-            self.spans.extend(incoming)
-
-    def export_spans(self) -> list[tuple]:
-        """Picklable span payload for shipping across a process boundary."""
-        with self._lock:
-            return [s.to_tuple() for s in self.spans]
-
     # -- views --------------------------------------------------------- #
 
     def __len__(self) -> int:
@@ -198,7 +167,7 @@ class TraceCollector:
 
         Returns a list of root nodes ``{"span": Span, "children": [...]}``
         sorted by start time.  Containment is computed from intervals, so
-        ingested cross-process spans nest correctly inside their track.
+        spans loaded from a recorded trace (depth 0) nest correctly too.
         """
         with self._lock:
             spans = sorted(self.spans, key=lambda s: (s.pid, s.tid, s.start_ns, -s.dur_ns))
@@ -272,16 +241,12 @@ def span(name: str, cat: str = "repro", **args):
 
 
 class _LivePhase:
-    """A :func:`phase` with at least one of its three layers armed."""
+    """A :func:`phase` with at least one of its two layers armed."""
 
-    __slots__ = ("_span", "_emitting", "_prof", "_mem_name", "_mem_before")
+    __slots__ = ("_span", "_prof", "_mem_name", "_mem_before")
 
     def __init__(self, name: str, cat: str, attrs: dict, prof) -> None:
         self._span = span(name, cat, **attrs)
-        fields = {"phase": name, "cat": cat}
-        if "stage" in attrs:
-            fields["stage"] = attrs["stage"]
-        self._emitting = _events.emitting("phase", **fields)
         self._prof = prof
         self._mem_name = f"{cat}.{name}"
         self._mem_before = 0
@@ -290,11 +255,9 @@ class _LivePhase:
         self._span.__enter__()
         if self._prof is not None:
             self._mem_before = self._prof._enter()
-        self._emitting.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._emitting.__exit__(exc_type, exc, tb)
         if self._prof is not None:
             self._prof._exit(self._mem_name, self._mem_before)
         self._span.__exit__(exc_type, exc, tb)
@@ -305,15 +268,13 @@ def phase(name: str, cat: str, **attrs):
     """Time one paper phase (``preprocess`` / ``process`` / ``postprocess``).
 
     Records, each only while its layer is armed: the span ``name`` with
-    ``attrs`` as args; the tracemalloc delta and peak as memory span
+    ``attrs`` as args, and the tracemalloc delta and peak as memory span
     ``<cat>.<name>`` inside a ``memory_profiling()`` block (never merely
-    because tracemalloc is running); and ``phase.start`` / ``phase.finish``
-    events carrying ``phase``, ``cat`` and ``stage``.  With none armed it
-    returns the shared :data:`_NULL_SPAN`, the same hot-path contract as
-    :func:`span`.
+    because tracemalloc is running).  With neither armed it returns the
+    shared :data:`_NULL_SPAN`, the same hot-path contract as :func:`span`.
     """
     prof = _memory._profile
-    if _collector is None and prof is None and _events._sink is None:
+    if _collector is None and prof is None:
         return _NULL_SPAN
     return _LivePhase(name, cat, attrs, prof)
 
@@ -352,9 +313,7 @@ def _install_from_env() -> None:
     """Arm the ambient collector when ``REPRO_TRACE`` is truthy.
 
     A value that is not a plain boolean flag is treated as an output path:
-    the Chrome trace is written there at interpreter exit.  Worker
-    processes inherit the variable, so their own ambient collectors arm
-    automatically under both ``fork`` and ``spawn``.
+    the Chrome trace is written there at interpreter exit.
     """
     global _collector
     val = os.environ.get("REPRO_TRACE", "")

@@ -56,15 +56,13 @@ class Implementation:
 
     ``max_n`` caps the graphs this implementation is asked to solve
     (Horton's candidate enumeration is O(n·m·f) — fine as an oracle on
-    small graphs, pointless on large ones); ``stride`` runs it on every
-    k-th corpus graph only (for implementations with a high fixed cost per
-    call).  ``reference`` marks the registry's comparison baseline.
+    small graphs, pointless on large ones).  ``reference`` marks the
+    registry's comparison baseline.
     """
 
     name: str
     fn: Callable[[CSRGraph], object]
     max_n: int | None = None
-    stride: int = 1
     reference: bool = False
 
 
@@ -304,16 +302,13 @@ def run_apsp_differential(
         selected.insert(0, ref)
     out_dir = _artifact_path(artifacts_dir)
     report = DifferentialReport(kind="apsp", implementations=[i.name for i in selected])
-    for gi, (name, g) in enumerate(graphs):
+    for name, g in graphs:
         report.graphs_run += 1
         want = np.asarray(ref.fn(g), dtype=np.float64)
         for impl in selected:
             if impl.name == ref.name:
                 continue
             if impl.max_n is not None and g.n > impl.max_n:
-                report.skipped += 1
-                continue
-            if gi % impl.stride != 0:
                 report.skipped += 1
                 continue
             got = np.asarray(impl.fn(g), dtype=np.float64)
@@ -352,7 +347,7 @@ def run_mcb_differential(
         selected.insert(0, ref)
     out_dir = _artifact_path(artifacts_dir)
     report = DifferentialReport(kind="mcb", implementations=[i.name for i in selected])
-    for gi, (name, g) in enumerate(graphs):
+    for name, g in graphs:
         report.graphs_run += 1
         # Baseline weight: the reference when it runs at this size, else the
         # first implementation that does (so large graphs still cross-check).
@@ -363,9 +358,6 @@ def run_mcb_differential(
             if impl.name == ref.name:
                 continue
             if impl.max_n is not None and g.n > impl.max_n:
-                report.skipped += 1
-                continue
-            if gi % impl.stride != 0:
                 report.skipped += 1
                 continue
             cycles = impl.fn(g)

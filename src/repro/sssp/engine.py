@@ -35,7 +35,6 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from ..graph.csr import CSRGraph, GraphError
-from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 
@@ -230,30 +229,19 @@ def multi_source(
     chunk = resolve_chunk_size(chunk_size)
     k = len(sources)
     _C_SOURCES.inc(k)
-    # Captured once per call: disabled runs must not even build the
-    # events' keyword dicts inside the chunk loop.
-    ev = _events.enabled()
     if k <= chunk:
         _C_CHUNKS.inc()
-        if ev:
-            _events.emit("chunk.start", sources=k)
         with _span("sssp.chunk", cat="sssp", sources=k):
             out = csgraph.dijkstra(mat, directed=False, indices=sources)
-        if ev:
-            _events.emit("chunk.finish", sources=k)
         return np.asarray(out, dtype=np.float64)
     out = np.empty((k, g.n), dtype=np.float64)
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
         _C_CHUNKS.inc()
-        if ev:
-            _events.emit("chunk.start", sources=hi - lo)
         with _span("sssp.chunk", cat="sssp", sources=hi - lo):
             out[lo:hi] = csgraph.dijkstra(
                 mat, directed=False, indices=sources[lo:hi]
             )
-        if ev:
-            _events.emit("chunk.finish", sources=hi - lo)
     return out
 
 
@@ -286,31 +274,22 @@ def spt_forest(
     chunk = resolve_chunk_size(chunk_size)
     k = len(sources)
     _C_SOURCES.inc(k)
-    ev = _events.enabled()
     if k <= chunk:
         _C_CHUNKS.inc()
-        if ev:
-            _events.emit("chunk.start", sources=k)
         with _span("sssp.chunk", cat="sssp", sources=k, predecessors=True):
             dist, pred = csgraph.dijkstra(
                 mat, directed=False, indices=sources, return_predecessors=True
             )
-        if ev:
-            _events.emit("chunk.finish", sources=k)
         return np.asarray(dist, dtype=np.float64), np.asarray(pred, dtype=np.int64)
     dist = np.empty((k, g.n), dtype=np.float64)
     pred = np.empty((k, g.n), dtype=np.int64)
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
         _C_CHUNKS.inc()
-        if ev:
-            _events.emit("chunk.start", sources=hi - lo)
         with _span("sssp.chunk", cat="sssp", sources=hi - lo, predecessors=True):
             d, p = csgraph.dijkstra(
                 mat, directed=False, indices=sources[lo:hi], return_predecessors=True
             )
-        if ev:
-            _events.emit("chunk.finish", sources=hi - lo)
         dist[lo:hi] = d
         pred[lo:hi] = p
     return dist, pred

@@ -54,3 +54,45 @@ def bridge_mask(g: CSRGraph) -> np.ndarray:
 def bridge_count(g: CSRGraph) -> int:
     """Number of bridges of ``g`` (see :func:`bridge_mask`)."""
     return int(bridge_mask(g).sum())
+
+
+class GrabRecorder:
+    """Each work-queue grab as ``(end, batch, device, remaining)``, in order.
+
+    Recorded from the test side only: :meth:`install` wraps
+    ``DequeWorkQueue.take`` (which end, how many units, how many are left)
+    and the step ``executor.race`` hands each batch to (which device took
+    it); both race callers, ``simulate_trace`` and ``run_stage``, go through
+    the wrapper.  A reference queue can call :meth:`add` directly.
+    """
+
+    def __init__(self) -> None:
+        self.grabs: list[tuple] = []
+
+    def add(self, end: str, batch: int, device: str, remaining: int) -> None:
+        self.grabs.append((end, batch, device, remaining))
+
+    def install(self, monkeypatch) -> "GrabRecorder":
+        from repro.hetero import executor, trace
+        from repro.hetero.workqueue import DequeWorkQueue
+
+        take, race = DequeWorkQueue.take, executor.race
+        taken: list[tuple] = []
+
+        def recorded_take(queue, batch_size, from_back):
+            out = take(queue, batch_size, from_back)
+            taken.append(("back" if from_back else "front", len(out), len(queue)))
+            return out
+
+        def recorded_race(devices, queue, step):
+            def recorded_step(dev, batch):
+                end, n, remaining = taken.pop()
+                self.add(end, n, dev.name, remaining)
+                step(dev, batch)
+
+            return race(devices, queue, recorded_step)
+
+        monkeypatch.setattr(DequeWorkQueue, "take", recorded_take)
+        monkeypatch.setattr(executor, "race", recorded_race)
+        monkeypatch.setattr(trace, "race", recorded_race)
+        return self

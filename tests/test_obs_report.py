@@ -4,12 +4,16 @@ Every section must render (data or explicit "no data" note) from any
 subset of inputs, the emitted document must pass ``validate_report`` (the
 CI smoke contract: doctype, one anchor per section, balanced tags, no
 network references), and the CLI must assemble reports from a ledgered
-run's ``events_dir``/``trace_path`` meta alone.
+run's ``trace_path`` meta alone.  Wall-clock spans and the virtual
+platform's simulated clocks never share an axis.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.obs.ledger import RunRecord
 from repro.obs.report import (
@@ -24,7 +28,7 @@ def _trace_doc():
     return {
         "traceEvents": [
             {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-             "args": {"name": "repro (parent)"}},
+             "args": {"name": "repro"}},
             {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0,
              "args": {"name": "tid 0"}},
             {"name": "preprocess", "cat": "apsp", "ph": "X",
@@ -41,15 +45,9 @@ def _trace_doc():
     }
 
 
-def _events():
-    return [
-        {"v": 1, "seq": 0, "ts_ns": 10, "pid": 1, "kind": "phase.start",
-         "phase": "process", "cat": "apsp"},
-        {"v": 1, "seq": 1, "ts_ns": 20, "pid": 1, "kind": "queue.grab",
-         "end": "back", "batch": 3, "device": "gpu", "remaining": 5},
-        {"v": 1, "seq": 2, "ts_ns": 40, "pid": 1, "kind": "phase.finish",
-         "phase": "process", "cat": "apsp"},
-    ]
+def _section(doc: str, name: str) -> str:
+    start = doc.index(f'id="section-{name}"')
+    return doc[start:doc.index("</section>", start)]
 
 
 def _record(**over):
@@ -91,19 +89,26 @@ class TestBuildReport:
         doc = build_report(
             title="test run",
             trace=_trace_doc(),
-            events=_events(),
             record=history[-1],
             history=history,
         )
         assert validate_report(doc) == []
         assert "preprocess" in doc          # waterfall bars
-        assert "virtual platform occupancy" in doc
-        assert "queue · gpu" in doc         # timeline device lane
-        assert "pipeline phases" in doc     # timeline phase band
+        assert "virtual gpu" in doc         # occupancy lane
+        assert "virtual makespan" in doc
         assert "a² + Σ nᵢ²" in doc          # memory shape line
         assert "engine.chunks_dispatched" in doc
         assert 'class="spark"' in doc       # history sparklines
         assert "regression gate" in doc
+
+    def test_trace_alone_keeps_wall_and_virtual_time_apart(self):
+        doc = build_report(trace=_trace_doc())
+        waterfall = _section(doc, "waterfall")
+        assert "virtual" not in waterfall and "dijkstra" not in waterfall
+        assert "1 track(s)" in waterfall
+        timeline = _section(doc, "timeline")
+        assert "virtual gpu" in timeline
+        assert "nodata" not in timeline
 
     def test_history_regression_verdict_flags_slowdown(self):
         history = [_record(phases={"process": 0.1}) for _ in range(6)]
@@ -141,30 +146,48 @@ class TestValidateReport:
 class TestWriteReport:
     def test_writes_single_file(self, tmp_path):
         out = tmp_path / "r.html"
-        write_report(out, events=_events())
+        write_report(out, trace=_trace_doc())
         doc = out.read_text()
         assert validate_report(doc) == []
 
 
+class TestDeterminism:
+    def test_same_trace_same_document_across_hash_seeds(self, tmp_path):
+        trace_path = tmp_path / "t.json"
+        trace_path.write_text(json.dumps(_trace_doc()))
+        code = (
+            "import json, sys\n"
+            "from repro.obs.report import build_report\n"
+            "sys.stdout.write(build_report(trace=json.load(open(sys.argv[1]))))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        docs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (env.get("PYTHONPATH"), "src") if p
+            )
+            docs.append(
+                subprocess.run(
+                    [sys.executable, "-c", code, str(trace_path)],
+                    check=True, capture_output=True, env=env, cwd=root,
+                ).stdout
+            )
+        assert docs[0] and docs[0] == docs[1]
+
+
 class TestReportCLI:
     def test_report_from_ledger_meta(self, tmp_path, capsys):
-        """`repro-bench report --ledger X` locates the run's trace and
-        events from the ledgered record's meta alone."""
+        """`repro-bench report --ledger X` locates the run's trace from
+        the ledgered record's meta alone."""
         from repro.cli import main
-        from repro.obs.events import events_to
         from repro.obs.ledger import Ledger
 
         trace_path = tmp_path / "t.json"
         trace_path.write_text(json.dumps(_trace_doc()))
-        ev_dir = tmp_path / "ev"
-        with events_to(ev_dir):
-            from repro.obs.events import emit
-
-            emit("queue.grab", end="front", batch=1, device="cpu", remaining=0)
         ledger = Ledger(tmp_path / "ledger.jsonl")
         rec = _record()
         rec.meta["trace_path"] = str(trace_path)
-        rec.meta["events_dir"] = str(ev_dir)
         ledger.append(rec)
         out = tmp_path / "report.html"
         rc = main([
@@ -174,7 +197,7 @@ class TestReportCLI:
         assert rc == 0
         doc = out.read_text()
         assert validate_report(doc) == []
-        assert "queue · cpu" in doc           # events were found via meta
+        assert "virtual gpu" in doc           # the trace was found via meta
         assert "apsp on OPF_3754" in doc      # title from the record
 
     def test_report_with_no_inputs_still_valid(self, tmp_path, monkeypatch):
@@ -187,12 +210,12 @@ class TestReportCLI:
         assert validate_report((tmp_path / "r.html").read_text()) == []
 
     def test_old_reader_tolerates_new_meta_fields(self, tmp_path):
-        # The events_dir/trace_path meta keys ride in the free-form meta
-        # dict: a reader that ignores them still parses the record.
+        # The trace_path meta key rides in the free-form meta dict: a
+        # reader that ignores it still parses the record.
         rec = _record()
-        rec.meta["events_dir"] = "/somewhere"
+        rec.meta["trace_path"] = "/somewhere"
         rec.meta["future_field"] = {"nested": True}
         doc = rec.to_dict()
         parsed = RunRecord.from_dict(json.loads(json.dumps(doc)))
         assert parsed.phases == rec.phases
-        assert parsed.meta["events_dir"] == "/somewhere"
+        assert parsed.meta["trace_path"] == "/somewhere"

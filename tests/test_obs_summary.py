@@ -32,15 +32,13 @@ MS = 1_000_000  # ns per millisecond — keeps the geometries readable
 def _collector(*spans: tuple) -> TraceCollector:
     """Build a collector from (name, start_ms, dur_ms[, pid[, tid]])."""
     tr = TraceCollector()
-    tr.ingest(
-        [
-            Span(
-                name=s[0], cat="t", start_ns=s[1] * MS, dur_ns=s[2] * MS,
-                pid=s[3] if len(s) > 3 else 1, tid=s[4] if len(s) > 4 else 1,
-                depth=0,
-            ).to_tuple()
-            for s in spans
-        ]
+    tr.spans.extend(
+        Span(
+            name=s[0], cat="t", start_ns=s[1] * MS, dur_ns=s[2] * MS,
+            pid=s[3] if len(s) > 3 else 1, tid=s[4] if len(s) > 4 else 1,
+            depth=0,
+        )
+        for s in spans
     )
     return tr
 

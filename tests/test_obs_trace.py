@@ -123,9 +123,9 @@ class TestSpanTreeEdgeCases:
     """
 
     @staticmethod
-    def _ingest(*spans: Span) -> TraceCollector:
+    def _collect(*spans: Span) -> TraceCollector:
         tr = TraceCollector()
-        tr.ingest([s.to_tuple() for s in spans])
+        tr.spans.extend(spans)
         return tr
 
     @staticmethod
@@ -134,7 +134,7 @@ class TestSpanTreeEdgeCases:
                     pid=pid, tid=tid, depth=depth, args=args or {})
 
     def test_zero_duration_span_nests_inside_cover(self):
-        tr = self._ingest(
+        tr = self._collect(
             self._mk("cover", 0, 100),
             self._mk("instant", 50, 0),
         )
@@ -145,7 +145,7 @@ class TestSpanTreeEdgeCases:
         assert child["span"].dur_ns == 0
 
     def test_zero_duration_span_alone_is_a_root(self):
-        tr = self._ingest(self._mk("instant", 7, 0))
+        tr = self._collect(self._mk("instant", 7, 0))
         (root,) = tr.span_tree()
         assert root["span"].name == "instant"
         assert root["children"] == []
@@ -153,7 +153,7 @@ class TestSpanTreeEdgeCases:
     def test_identical_start_times_longer_span_contains_shorter(self):
         # Same start on one track: the (start, -dur) sort makes the
         # longer span the parent, never a sibling overlap.
-        tr = self._ingest(
+        tr = self._collect(
             self._mk("long", 10, 100),
             self._mk("short", 10, 40),
         )
@@ -162,7 +162,7 @@ class TestSpanTreeEdgeCases:
         assert [c["span"].name for c in root["children"]] == ["short"]
 
     def test_identical_start_and_duration_nest_deterministically(self):
-        tr = self._ingest(
+        tr = self._collect(
             self._mk("twin_a", 10, 50),
             self._mk("twin_b", 10, 50),
         )
@@ -177,7 +177,7 @@ class TestSpanTreeEdgeCases:
         # A worker_chunk from another pid with no dispatch bracket in the
         # trace (crash-degraded run / torn file): its track has no cover,
         # so it must surface as a root rather than attach anywhere.
-        tr = self._ingest(
+        tr = self._collect(
             self._mk("parallel.dispatch", 0, 100, pid=1),
             self._mk("parallel.worker_chunk", 200, 50, pid=2,
                      args={"dispatch": 99, "chunk": 0}),
@@ -214,48 +214,41 @@ class TestExceptionSafety:
 
 
 class TestPhase:
-    """``obs.trace.phase``: span, memory span and phase events from one call."""
+    """``obs.trace.phase``: the span and the memory span from one call."""
 
-    def test_records_all_three_layers(self, tmp_path):
-        from repro.obs.events import EventLog, events_to
+    def test_records_span_and_memory_span(self):
         from repro.obs.memory import memory_profiling
 
-        with events_to(tmp_path), tracing() as tr, memory_profiling() as mp:
+        with tracing() as tr, memory_profiling() as mp:
             with phase("preprocess", "apsp", stage="decompose", n=7):
                 pass
         (sp,) = tr.spans
         assert (sp.name, sp.cat) == ("preprocess", "apsp")
         assert sp.args == {"stage": "decompose", "n": 7}
         assert [m.name for m in mp.spans] == ["apsp.preprocess"]
-        start, finish = EventLog(tmp_path).read()
-        assert start["kind"] == "phase.start"
-        assert finish["kind"] == "phase.finish"
-        for ev in (start, finish):
-            assert (ev["phase"], ev["cat"], ev["stage"]) == ("preprocess", "apsp", "decompose")
-            assert "n" not in ev
 
-    def test_each_layer_arms_alone(self, tmp_path):
-        from repro.obs.events import EventLog, events_to
+    def test_each_layer_arms_alone(self):
+        from repro.obs.memory import memory_profiling
 
         with tracing() as tr:
             with phase("process", "mcb", stage="expand"):
                 pass
         assert [s.name for s in tr.spans] == ["process"]
-        with events_to(tmp_path):
+        with memory_profiling() as mp:
             with phase("process", "mcb", stage="expand"):
                 pass
-        assert EventLog(tmp_path).kinds() == {"phase.start": 1, "phase.finish": 1}
+        assert [m.name for m in mp.spans] == ["mcb.process"]
 
-    def test_raising_phase_tags_span_and_event(self, tmp_path):
-        from repro.obs.events import EventLog, events_to
+    def test_raising_phase_tags_span(self):
+        from repro.obs.memory import memory_profiling
 
-        with events_to(tmp_path), tracing() as tr:
+        with tracing() as tr, memory_profiling() as mp:
             with pytest.raises(KeyError):
                 with phase("postprocess", "apsp", stage="extend"):
                     raise KeyError("x")
         (sp,) = tr.spans
         assert sp.args["error"] == "KeyError"
-        assert EventLog(tmp_path).read()[-1]["error"] == "KeyError"
+        assert [m.name for m in mp.spans] == ["apsp.postprocess"]
 
 
 class TestTracingContextManager:
@@ -276,32 +269,6 @@ class TestTracingContextManager:
                 pass
         assert [s.name for s in inner_tr.spans] == ["inner.only"]
         assert [s.name for s in outer_tr.spans] == ["outer.only"]
-
-
-class TestCrossProcessIngest:
-    def test_roundtrip_tuples(self):
-        remote = TraceCollector()
-        with tracing(remote):
-            with span("worker.chunk", cat="parallel", sources=8):
-                pass
-        payload = remote.export_spans()
-        assert all(isinstance(t, tuple) for t in payload)
-        local = TraceCollector()
-        local.ingest(payload)
-        (sp,) = local.spans
-        assert isinstance(sp, Span)
-        assert sp.name == "worker.chunk" and sp.args == {"sources": 8}
-
-    def test_ingested_pid_becomes_own_track(self):
-        local = TraceCollector()
-        fake = Span(name="remote", cat="t", start_ns=0, dur_ns=10,
-                    pid=os.getpid() + 1, tid=1, depth=0, args={})
-        local.ingest([fake.to_tuple()])
-        with tracing(local):
-            with span("local.root"):
-                pass
-        roots = local.span_tree()
-        assert {n["span"].name for n in roots} == {"remote", "local.root"}
 
 
 class TestChromeExport:

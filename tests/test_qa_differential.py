@@ -177,10 +177,18 @@ class TestSuiteEntry:
             k: r.summary() for k, r in reports.items()
         }
 
-    def test_stride_and_max_n_skips_counted(self):
-        impl = Implementation(name="x", fn=lambda g: None, max_n=0, stride=2)
-        assert impl.max_n == 0 and impl.stride == 2
-        report = run_apsp_differential(
-            strategies.corpus(count=6, seed=0), impls=["dijkstra-scipy", "dense-fw"]
+    def test_max_n_skips_counted(self, monkeypatch):
+        def never(g):
+            raise AssertionError("an entry over its max_n was run")
+
+        monkeypatch.setitem(
+            APSP_REGISTRY, "capped", Implementation(name="capped", fn=never, max_n=0)
         )
+        # max_n=0 still admits the empty graph; every other one is skipped.
+        graphs = [(name, g) for name, g in strategies.corpus(count=6, seed=0) if g.n]
+        assert len(graphs) >= 3
+        report = run_apsp_differential(graphs, impls=["dijkstra-scipy", "capped"])
         assert report.ok
+        assert report.graphs_run == len(graphs)
+        assert report.skipped == len(graphs)
+        assert report.comparisons == 0

@@ -6,9 +6,9 @@ pairs through one race loop over a two-cursor queue; the reference below
 is the path it replaced: one :class:`WorkUnit` per pair, a deque popped
 one unit at a time, the old ``run_stage`` loop with per-grab telemetry,
 and ``_run_divisible`` pricing a probe ``WorkUnit``.  Every virtual time,
-stage time, busy time, clock sample, ``queue.*`` metric delta and
-``queue.grab`` event must come out the same, on the Table-2 and Figure-2
-traces and on a seeded random corpus.
+stage time, busy time, clock sample, ``queue.*`` metric delta and grab
+(end, batch, device, remaining) must come out the same, on the Table-2
+and Figure-2 traces and on a seeded random corpus.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import random
 from collections import deque
 
 import pytest
+from _support import GrabRecorder
 
 from repro import datasets
 from repro.hetero import (
@@ -34,7 +35,6 @@ from repro.hetero import (
     sequential_device,
     simulate_trace,
 )
-from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 
 # --------------------------------------------------------------------- #
@@ -44,6 +44,8 @@ from repro.obs import metrics as _metrics
 
 class ReferenceQueue:
     """The size-sorted deque, popped one unit per slot of a grab."""
+
+    recorder: GrabRecorder | None = None  # set by _observe
 
     def __init__(self, units: list[WorkUnit], sort: bool = True) -> None:
         ordered = sorted(units, key=lambda u: u.work) if sort else list(units)
@@ -64,13 +66,9 @@ class ReferenceQueue:
             _metrics.histogram("queue.grab.batch").observe(len(out))
             if device:
                 _metrics.counter(f"queue.device.{device}.units").inc(len(out))
-            if _events.enabled():
-                _events.emit(
-                    "queue.grab",
-                    end="back" if from_back else "front",
-                    batch=len(out),
-                    device=device,
-                    remaining=len(self._q),
+            if self.recorder is not None:
+                self.recorder.add(
+                    "back" if from_back else "front", len(out), device, len(self._q)
                 )
         return out
 
@@ -173,7 +171,7 @@ def reference_simulate(trace: WorkTrace, platform: Platform, record_samples: boo
 
 
 # --------------------------------------------------------------------- #
-# Observation: exact state, metric deltas and the grab event sequence
+# Observation: exact state, metric deltas and the grab sequence
 # --------------------------------------------------------------------- #
 
 
@@ -199,23 +197,12 @@ def _clocks(platform: Platform) -> list:
     )
 
 
-class _GrabRecorder:
-    """In-memory event sink keeping each ``queue.grab`` in emission order."""
-
-    def __init__(self) -> None:
-        self.grabs: list[tuple] = []
-
-    def emit(self, kind: str, **f) -> None:
-        if kind == "queue.grab":
-            self.grabs.append((f["end"], f["batch"], f["device"], f["remaining"]))
-
-
 def _observe(monkeypatch, fn):
-    """``fn()``'s value, its ``queue.*`` metric deltas and its grab events."""
-    rec = _GrabRecorder()
+    """``fn()``'s value, its ``queue.*`` metric deltas and its grabs."""
     before = _metrics.snapshot("queue.")
     with monkeypatch.context() as m:
-        m.setattr(_events, "_sink", rec)
+        rec = GrabRecorder().install(m)
+        m.setattr(ReferenceQueue, "recorder", rec)
         out = fn()
     return out, _bits(_metrics.metrics_diff(before, _metrics.snapshot("queue."))), rec.grabs
 
@@ -249,7 +236,7 @@ def assert_replays_match(monkeypatch, trace: WorkTrace, record_samples: bool, pl
         assert new[0] == ref[0], f"{name}: SimulationResult differs"
         assert new[1] == ref[1], f"{name}: device clocks or samples differ"
         assert new_metrics == ref_metrics, f"{name}: queue.* metric deltas differ"
-        assert new_grabs == ref_grabs, f"{name}: queue.grab events differ"
+        assert new_grabs == ref_grabs, f"{name}: grab sequences differ"
 
 
 # --------------------------------------------------------------------- #
@@ -350,7 +337,7 @@ def _work_units(rng: random.Random, n: int, log: list, first_uid: int) -> list[W
 @pytest.mark.parametrize("name", sorted(PLATFORMS))
 def test_run_stage_with_real_units(monkeypatch, name):
     """Several stages on one executor: reports, results (in execution
-    order), the order the units ran in, clocks, metrics and events."""
+    order), the order the units ran in, clocks, metrics and grabs."""
 
     def drive(new: bool):
         rng = random.Random(name)

@@ -1,4 +1,4 @@
-"""Work-queue telemetry: per-device counters and ``queue.grab`` events.
+"""Work-queue telemetry: per-end and per-device grab counters.
 
 Covers both paths that drive the double-ended queue — the trace-replay
 simulator (:func:`repro.hetero.trace.simulate_trace`) and a directly
@@ -8,11 +8,12 @@ samples into Chrome-trace device tracks.
 
 from __future__ import annotations
 
+from _support import GrabRecorder
+
 from repro.hetero.executor import HeterogeneousExecutor, Platform
 from repro.hetero.trace import WorkTrace, simulate_trace
 from repro.hetero.workqueue import DequeWorkQueue, WorkUnit
 from repro.obs import metrics as _metrics
-from repro.obs.events import EventLog, events_to
 from repro.obs.export import (
     VIRTUAL_PID,
     chrome_trace,
@@ -53,20 +54,9 @@ class TestGrabCounters:
         DequeWorkQueue(_units(4)).grab(3, from_back=True)
         assert hist.count == n0 + 1
 
-    def test_grab_event_payload(self, tmp_path):
-        q = DequeWorkQueue(_units(5))
-        with events_to(tmp_path):
-            q.grab(2, from_back=True, device="gpu")
-            q.grab(1, from_back=False, device="cpu")
-        evs = EventLog(tmp_path).read(kinds={"queue.grab"})
-        assert [(e["device"], e["end"], e["batch"], e["remaining"]) for e in evs] == [
-            ("gpu", "back", 2, 3),
-            ("cpu", "front", 1, 2),
-        ]
-
 
 class TestSimulatedPath:
-    def test_replay_attributes_grabs_to_device_names(self, tmp_path):
+    def test_replay_attributes_grabs_to_device_names(self, monkeypatch):
         trace = WorkTrace()
         stage = trace.new_stage("dijkstra")
         for i in range(12):
@@ -77,26 +67,26 @@ class TestSimulatedPath:
             for d in platform.devices
         }
         before = {name: c.value for name, c in dev_counters.items()}
-        with events_to(tmp_path):
-            simulate_trace(trace, platform)
+        rec = GrabRecorder().install(monkeypatch)
+        simulate_trace(trace, platform)
         grabbed = {
             name: c.value - before[name] for name, c in dev_counters.items()
         }
         assert sum(grabbed.values()) == 12  # every unit attributed
-        evs = EventLog(tmp_path).read(kinds={"queue.grab"})
-        assert {e["device"] for e in evs} <= set(dev_counters)
+        assert {device for _, _, device, _ in rec.grabs} == set(dev_counters)
         # The [19] discipline: the GPU grabs from the big end (back),
         # the CPU from the small end (front).
-        for e in evs:
-            assert e["end"] == ("back" if e["device"] == "gpu" else "front")
+        for end, _, device, _ in rec.grabs:
+            assert end == ("back" if device == "gpu" else "front")
 
-    def test_executor_run_stage_threads_device_name(self, tmp_path):
-        ex = HeterogeneousExecutor(Platform.sequential())
-        with events_to(tmp_path):
-            ex.run_stage(_units(3))
-        evs = EventLog(tmp_path).read(kinds={"queue.grab"})
-        assert evs
-        assert all(e["device"] == "sequential" for e in evs)
+    def test_executor_run_stage_threads_device_name(self, monkeypatch):
+        units = _metrics.counter("queue.device.sequential.units")
+        before = units.value
+        rec = GrabRecorder().install(monkeypatch)
+        HeterogeneousExecutor(Platform.sequential()).run_stage(_units(3))
+        assert rec.grabs
+        assert all(device == "sequential" for _, _, device, _ in rec.grabs)
+        assert units.value == before + 3
 
 
 class TestVirtualClockBridge:
