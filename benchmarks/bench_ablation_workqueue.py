@@ -5,20 +5,17 @@ balancing can fall short".  This ablation replays a skewed work-unit
 distribution (a few huge BCC-sized units plus many small ones, as in the
 real datasets) under (a) the dynamic queue, (b) a static 50/50 split, and
 (c) a static bandwidth-proportional split — the dynamic queue's makespan
-must beat or match the best static one.
+must beat or match the best static one.  Units are ``(work, items)`` pairs,
+as in a recorded work trace; the dynamic queue is the trace replay
+(:func:`repro.hetero.simulate_trace`) of one stage holding them all.
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import format_table
-from repro.hetero import (
-    HeterogeneousExecutor,
-    Platform,
-    WorkUnit,
-    cpu_device,
-    gpu_device,
-)
+from repro.hetero import Platform, WorkTrace, cpu_device, gpu_device, simulate_trace
+from repro.hetero import trace as hetero_trace
 
 
 def skewed_units(seed=0, n_small=120, n_big=6):
@@ -26,33 +23,30 @@ def skewed_units(seed=0, n_small=120, n_big=6):
     works = np.concatenate(
         [rng.uniform(1e6, 5e6, n_small), rng.uniform(4e8, 9e8, n_big)]
     )
-    return [
-        WorkUnit(uid=i, fn=lambda: None, work=float(w), items=20_000)
-        for i, w in enumerate(works)
-    ]
+    return [(float(w), 20_000) for w in works]
 
 
 def static_split_makespan(units, frac_to_gpu):
     """Assign the biggest `frac` of work to the GPU up front."""
     cpu, gpu = cpu_device(), gpu_device()
-    ordered = sorted(units, key=lambda u: -u.work)
-    total = sum(u.work for u in units)
+    ordered = sorted(units, key=lambda u: -u[0])
+    total = sum(w for w, _ in units)
     gpu_units, cpu_units, acc = [], [], 0.0
-    for u in ordered:
+    for w, items in ordered:
         if acc < frac_to_gpu * total:
-            gpu_units.append(u)
-            acc += u.work
+            gpu_units.append((w, items))
+            acc += w
         else:
-            cpu_units.append(u)
-    t_gpu = sum(gpu.cost([u]) for u in gpu_units)
-    t_cpu = sum(cpu.cost([u]) for u in cpu_units)
+            cpu_units.append((w, items))
+    t_gpu = sum(gpu.batch_cost(w, items) for w, items in gpu_units)
+    t_cpu = sum(cpu.batch_cost(w, items) for w, items in cpu_units)
     return max(t_gpu, t_cpu)
 
 
 def dynamic_makespan(units):
-    plat = Platform.heterogeneous()
-    ex = HeterogeneousExecutor(plat)
-    return ex.run_stage(list(units)).makespan
+    trace = WorkTrace()
+    trace.new_stage("bcc").units = list(units)
+    return simulate_trace(trace, Platform.heterogeneous()).total_time
 
 
 def test_dynamic_queue_beats_static(benchmark):
@@ -88,21 +82,21 @@ def test_dynamic_queue_beats_static(benchmark):
     }
 
 
-def test_gpu_gets_big_units(benchmark):
+def test_gpu_gets_big_units(benchmark, monkeypatch):
     """The sorted deque serves big units to the GPU end, as specified."""
     units = skewed_units(seed=3)
-    plat = Platform.heterogeneous()
-    ex = HeterogeneousExecutor(plat)
 
     taken = {"cpu": [], "gpu": []}
-    for d in plat.devices:
-        orig = d.execute
+    race = hetero_trace.race
 
-        def wrapped(batch, d=d, orig=orig):
-            taken[d.name] += [u.work for u in batch]
-            return orig(batch)
+    def recording_race(devices, queue, step):
+        def recorded_step(dev, batch):
+            taken[dev.name] += [w for w, _ in batch]
+            step(dev, batch)
 
-        d.execute = wrapped
-    benchmark.pedantic(lambda: ex.run_stage(list(units)), rounds=1, iterations=1)
+        return race(devices, queue, recorded_step)
+
+    monkeypatch.setattr(hetero_trace, "race", recording_race)
+    benchmark.pedantic(lambda: dynamic_makespan(units), rounds=1, iterations=1)
     assert max(taken["gpu"]) >= max(taken["cpu"])
     assert np.mean(taken["gpu"]) > np.mean(taken["cpu"])

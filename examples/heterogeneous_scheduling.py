@@ -4,8 +4,8 @@
 Reproduces one row of the paper's Table 2 on a synthetic graph: run the
 ear-reduced Mehlhorn–Michail pipeline once (recording its kernel work
 trace), then replay the trace on the Sequential / Multicore / GPU /
-CPU+GPU platform models and report virtual times, device utilisation, and
-the ear-decomposition ablation.
+CPU+GPU platform models and report virtual times, per-device busy
+shares, and the ear-decomposition ablation.
 
 Run:  python examples/heterogeneous_scheduling.py
 """

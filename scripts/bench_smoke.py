@@ -152,8 +152,7 @@ def _phases(baseline: dict) -> dict:
     """Flatten the section timings into the ledger/regress phase map.
 
     These names are the contract the regression gate compares across
-    commits (``repro.obs.regress.extract_phases`` reproduces them from
-    legacy un-stamped baselines).
+    commits.
     """
     rs = baseline["repeated_sssp"]
     phases = {

@@ -22,9 +22,8 @@ from ..apsp.ear_apsp import EarAPSPReport, ear_apsp_full
 from ..apsp.oracle import memory_model
 from ..apsp.partition_apsp import partition_apsp
 from ..graph.stats import table1_row
-from ..hetero.executor import Platform
 from ..hetero.mcb_runner import mcb_with_trace
-from ..hetero.trace import simulate_trace
+from ..hetero.trace import Platform, simulate_trace, table2_platforms
 from ..mcb.verify import verify_cycle_basis
 from ..obs.trace import span as _span
 from ..sssp.engine import adjacency_cache
@@ -44,15 +43,6 @@ __all__ = [
 ]
 
 PLATFORM_NAMES = ["sequential", "multicore", "gpu", "cpu+gpu"]
-
-
-def _platforms() -> list[Platform]:
-    return [
-        Platform.sequential(),
-        Platform.multicore(),
-        Platform.gpu(),
-        Platform.heterogeneous(),
-    ]
 
 
 def _check_matrices(name: str, ours: np.ndarray, base: np.ndarray) -> None:
@@ -292,7 +282,7 @@ def run_table2(
                     assert abs(rep.total_weight - row.basis_weight) <= 1e-6 * max(
                         1.0, row.basis_weight
                     ), f"{name}: ear/no-ear weight mismatch"
-            for p in _platforms():
+            for p in table2_platforms():
                 res = simulate_trace(trace, p)
                 per_platform[p.name][k] = res.total_time
         row.seconds = {p: (v[0], v[1]) for p, v in per_platform.items()}

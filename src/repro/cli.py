@@ -308,8 +308,7 @@ def _cmd_profile(args) -> None:
     with tracing() as tr, memory_profiling() as mp:
         if workload in ("apsp", "both"):
             from .hetero.apsp_runner import apsp_with_trace
-            from .hetero.executor import Platform
-            from .hetero.trace import simulate_trace
+            from .hetero.trace import Platform, simulate_trace
 
             _, work_trace = apsp_with_trace(g)
             # Replay on the simulated CPU+GPU platform with per-interval
@@ -476,6 +475,25 @@ def _cmd_regress(args) -> None:
         raise SystemExit(1)
 
 
+def _ledgered_run(args):
+    """``(ledger, profile history, record, trace_path)`` for ``report`` and
+    ``critpath``: the ``--ledger`` (else ``REPRO_LEDGER``) file's newest
+    profile record (else its newest record), and ``--trace``, else that
+    record's ``trace_path``.  The first three are None without a ledger."""
+    from .obs.ledger import Ledger, default_ledger_path
+
+    ledger = history = record = None
+    ledger_path = Path(args.ledger) if args.ledger else default_ledger_path()
+    if ledger_path is not None and ledger_path.exists():
+        ledger = Ledger(ledger_path)
+        history = ledger.records(kind="profile") or None
+        record = history[-1] if history else ledger.latest()
+    trace_path = args.trace
+    if trace_path is None and record is not None:
+        trace_path = record.meta.get("trace_path")
+    return ledger, history, record, trace_path
+
+
 def _cmd_report(args) -> None:
     """``repro-bench report`` — self-contained single-file HTML run report.
 
@@ -486,22 +504,11 @@ def _cmd_report(args) -> None:
     verdict.  When a ledgered profile record carries ``trace_path`` meta
     (written by ``profile`` runs), that trace is used unless overridden.
     """
-    from .obs.ledger import Ledger, default_ledger_path
     from .obs.report import validate_report, write_report
 
-    record = None
-    history = None
-    ledger_path = Path(args.ledger) if args.ledger else default_ledger_path()
-    if ledger_path is not None and Path(ledger_path).exists():
-        ledger = Ledger(ledger_path)
-        history = ledger.records(kind="profile") or None
-        record = history[-1] if history else ledger.latest()
-        if ledger.skipped:
-            print(f"ledger: skipped {ledger.skipped} unreadable record(s)")
-
-    trace_path = args.trace
-    if trace_path is None and record is not None:
-        trace_path = record.meta.get("trace_path")
+    ledger, history, record, trace_path = _ledgered_run(args)
+    if ledger is not None and ledger.skipped:
+        print(f"ledger: skipped {ledger.skipped} unreadable record(s)")
 
     trace = None
     if trace_path and Path(trace_path).exists():
@@ -530,7 +537,7 @@ def _cmd_report(args) -> None:
         raise SystemExit(1)
     srcs = [
         f"trace={trace_path}" if trace is not None else None,
-        f"ledger={ledger_path}" if record is not None else None,
+        f"ledger={ledger.path}" if record is not None else None,
     ]
     print(f"wrote report to {out} ({', '.join(s for s in srcs if s) or 'no inputs'})")
 
@@ -548,17 +555,8 @@ def _cmd_critpath(args) -> None:
     the trace carries no spans.
     """
     from .obs.export import load_chrome_trace, summary, traced_window
-    from .obs.ledger import Ledger, default_ledger_path
 
-    trace_path = args.trace
-    if trace_path is None:
-        ledger_path = Path(args.ledger) if args.ledger else default_ledger_path()
-        if ledger_path is not None and Path(ledger_path).exists():
-            ledger = Ledger(ledger_path)
-            records = ledger.records(kind="profile")
-            record = records[-1] if records else ledger.latest()
-            if record is not None:
-                trace_path = record.meta.get("trace_path")
+    trace_path = _ledgered_run(args)[3]
     if not trace_path or not Path(trace_path).exists():
         raise SystemExit(
             "critpath: no Chrome trace (pass --trace, or run "

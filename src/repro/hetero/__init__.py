@@ -11,40 +11,39 @@ from .apsp_runner import apsp_with_trace
 from .device import (
     CPU_CORE_BW,
     CPU_SOCKET_BW,
+    ClockSample,
     Device,
     GPU_EFFECTIVE_BW,
+    SIMTDevice,
+    VirtualClock,
     cpu_device,
+    gpu_device,
     sequential_device,
 )
-from .executor import HeterogeneousExecutor, Platform, StageReport
 from .mcb_runner import HeteroMCBResult, mcb_with_trace, run_mcb_on_platforms
-from .simt import SIMTDevice, gpu_device
-from .timing import ClockSample, VirtualClock
-from .trace import SimulationResult, Stage, WorkTrace, simulate_trace
-from .workqueue import DequeWorkQueue, WorkUnit
+from .trace import Platform, SimulationResult, Stage, WorkTrace, simulate_trace, table2_platforms
+from .workqueue import DequeWorkQueue
 
 __all__ = [
     "apsp_with_trace",
     "CPU_CORE_BW",
     "CPU_SOCKET_BW",
+    "ClockSample",
     "Device",
     "GPU_EFFECTIVE_BW",
+    "SIMTDevice",
+    "VirtualClock",
     "cpu_device",
+    "gpu_device",
     "sequential_device",
-    "HeterogeneousExecutor",
-    "Platform",
-    "StageReport",
     "HeteroMCBResult",
     "mcb_with_trace",
     "run_mcb_on_platforms",
-    "SIMTDevice",
-    "gpu_device",
-    "ClockSample",
-    "VirtualClock",
+    "Platform",
     "SimulationResult",
     "Stage",
     "WorkTrace",
     "simulate_trace",
+    "table2_platforms",
     "DequeWorkQueue",
-    "WorkUnit",
 ]

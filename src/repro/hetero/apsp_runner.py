@@ -45,9 +45,7 @@ def _record_dijkstra(trace: WorkTrace, n: int, m: int, chunk: int) -> None:
         stage.add(k * max(m, 1) * BYTES_DIJKSTRA_PER_EDGE, k * n)
 
 
-def apsp_with_trace(
-    g: CSRGraph, use_ear: bool = True, chunk_size: int | None = None
-) -> tuple[np.ndarray, WorkTrace]:
+def apsp_with_trace(g: CSRGraph, use_ear: bool = True) -> tuple[np.ndarray, WorkTrace]:
     """Full APSP matrix plus the recorded heterogeneous work trace.
 
     Runs the public per-BCC pipeline — :func:`build_component_tables`
@@ -57,10 +55,12 @@ def apsp_with_trace(
     counts the calls report.  The Section 2.4 phases are
     ``obs.trace.phase`` spans: ``ear_apsp_full`` emits reduce / dijkstra /
     extend, this driver only the calls it makes itself (decompose,
-    assemble, and the Dijkstra of the ``use_ear=False`` path).
+    assemble, and the Dijkstra of the ``use_ear=False`` path).  Sources
+    go to Dijkstra in chunks of ``REPRO_SSSP_CHUNK`` (see
+    :func:`~repro.sssp.engine.resolve_chunk_size`).
     """
-    chunk = resolve_chunk_size(chunk_size)
-    trace = WorkTrace(meta={"n": g.n, "m": g.m, "use_ear": use_ear, "chunk": chunk})
+    chunk = resolve_chunk_size()
+    trace = WorkTrace()
     with phase("preprocess", "apsp", stage="decompose", n=g.n, m=g.m):
         bcc = biconnected_components(g)
     trace.new_stage("decompose").add(g.m * BYTES_REDUCE_PER_EDGE, g.m)

@@ -23,8 +23,7 @@ from ..mcb import gf2
 from ..mcb.cycle import Cycle
 from ..mcb.ear_mcb import EarMCBReport, minimum_cycle_basis
 from ..obs import metrics as _metrics
-from .executor import Platform
-from .trace import SimulationResult, WorkTrace, simulate_trace
+from .trace import SimulationResult, WorkTrace, simulate_trace, table2_platforms
 
 __all__ = [
     "BYTES_SPT_PER_EDGE",
@@ -48,22 +47,15 @@ _G_WITNESS_BYTES = _metrics.gauge("memory.mcb.witness_bytes")
 _G_STORE_BYTES = _metrics.gauge("memory.mcb.candidate_store_bytes")
 
 
-def mcb_with_trace(
-    g: CSRGraph,
-    use_ear: bool = True,
-    lca_filter: bool = True,
-    block_size: int = 512,
-) -> tuple[list[Cycle], WorkTrace]:
+def mcb_with_trace(g: CSRGraph, use_ear: bool = True) -> tuple[list[Cycle], WorkTrace]:
     """One :func:`minimum_cycle_basis` run plus its recorded work trace.
 
     The Section 2.4 phases (decompose / reduce, Mehlhorn–Michail, expand)
     are the ``obs.trace.phase`` spans ``minimum_cycle_basis`` emits itself.
     """
     rep = EarMCBReport()
-    cycles = minimum_cycle_basis(
-        g, use_ear=use_ear, report=rep, lca_filter=lca_filter, block_size=block_size
-    )
-    trace = WorkTrace(meta={"n": g.n, "m": g.m, "use_ear": use_ear})
+    cycles = minimum_cycle_basis(g, use_ear=use_ear, report=rep)
+    trace = WorkTrace()
     trace.new_stage("decompose").add(g.m * BYTES_REDUCE_PER_EDGE, g.m)
     witness_bytes = store_bytes = 0
     for comp_m, mm in zip(rep.component_m, rep.solver_reports):
@@ -116,20 +108,8 @@ class HeteroMCBResult:
         }
 
 
-def run_mcb_on_platforms(
-    g: CSRGraph,
-    use_ear: bool = True,
-    platforms: list[Platform] | None = None,
-    **kwargs,
-) -> HeteroMCBResult:
-    """Execute once, replay on every platform (the Table 2 row builder)."""
-    if platforms is None:
-        platforms = [
-            Platform.sequential(),
-            Platform.multicore(),
-            Platform.gpu(),
-            Platform.heterogeneous(),
-        ]
-    cycles, trace = mcb_with_trace(g, use_ear=use_ear, **kwargs)
-    timings = {p.name: simulate_trace(trace, p) for p in platforms}
+def run_mcb_on_platforms(g: CSRGraph, use_ear: bool = True) -> HeteroMCBResult:
+    """Execute once, replay on the four Table-2 platforms (a Table 2 row)."""
+    cycles, trace = mcb_with_trace(g, use_ear=use_ear)
+    timings = {p.name: simulate_trace(trace, p) for p in table2_platforms()}
     return HeteroMCBResult(cycles=cycles, trace=trace, timings=timings)

@@ -10,19 +10,29 @@ platform's devices and work queue to obtain its virtual makespan.
 Replays exercise the real queue dynamics — batch grabs from both ends,
 occupancy-dependent GPU costs, per-stage barriers — so platform
 differences (Figures 5/6, Table 2) come from scheduling, exactly as on the
-paper's machine.
+paper's machine: at every step the device whose virtual clock is furthest
+behind grabs its next batch from its end of the queue (:func:`race`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
+from typing import Callable
 
-from .device import Device
-from .executor import Platform, race
-from .workqueue import DequeWorkQueue
+from .device import Device, cpu_device, gpu_device, sequential_device
+from .workqueue import DequeWorkQueue, count_grabs
 
-__all__ = ["Stage", "WorkTrace", "simulate_trace", "SimulationResult"]
+__all__ = [
+    "Stage",
+    "WorkTrace",
+    "Platform",
+    "table2_platforms",
+    "race",
+    "simulate_trace",
+    "SimulationResult",
+]
 
 
 @dataclass
@@ -51,7 +61,6 @@ class WorkTrace:
     """Ordered stages recorded from one real pipeline execution."""
 
     stages: list[Stage] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def new_stage(self, kind: str, divisible: bool = False) -> Stage:
         st = Stage(kind=kind, divisible=divisible)
@@ -62,13 +71,45 @@ class WorkTrace:
     def total_work(self) -> float:
         return float(sum(s.total_work for s in self.stages))
 
-    def merged(self, kinds: set[str] | None = None) -> dict[str, float]:
-        """Total work per stage kind (for phase-breakdown reporting)."""
-        out: dict[str, float] = {}
-        for s in self.stages:
-            if kinds is None or s.kind in kinds:
-                out[s.kind] = out.get(s.kind, 0.0) + s.total_work
-        return out
+
+@dataclass
+class Platform:
+    """A named set of devices sharing one work queue."""
+
+    name: str
+    devices: list[Device] = field(default_factory=list)
+
+    # The four implementations of Table 2 / Figures 5-6.
+
+    @staticmethod
+    def sequential() -> "Platform":
+        return Platform("sequential", [sequential_device()])
+
+    @staticmethod
+    def multicore() -> "Platform":
+        return Platform("multicore", [cpu_device()])
+
+    @staticmethod
+    def gpu() -> "Platform":
+        return Platform("gpu", [gpu_device()])
+
+    @staticmethod
+    def heterogeneous() -> "Platform":
+        return Platform("cpu+gpu", [cpu_device(), gpu_device()])
+
+    @property
+    def total_time(self) -> float:
+        return max((d.clock.now for d in self.devices), default=0.0)
+
+    def reset(self) -> None:
+        for d in self.devices:
+            d.clock.reset()
+
+
+def table2_platforms() -> list[Platform]:
+    """Fresh sequential, multicore, GPU and CPU+GPU platforms, in Table 2's
+    column order."""
+    return [Platform.sequential(), Platform.multicore(), Platform.gpu(), Platform.heterogeneous()]
 
 
 @dataclass
@@ -80,9 +121,6 @@ class SimulationResult:
     stage_times: dict[str, float]
     device_busy: dict[str, float]
 
-    def speedup_over(self, other: "SimulationResult") -> float:
-        return other.total_time / self.total_time if self.total_time else float("inf")
-
 
 def simulate_trace(
     trace: WorkTrace, platform: Platform, record_samples: bool = False
@@ -90,8 +128,8 @@ def simulate_trace(
     """Replay ``trace`` through ``platform``; returns its virtual makespan.
 
     Each stage's ``(work, items)`` pairs race through the double-ended
-    queue (:func:`repro.hetero.executor.race`) and each batch only charges
-    its device's modeled cost; nothing runs.  ``record_samples=True``
+    queue (:func:`race`) and each batch only charges its device's modeled
+    cost; nothing runs.  ``record_samples=True``
     switches every device clock to per-interval accounting (``False``
     switches it off), so after the replay ``{d.name: d.clock for d in
     platform.devices}`` can be handed to
@@ -123,10 +161,41 @@ def simulate_trace(
     )
 
 
+_clock_now = attrgetter("clock.now")
+
+
+def race(
+    devices: list[Device], queue: DequeWorkQueue, step: Callable[[Device, list], None]
+) -> tuple[float, dict[str, int]]:
+    """Drain ``queue``; returns the makespan and the units each device took.
+
+    A stage is a synchronisation barrier: all devices first align to the
+    same virtual time (dependent stages cannot overlap — the paper notes
+    this limits available parallelism), then the device with the earliest
+    clock (the first listed on ties) takes its next batch from its end and
+    ``step(device, batch)`` charges it, until the queue is empty.
+    """
+    start = max(d.clock.now for d in devices)
+    for d in devices:
+        d.clock.wait_until(start)
+    units = dict.fromkeys([d.name for d in devices], 0)
+    many = len(devices) > 1
+    while not queue.empty:
+        dev = min(devices, key=_clock_now) if many else devices[0]
+        batch = queue.take(dev.batch_size, dev.takes_from_back)
+        units[dev.name] += len(batch)
+        step(dev, batch)
+    count_grabs(queue.grabs_front, queue.grabs_back, units)
+    end = max(d.clock.now for d in devices)
+    for d in devices:
+        d.clock.wait_until(end)
+    return end - start, units
+
+
 def _charge(kind: str, dev: Device, batch: list[tuple[float, int]]) -> None:
     """Charge one batch of ``(work, items)`` pairs to ``dev``'s clock."""
-    # Builtin sum in grab order, as Device.cost: 3.12's sum compensates
-    # rounding, so any other summation would move the virtual times.
+    # Builtin sum in grab order: 3.12's sum compensates rounding, so any
+    # other summation would move the virtual times.
     work = sum([w for w, _ in batch])
     items = sum([i if i > 1 else 1 for _, i in batch])
     dev.clock.advance(dev.batch_cost(work, items), kind)

@@ -22,7 +22,7 @@ import json
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hetero.timing import VirtualClock
+    from ..hetero.device import VirtualClock
     from .trace import TraceCollector
 
 __all__ = [
@@ -43,31 +43,28 @@ __all__ = [
 VIRTUAL_PID = 9_999_999
 
 
-def virtual_clock_events(
-    clocks: "dict[str, VirtualClock | list]", pid: int = VIRTUAL_PID
-) -> list[dict]:
+def virtual_clock_events(clocks: "dict[str, VirtualClock]") -> list[dict]:
     """Per-device Chrome tracks from simulated-platform virtual clocks.
 
-    ``clocks`` maps device name to a :class:`~repro.hetero.timing.
-    VirtualClock` (recorded with ``record_samples=True``) or directly to a
-    list of :class:`~repro.hetero.timing.ClockSample`.  Each device
+    ``clocks`` maps device name to a :class:`~repro.hetero.device.
+    VirtualClock` recorded with ``record_samples=True``.  Each device
     becomes a thread track under one synthetic "virtual platform"
-    process, every accounted interval a complete event — so a
-    trace-replay's queue dynamics (Figures 5/6) render next to the real
-    pid tracks of the same Chrome trace.  Virtual seconds map to trace
-    microseconds 1:1 starting at zero.
+    process (:data:`VIRTUAL_PID`), every accounted interval a complete
+    event — so a trace-replay's queue dynamics (Figures 5/6) render next
+    to the real pid tracks of the same Chrome trace.  Virtual seconds map
+    to trace microseconds 1:1 starting at zero.
     """
+    pid = VIRTUAL_PID
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
          "args": {"name": "virtual platform"}}
     ]
     for tid, (name, clk) in enumerate(sorted(clocks.items())):
-        samples = getattr(clk, "samples", clk)
         events.append(
             {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
              "args": {"name": f"virtual {name}"}}
         )
-        for s in samples:
+        for s in clk.samples:
             events.append(
                 {
                     "name": s.label or name,

@@ -17,8 +17,7 @@ question for two Chrome ``trace_event`` files span-name by span-name.
 
 Inputs are deliberately duck-typed: a baseline can be a ledger history
 (``{phase: [seconds, ...]}``), a single :class:`~repro.obs.ledger.RunRecord`
-dict, or a legacy ``BENCH_BASELINE.json`` document (see
-:func:`extract_phases`).
+dict, or a ``BENCH_BASELINE.json`` document (see :func:`extract_phases`).
 """
 
 from __future__ import annotations
@@ -201,13 +200,12 @@ def compare(
 
 
 def extract_phases(doc: dict) -> dict[str, float]:
-    """Pull a ``{phase: seconds}`` map out of any supported document shape.
+    """Pull a ``{phase: seconds}`` map out of a document.
 
-    Accepts, in order of preference: a document with a ``phases`` dict (a
-    :class:`~repro.obs.ledger.RunRecord` or a stamped
-    ``BENCH_BASELINE.json``), a bare phases dict (every value numeric), or
-    a legacy pre-stamp ``BENCH_BASELINE.json`` (timing keys are harvested
-    from its known sections).
+    Accepts a document with a ``phases`` dict (a
+    :class:`~repro.obs.ledger.RunRecord` or a ``BENCH_BASELINE.json``
+    written by ``scripts/bench_smoke.py``) or a bare phases dict (every
+    value numeric).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"expected an object, got {type(doc).__name__}")
@@ -219,25 +217,7 @@ def extract_phases(doc: dict) -> dict[str, float]:
         for v in doc.values()
     ):
         return {str(k): float(v) for k, v in doc.items()}
-    # Legacy BENCH_BASELINE.json layout (pre schema stamp).
-    out: dict[str, float] = {}
-    rs = doc.get("repeated_sssp")
-    if isinstance(rs, dict):
-        out["smoke.repeated_sssp.uncached"] = float(rs["uncached_per_source_s"])
-        out["smoke.repeated_sssp.cached"] = float(rs["cached_chunked_s"])
-    pl = doc.get("parallel")
-    if isinstance(pl, dict):
-        out["smoke.parallel.serial"] = float(pl["serial_s"])
-        out["smoke.parallel.parallel"] = float(pl["parallel_s"])
-    for row in doc.get("fig2") or []:
-        out[f"smoke.fig2.{row['name']}.ours"] = float(row["t_ours_s"])
-        out[f"smoke.fig2.{row['name']}.baseline"] = float(row["t_baseline_s"])
-    for row in doc.get("table2") or []:
-        out[f"smoke.table2.{row['name']}.with_ear"] = float(row["wall_with_ear_s"])
-        out[f"smoke.table2.{row['name']}.without_ear"] = float(row["wall_without_ear_s"])
-    if not out:
-        raise ValueError("document carries no recognizable phase timings")
-    return out
+    raise ValueError("document carries no recognizable phase timings")
 
 
 # --------------------------------------------------------------------- #

@@ -61,9 +61,9 @@ class GrabRecorder:
 
     Recorded from the test side only: :meth:`install` wraps
     ``DequeWorkQueue.take`` (which end, how many units, how many are left)
-    and the step ``executor.race`` hands each batch to (which device took
-    it); both race callers, ``simulate_trace`` and ``run_stage``, go through
-    the wrapper.  A reference queue can call :meth:`add` directly.
+    and the step ``trace.race`` hands each batch to (which device took
+    it), which ``simulate_trace`` calls for every queue stage.  A
+    reference queue can call :meth:`add` directly.
     """
 
     def __init__(self) -> None:
@@ -73,10 +73,10 @@ class GrabRecorder:
         self.grabs.append((end, batch, device, remaining))
 
     def install(self, monkeypatch) -> "GrabRecorder":
-        from repro.hetero import executor, trace
+        from repro.hetero import trace
         from repro.hetero.workqueue import DequeWorkQueue
 
-        take, race = DequeWorkQueue.take, executor.race
+        take, race = DequeWorkQueue.take, trace.race
         taken: list[tuple] = []
 
         def recorded_take(queue, batch_size, from_back):
@@ -93,6 +93,5 @@ class GrabRecorder:
             return race(devices, queue, recorded_step)
 
         monkeypatch.setattr(DequeWorkQueue, "take", recorded_take)
-        monkeypatch.setattr(executor, "race", recorded_race)
         monkeypatch.setattr(trace, "race", recorded_race)
         return self

@@ -1,58 +1,60 @@
-"""Work queue, device models, executor, trace simulation."""
+"""Work queue, device models, the race loop, trace simulation."""
 
-import numpy as np
 import pytest
 
 from repro.hetero import (
     DequeWorkQueue,
     Device,
-    HeterogeneousExecutor,
+    HeteroMCBResult,
     Platform,
-    SIMTDevice,
+    SimulationResult,
     Stage,
     VirtualClock,
     WorkTrace,
-    WorkUnit,
     cpu_device,
     gpu_device,
     sequential_device,
     simulate_trace,
+    table2_platforms,
 )
+from repro.hetero.device import GPU_MIN_OCCUPANCY
+from repro.obs import metrics as _metrics
 
 
-def units(works, items=1):
-    return [WorkUnit(uid=i, fn=lambda i=i: i, work=w, items=items) for i, w in enumerate(works)]
+def one_stage(works, items=1):
+    """A trace of one queue stage holding a ``(work, items)`` unit per work."""
+    tr = WorkTrace()
+    st = tr.new_stage("units")
+    for w in works:
+        st.add(w, items)
+    return tr
 
 
 class TestWorkQueue:
     def test_sorted_small_front_big_back(self):
-        q = DequeWorkQueue(units([5.0, 1.0, 3.0]))
-        front = q.grab(1, from_back=False)
-        back = q.grab(1, from_back=True)
-        assert front[0].work == 1.0
-        assert back[0].work == 5.0
+        q = DequeWorkQueue([(5.0, 1), (1.0, 2), (3.0, 3)])
+        front = q.take(1, from_back=False)
+        back = q.take(1, from_back=True)
+        assert front == [(1.0, 2)]
+        assert back == [(5.0, 1)]
 
     def test_conservation(self):
-        q = DequeWorkQueue(units([1.0] * 17))
+        q = DequeWorkQueue([(1.0, i) for i in range(17)])
         seen = []
         while not q.empty:
-            seen += q.grab(3, from_back=bool(len(seen) % 2))
-        assert sorted(u.uid for u in seen) == list(range(17))
+            seen += q.take(3, from_back=bool(len(seen) % 2))
+        assert sorted(i for _, i in seen) == list(range(17))
 
     def test_batch_bigger_than_queue(self):
-        q = DequeWorkQueue(units([1.0, 2.0]))
-        got = q.grab(10, from_back=False)
+        q = DequeWorkQueue([(1.0, 1), (2.0, 1)])
+        got = q.take(10, from_back=False)
         assert len(got) == 2 and q.empty
 
     def test_grab_counters(self):
-        q = DequeWorkQueue(units([1.0] * 4))
-        q.grab(1, from_back=False)
-        q.grab(1, from_back=True)
+        q = DequeWorkQueue([(1.0, 1)] * 4)
+        q.take(1, from_back=False)
+        q.take(1, from_back=True)
         assert q.grabs_front == 1 and q.grabs_back == 1
-
-    def test_unsorted_mode(self):
-        q = DequeWorkQueue(units([5.0, 1.0]), sort=False)
-        assert q.grab(1, from_back=False)[0].work == 5.0
 
 
 class TestClockAndDevices:
@@ -61,7 +63,8 @@ class TestClockAndDevices:
         c.advance(2.0)
         c.wait_until(4.0)
         assert c.now == 4.0 and c.busy == 2.0
-        assert c.utilisation == pytest.approx(0.5)
+        # Utilisation, the busy fraction of elapsed virtual time.
+        assert c.busy / c.now == pytest.approx(0.5)
 
     def test_clock_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -76,77 +79,68 @@ class TestClockAndDevices:
 
     def test_device_cost_linear_in_work(self):
         d = Device(name="d", effective_bandwidth=100.0, dispatch_overhead=1.0)
-        one = d.cost(units([10.0]))
-        two = d.cost(units([10.0, 10.0]))
+        one = d.batch_cost(10.0, 1)
+        two = d.batch_cost(20.0, 2)
         assert two - one == pytest.approx(0.1)
 
     def test_device_execute_advances_clock(self):
-        d = sequential_device()
-        res = d.execute(units([d.effective_bandwidth]))  # exactly 1 second
-        assert res == [0]
+        plat = Platform.sequential()
+        d = plat.devices[0]
+        simulate_trace(one_stage([d.effective_bandwidth]), plat)  # exactly 1 second
         assert d.clock.now == pytest.approx(1.0)
+        assert d.clock.busy == pytest.approx(1.0)
 
     def test_gpu_occupancy_monotone(self):
         g = gpu_device()
         assert g.occupancy(10) < g.occupancy(10_000) <= 1.0
-        assert g.occupancy(0) == g.min_occupancy
+        assert g.occupancy(0) == GPU_MIN_OCCUPANCY
         assert g.occupancy(10**9) == 1.0
 
     def test_gpu_small_batch_penalised(self):
         g = gpu_device()
-        small = g.cost(units([1e6], items=16))
-        big = g.cost(units([1e6], items=100_000))
+        small = g.batch_cost(1e6, 16)
+        big = g.batch_cost(1e6, 100_000)
         assert small > big
 
     def test_multicore_faster_than_sequential(self):
-        w = units([1e9])
-        assert cpu_device().cost(w) < sequential_device().cost(w)
+        assert cpu_device().batch_cost(1e9, 1) < sequential_device().batch_cost(1e9, 1)
 
     def test_platform_presets(self):
         assert len(Platform.sequential().devices) == 1
         assert len(Platform.heterogeneous().devices) == 2
         names = {d.name for d in Platform.heterogeneous().devices}
         assert names == {"cpu", "gpu"}
+        assert [p.name for p in table2_platforms()] == [
+            "sequential", "multicore", "gpu", "cpu+gpu",
+        ]
 
 
 class TestExecutor:
-    def test_results_in_item_order(self):
-        ex = HeterogeneousExecutor(Platform.heterogeneous())
-        us = [WorkUnit(uid=x, fn=(lambda x=x: x * x), work=1e6) for x in range(20)]
-        ex.run_stage(us)
-        assert [ex.results[x] for x in range(20)] == [x * x for x in range(20)]
+    """One queue stage drained by the race loop, as every replay runs it."""
 
     def test_every_unit_executed_once(self):
-        counter = {"n": 0}
-
-        def bump():
-            counter["n"] += 1
-
-        us = [WorkUnit(uid=i, fn=bump, work=1e6) for i in range(33)]
-        ex = HeterogeneousExecutor(Platform.heterogeneous())
-        rep = ex.run_stage(us)
-        assert counter["n"] == 33
-        assert sum(rep.per_device_units.values()) == 33
-        assert rep.makespan > 0
+        plat = Platform.heterogeneous()
+        counters = [_metrics.counter(f"queue.device.{d.name}.units") for d in plat.devices]
+        before = sum(c.value for c in counters)
+        res = simulate_trace(one_stage([1e6] * 33), plat)
+        assert sum(c.value for c in counters) - before == 33
+        assert res.total_time > 0
 
     def test_stage_is_barrier(self):
         plat = Platform.heterogeneous()
-        ex = HeterogeneousExecutor(plat)
-        ex.run_stage(units([1e9]))
+        simulate_trace(one_stage([1e9]), plat)
         times = {d.clock.now for d in plat.devices}
         assert len(times) == 1  # all aligned after the stage
 
     def test_empty_platform_rejected(self):
         with pytest.raises(ValueError):
-            HeterogeneousExecutor(Platform("none", []))
+            simulate_trace(one_stage([1.0]), Platform("none", []))
 
     def test_hetero_beats_single_device_on_big_stage(self):
-        work = [1e8] * 64
+        trace = one_stage([1e8] * 64, items=50_000)
         t = {}
         for plat in (Platform.sequential(), Platform.heterogeneous()):
-            ex = HeterogeneousExecutor(plat)
-            rep = ex.run_stage(units(work, items=50_000))
-            t[plat.name] = rep.makespan
+            t[plat.name] = simulate_trace(trace, plat).total_time
         assert t["cpu+gpu"] < t["sequential"]
 
 
@@ -162,7 +156,7 @@ class TestTraceSimulation:
     def test_total_work(self):
         tr = self.make_trace()
         assert tr.total_work == pytest.approx(50 * 1e7 + 5e7)
-        assert tr.merged()["labels"] == pytest.approx(5e8)
+        assert tr.stages[0].total_work == pytest.approx(5e8)
 
     def test_simulation_deterministic(self):
         tr = self.make_trace()
@@ -212,14 +206,6 @@ class TestTraceSimulation:
 
 
 class TestTraceExtras:
-    def test_merged_filters_by_kind(self):
-        tr = WorkTrace()
-        tr.new_stage("a").add(10.0)
-        tr.new_stage("b").add(5.0)
-        tr.new_stage("a").add(1.0)
-        assert tr.merged() == {"a": 11.0, "b": 5.0}
-        assert tr.merged({"b"}) == {"b": 5.0}
-
     def test_stage_total_work(self):
         st = Stage(kind="x")
         st.add(3.0, 2)
@@ -227,14 +213,12 @@ class TestTraceExtras:
         assert st.total_work == pytest.approx(7.5)
 
     def test_simulation_result_speedup(self):
-        from repro.hetero import SimulationResult
-
-        a = SimulationResult("a", 2.0, {}, {})
-        b = SimulationResult("b", 1.0, {}, {})
-        assert b.speedup_over(a) == 2.0
-
-    def test_stage_report_bottleneck(self):
-        from repro.hetero import StageReport
-
-        rep = StageReport(1.0, {"cpu": 0.3, "gpu": 0.7}, {"cpu": 1, "gpu": 2}, 3)
-        assert rep.bottleneck == "gpu"
+        timings = {
+            "sequential": SimulationResult("sequential", 2.0, {}, {}),
+            "gpu": SimulationResult("gpu", 1.0, {}, {}),
+            "idle": SimulationResult("idle", 0.0, {}, {}),
+        }
+        res = HeteroMCBResult(cycles=[], trace=WorkTrace(), timings=timings)
+        assert res.speedups_vs_sequential() == {
+            "sequential": 1.0, "gpu": 2.0, "idle": float("inf"),
+        }

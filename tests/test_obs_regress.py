@@ -114,24 +114,6 @@ class TestExtractPhases:
     def test_bare_numeric_dict(self):
         assert extract_phases({"a": 1, "b": 2.5}) == {"a": 1.0, "b": 2.5}
 
-    def test_legacy_bench_baseline_layout(self):
-        doc = {
-            "repeated_sssp": {
-                "uncached_per_source_s": 4.0,
-                "cached_chunked_s": 1.0,
-            },
-            "parallel": {"serial_s": 2.0, "parallel_s": 1.5},
-            "fig2": [{"name": "nopoly", "t_ours_s": 0.1, "t_baseline_s": 0.2}],
-            "table2": [
-                {"name": "nopoly", "wall_with_ear_s": 0.3, "wall_without_ear_s": 0.4}
-            ],
-        }
-        phases = extract_phases(doc)
-        assert phases["smoke.repeated_sssp.uncached"] == 4.0
-        assert phases["smoke.parallel.parallel"] == 1.5
-        assert phases["smoke.fig2.nopoly.ours"] == 0.1
-        assert phases["smoke.table2.nopoly.without_ear"] == 0.4
-
     def test_repo_committed_baseline_is_extractable(self):
         from pathlib import Path
 

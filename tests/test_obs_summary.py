@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.hetero.timing import ClockSample
+from repro.hetero import VirtualClock
 from repro.obs import span, tracing
 from repro.obs.export import (
     VIRTUAL_PID,
@@ -75,15 +75,15 @@ class TestSelfTimesExport:
 
     def test_overlapping_children_clip_via_union(self):
         tr = _collector(
-            ("parallel.dispatch", 0, 100),
-            ("parallel.worker_chunk", 0, 60),
-            ("parallel.worker_chunk", 40, 60),
+            ("process", 0, 100),
+            ("sssp.chunk", 0, 60),
+            ("sssp.chunk", 40, 60),
         )
-        # Same-track containment: both chunks nest inside the dispatch;
-        # their union covers [0,100], so dispatch self clamps to 0 — a
+        # Same-track containment: both chunks nest inside the phase;
+        # their union covers [0,100], so the phase's self clamps to 0 — a
         # plain sum (120) would have gone negative.
         times = self_times(tr)
-        assert times["parallel.dispatch"] == (1, 0)
+        assert times["process"] == (1, 0)
 
     def test_summary_prints_self_column(self):
         with tracing() as tr:
@@ -106,17 +106,17 @@ class TestSummaryTable:
             assert own <= wall
 
     def test_self_time_uses_union_of_overlapping_children(self):
-        # Dispatch [0,100] holding two overlapping chunks [0,60] and
-        # [40,100]: their union is 100, so the dispatch row shows self 0
+        # A process phase [0,100] holding two overlapping chunks [0,60]
+        # and [40,100]: their union is 100, so the phase row shows self 0
         # (not -20) beside its 100 ms wall, and the chunks keep all 120 ms.
         tr = _collector(
-            ("parallel.dispatch", 0, 100),
-            ("parallel.worker_chunk", 0, 60),
-            ("parallel.worker_chunk", 40, 60),
+            ("process", 0, 100),
+            ("sssp.chunk", 0, 60),
+            ("sssp.chunk", 40, 60),
         )
         (rows,) = _rows(summary(tr)).values()
-        assert rows["parallel.dispatch"][:3] == (1, 100.0, 0.0)
-        assert rows["parallel.worker_chunk"][:3] == (2, 120.0, 120.0)
+        assert rows["process"][:3] == (1, 100.0, 0.0)
+        assert rows["sssp.chunk"][:3] == (2, 120.0, 120.0)
 
     def test_nested_layers_get_rows_and_shares_add_up(self):
         tr = _collector(
@@ -237,7 +237,9 @@ class TestLoadChromeTrace:
                         pass
             with span("engine.adjacency_build", cat="sssp"):
                 pass
-        clocks = {"gpu": [ClockSample("dijkstra", 0.0, 0.5)]}
+        gpu = VirtualClock(record_samples=True)
+        gpu.advance(0.5, "dijkstra")
+        clocks = {"gpu": gpu}
         path = tmp_path / "t.json"
         path.write_text(json.dumps(chrome_trace(tr, clocks=clocks)))
         loaded = load_chrome_trace(json.loads(path.read_text()))
@@ -276,6 +278,22 @@ class TestCritpathCLI:
             "critical path: 0.030000 s traced window over 3 span(s); "
             "root spans cover 0.020000 s, untraced gap 0.010000 s"
         )
+
+    def test_ledger_names_the_profiled_trace(self, tmp_path, capsys, monkeypatch):
+        # Without --trace, critpath reads the trace the newest ledgered
+        # profile run wrote with --trace-out.
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        trace, ledger = tmp_path / "t.json", tmp_path / "L.jsonl"
+        assert main(["profile", "apsp", "--scale", "0.012", "--datasets", "nopoly",
+                     "--trace-out", str(trace), "--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        assert main(["critpath", "--ledger", str(ledger)]) == 0
+        via_ledger = capsys.readouterr().out
+        assert main(["critpath", "--trace", str(trace)]) == 0
+        assert via_ledger == capsys.readouterr().out
+        assert via_ledger.startswith("critical path:") and "process" in via_ledger
 
     def test_missing_trace_exits_with_message(self, tmp_path):
         from repro.cli import main

@@ -174,18 +174,16 @@ class TestSpanTreeEdgeCases:
         }
 
     def test_orphan_worker_span_stays_own_root(self):
-        # A worker_chunk from another pid with no dispatch bracket in the
-        # trace (crash-degraded run / torn file): its track has no cover,
-        # so it must surface as a root rather than attach anywhere.
+        # A chunk on a second pid whose enclosing phase is not in the
+        # trace — a torn file, or two processes' spans read back from one
+        # Chrome trace by load_chrome_trace: its track has no cover, so
+        # it must surface as a root rather than attach anywhere.
         tr = self._collect(
-            self._mk("parallel.dispatch", 0, 100, pid=1),
-            self._mk("parallel.worker_chunk", 200, 50, pid=2,
-                     args={"dispatch": 99, "chunk": 0}),
+            self._mk("process", 0, 100, pid=1),
+            self._mk("sssp.chunk", 200, 50, pid=2, args={"sources": 32}),
         )
         roots = tr.span_tree()
-        assert {n["span"].name for n in roots} == {
-            "parallel.dispatch", "parallel.worker_chunk"
-        }
+        assert {n["span"].name for n in roots} == {"process", "sssp.chunk"}
 
 
 class TestExceptionSafety:

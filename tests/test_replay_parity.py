@@ -1,11 +1,11 @@
-"""The trace replay and ``run_stage`` against the loop they replaced, bit for bit.
+"""The trace replay against the loop it replaced, bit for bit.
 
 Table 2's virtual seconds come from replaying a recorded work trace on
 each platform model.  The replay drains each stage's ``(work, items)``
 pairs through one race loop over a two-cursor queue; the reference below
 is the path it replaced: one :class:`WorkUnit` per pair, a deque popped
-one unit at a time, the old ``run_stage`` loop with per-grab telemetry,
-and ``_run_divisible`` pricing a probe ``WorkUnit``.  Every virtual time,
+one unit at a time, a stage loop with per-grab telemetry, and
+``_run_divisible`` pricing a probe ``WorkUnit``.  Every virtual time,
 stage time, busy time, clock sample, ``queue.*`` metric delta and grab
 (end, batch, device, remaining) must come out the same, on the Table-2
 and Figure-2 traces and on a seeded random corpus.
@@ -22,12 +22,9 @@ from _support import GrabRecorder
 
 from repro import datasets
 from repro.hetero import (
-    HeterogeneousExecutor,
     Platform,
     SIMTDevice,
-    StageReport,
     WorkTrace,
-    WorkUnit,
     apsp_with_trace,
     cpu_device,
     gpu_device,
@@ -35,6 +32,7 @@ from repro.hetero import (
     sequential_device,
     simulate_trace,
 )
+from repro.hetero.device import GPU_DIVERGENCE_PENALTY
 from repro.obs import metrics as _metrics
 
 # --------------------------------------------------------------------- #
@@ -42,14 +40,24 @@ from repro.obs import metrics as _metrics
 # --------------------------------------------------------------------- #
 
 
+@dataclasses.dataclass
+class WorkUnit:
+    """One schedulable unit of the reference: a recorded pair plus its
+    stage's label."""
+
+    uid: int
+    work: float
+    items: int = 1
+    label: str = ""
+
+
 class ReferenceQueue:
     """The size-sorted deque, popped one unit per slot of a grab."""
 
     recorder: GrabRecorder | None = None  # set by _observe
 
-    def __init__(self, units: list[WorkUnit], sort: bool = True) -> None:
-        ordered = sorted(units, key=lambda u: u.work) if sort else list(units)
-        self._q: deque[WorkUnit] = deque(ordered)
+    def __init__(self, units: list[WorkUnit]) -> None:
+        self._q: deque[WorkUnit] = deque(sorted(units, key=lambda u: u.work))
 
     @property
     def empty(self) -> bool:
@@ -78,50 +86,25 @@ def reference_cost(dev, units: list[WorkUnit]) -> float:
     if isinstance(dev, SIMTDevice):
         items = sum(max(u.items, 1) for u in units)
         bw = dev.effective_bandwidth * dev.occupancy(items)
-        return dev.dispatch_overhead + dev.divergence_penalty * work / bw
+        return dev.dispatch_overhead + GPU_DIVERGENCE_PENALTY * work / bw
     return dev.dispatch_overhead + work / dev.effective_bandwidth
 
 
-def reference_execute(dev, units: list[WorkUnit]) -> list:
-    results = [u.run() for u in units]
-    dev.clock.advance(reference_cost(dev, units), label=units[0].label if units else "")
-    return results
-
-
-def reference_run_stage(
-    platform: Platform, units: list[WorkUnit], results: dict, sort: bool = True
-) -> StageReport:
+def reference_run_stage(platform: Platform, units: list[WorkUnit]) -> None:
     devices = platform.devices
     start = max(d.clock.now for d in devices)
     for d in devices:
         d.clock.wait_until(start)
-    queue = ReferenceQueue(units, sort=sort)
-    busy = {d.name: 0.0 for d in devices}
-    count = {d.name: 0 for d in devices}
+    queue = ReferenceQueue(units)
     while not queue.empty:
         dev = min(devices, key=lambda d: d.clock.now)
         batch = queue.grab(dev.batch_size, dev.takes_from_back, device=dev.name)
         if not batch:
             break
-        t0 = dev.clock.now
-        out = reference_execute(dev, batch)
-        busy[dev.name] += dev.clock.now - t0
-        count[dev.name] += len(batch)
-        for u, r in zip(batch, out):
-            results[u.uid] = r
+        dev.clock.advance(reference_cost(dev, batch), label=batch[0].label)
     end = max(d.clock.now for d in devices)
     for d in devices:
         d.clock.wait_until(end)
-    return StageReport(
-        makespan=end - start,
-        per_device_busy=busy,
-        per_device_units=count,
-        n_units=len(units),
-    )
-
-
-def _noop() -> None:
-    return None
 
 
 def reference_run_divisible(platform: Platform, stage) -> None:
@@ -133,7 +116,7 @@ def reference_run_divisible(platform: Platform, stage) -> None:
     items = sum(i for _, i in stage.units)
     rates = []
     for d in devices:
-        probe = WorkUnit(uid=-1, fn=_noop, work=1.0, items=max(1, items // len(devices)))
+        probe = WorkUnit(uid=-1, work=1.0, items=max(1, items // len(devices)))
         inv_bw = reference_cost(d, [probe]) - d.dispatch_overhead
         rates.append(1.0 / inv_bw if inv_bw > 0 else d.effective_bandwidth)
     total_rate = sum(rates)
@@ -158,9 +141,9 @@ def reference_simulate(trace: WorkTrace, platform: Platform, record_samples: boo
         else:
             units = []
             for work, items in stage.units:
-                units.append(WorkUnit(uid=uid, fn=_noop, work=work, items=items, label=stage.kind))
+                units.append(WorkUnit(uid=uid, work=work, items=items, label=stage.kind))
                 uid += 1
-            reference_run_stage(platform, units, {})
+            reference_run_stage(platform, units)
         stage_times[stage.kind] = stage_times.get(stage.kind, 0.0) + platform.total_time - start
     return (
         platform.name,
@@ -210,7 +193,9 @@ def _observe(monkeypatch, fn):
 def _three_devices() -> Platform:
     """Three devices with equal start clocks and unequal batch sizes: the
     general earliest-clock pick, ties to the first listed."""
-    return Platform("three", [cpu_device(16), gpu_device(8), sequential_device()])
+    cpu = dataclasses.replace(cpu_device(), batch_size=2)
+    gpu = dataclasses.replace(gpu_device(), batch_size=8)
+    return Platform("three", [cpu, gpu, sequential_device()])
 
 
 PLATFORMS = {
@@ -308,61 +293,3 @@ def test_equal_work_ties_keep_their_recorded_order(monkeypatch):
     assert (
         reference_simulate(regrouped, het())[1] != reference_simulate(trace, het())[1]
     ), "the tie case no longer tells the two sort keys apart"
-
-
-# --------------------------------------------------------------------- #
-# run_stage with real work units
-# --------------------------------------------------------------------- #
-
-
-def _work_units(rng: random.Random, n: int, log: list, first_uid: int) -> list[WorkUnit]:
-    def make(uid):
-        def fn():
-            log.append(uid)
-            return uid * 0.5
-        return fn
-
-    return [
-        WorkUnit(
-            uid=first_uid + i,
-            fn=make(first_uid + i),
-            work=rng.choice(WORKS) if rng.random() < 0.6 else rng.uniform(0.0, 1e7),
-            items=rng.choice(ITEMS),
-            label=rng.choice(KINDS),
-        )
-        for i in range(n)
-    ]
-
-
-@pytest.mark.parametrize("name", sorted(PLATFORMS))
-def test_run_stage_with_real_units(monkeypatch, name):
-    """Several stages on one executor: reports, results (in execution
-    order), the order the units ran in, clocks, metrics and grabs."""
-
-    def drive(new: bool):
-        rng = random.Random(name)
-        plat = PLATFORMS[name]()
-        for d in plat.devices:
-            d.clock.record_samples = True
-        log: list[int] = []
-        results: dict = {}
-        ex = HeterogeneousExecutor(plat)
-        reports = []
-        uid = 0
-        for k in range(12):
-            units = _work_units(rng, rng.choice((1, 5, rng.randint(6, 70))), log, uid)
-            uid += len(units)
-            sort = k % 4 != 3
-            if new:
-                rep = ex.run_stage(units, sort=sort)
-            else:
-                rep = reference_run_stage(plat, units, results, sort=sort)
-            reports.append(dataclasses.astuple(rep))
-        got = ex.results if new else results
-        return _bits([reports, list(got.items()), log, _clocks(plat)])
-
-    ref = _observe(monkeypatch, lambda: drive(new=False))
-    new = _observe(monkeypatch, lambda: drive(new=True))
-    assert new[0] == ref[0]
-    assert new[1] == ref[1]
-    assert new[2] == ref[2]

@@ -1,18 +1,17 @@
 """Work-queue telemetry: per-end and per-device grab counters.
 
-Covers both paths that drive the double-ended queue — the trace-replay
-simulator (:func:`repro.hetero.trace.simulate_trace`) and a directly
-drained executor stage — and the virtual-clock bridge that turns replay
-samples into Chrome-trace device tracks.
+Covers the queue's own grabs, the trace-replay simulator
+(:func:`repro.hetero.trace.simulate_trace`) that drives it, and the
+virtual-clock bridge that turns replay samples into Chrome-trace device
+tracks.
 """
 
 from __future__ import annotations
 
 from _support import GrabRecorder
 
-from repro.hetero.executor import HeterogeneousExecutor, Platform
-from repro.hetero.trace import WorkTrace, simulate_trace
-from repro.hetero.workqueue import DequeWorkQueue, WorkUnit
+from repro.hetero.trace import Platform, WorkTrace, simulate_trace
+from repro.hetero.workqueue import DequeWorkQueue, count_grabs
 from repro.obs import metrics as _metrics
 from repro.obs.export import (
     VIRTUAL_PID,
@@ -24,10 +23,7 @@ from repro.obs.trace import TraceCollector
 
 
 def _units(n=6):
-    return [
-        WorkUnit(uid=i, fn=lambda: None, work=float(i + 1), items=1)
-        for i in range(n)
-    ]
+    return [(float(i + 1), 1) for i in range(n)]
 
 
 class TestGrabCounters:
@@ -37,21 +33,20 @@ class TestGrabCounters:
         dev = _metrics.counter("queue.device.testdev.units")
         f0, b0, d0 = front.value, back.value, dev.value
         q = DequeWorkQueue(_units(6))
-        q.grab(2, from_back=True, device="testdev")
-        q.grab(1, from_back=False, device="testdev")
-        q.grab(10, from_back=False)  # drains; anonymous grab
+        n = len(q.take(2, from_back=True)) + len(q.take(1, from_back=False))
+        q.take(10, from_back=False)  # drains
+        # Empty-queue grabs count nothing.
+        assert q.take(4, from_back=True) == []
+        count_grabs(q.grabs_front, q.grabs_back, {"testdev": n, "idle": 0})
         assert back.value == b0 + 1
         assert front.value == f0 + 2
         assert dev.value == d0 + 3  # 2 back + 1 front units for testdev
-        # Empty-queue grabs count nothing.
-        b1 = back.value
-        assert q.grab(4, from_back=True, device="testdev") == []
-        assert back.value == b1
+        assert "queue.device.idle.units" not in _metrics.snapshot("queue.device.idle")
 
     def test_batch_histogram_observes(self):
         hist = _metrics.histogram("queue.grab.batch")
         n0 = hist.count
-        DequeWorkQueue(_units(4)).grab(3, from_back=True)
+        DequeWorkQueue(_units(4)).take(3, from_back=True)
         assert hist.count == n0 + 1
 
 
@@ -80,10 +75,13 @@ class TestSimulatedPath:
             assert end == ("back" if device == "gpu" else "front")
 
     def test_executor_run_stage_threads_device_name(self, monkeypatch):
+        # One device: the race loop's single-device branch still names it.
         units = _metrics.counter("queue.device.sequential.units")
         before = units.value
+        trace = WorkTrace()
+        trace.new_stage("dijkstra").units = _units(3)
         rec = GrabRecorder().install(monkeypatch)
-        HeterogeneousExecutor(Platform.sequential()).run_stage(_units(3))
+        simulate_trace(trace, Platform.sequential())
         assert rec.grabs
         assert all(device == "sequential" for _, _, device, _ in rec.grabs)
         assert units.value == before + 3
@@ -124,12 +122,6 @@ class TestVirtualClockBridge:
         assert validate_chrome_trace(doc) == []
         pids = {e["pid"] for e in doc["traceEvents"]}
         assert VIRTUAL_PID in pids
-
-    def test_raw_sample_lists_accepted(self):
-        from repro.hetero.timing import ClockSample
-
-        evs = virtual_clock_events({"dev": [ClockSample("k", 0.0, 1.0)]})
-        assert any(e["ph"] == "X" and e["name"] == "k" for e in evs)
 
     def test_without_clocks_no_virtual_tracks(self):
         doc = chrome_trace(TraceCollector())
