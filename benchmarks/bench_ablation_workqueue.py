@@ -89,12 +89,20 @@ def test_gpu_gets_big_units(benchmark, monkeypatch):
     taken = {"cpu": [], "gpu": []}
     race = hetero_trace.race
 
-    def recording_race(devices, queue, step):
-        def recorded_step(dev, batch):
-            taken[dev.name] += [w for w, _ in batch]
-            step(dev, batch)
-
-        return race(devices, queue, recorded_step)
+    def recording_race(devices, stage_units, kind):
+        # race returns each grab's device and size; the grab takes that
+        # many units off its device's end of the work-sorted queue.
+        picks, sizes = race(devices, stage_units, kind)
+        queue = sorted(w for w, _ in stage_units)
+        for j, n in zip(picks, sizes):
+            dev = devices[j]
+            if dev.takes_from_back:
+                taken[dev.name] += queue[-n:][::-1]
+                del queue[-n:]
+            else:
+                taken[dev.name] += queue[:n]
+                del queue[:n]
+        return picks, sizes
 
     monkeypatch.setattr(hetero_trace, "race", recording_race)
     benchmark.pedantic(lambda: dynamic_makespan(units), rounds=1, iterations=1)

@@ -42,9 +42,6 @@ __all__ = [
     "run_phase_breakdown",
 ]
 
-PLATFORM_NAMES = ["sequential", "multicore", "gpu", "cpu+gpu"]
-
-
 def _check_matrices(name: str, ours: np.ndarray, base: np.ndarray) -> None:
     """Assert two full distance matrices agree entry for entry.
 
@@ -234,7 +231,8 @@ class Table2Row:
     n: int
     m: int
     f: int
-    #: virtual seconds: {platform: (with_ear, without_ear)}
+    #: virtual seconds: {platform: (with_ear, without_ear)}, keyed by the
+    #: :func:`~repro.hetero.trace.table2_platforms` names in column order
     seconds: dict[str, tuple[float, float]] = field(default_factory=dict)
     wall_with_ear: float = 0.0
     wall_without_ear: float = 0.0
@@ -259,7 +257,7 @@ def run_table2(
     for name in use:
         g = datasets.load(name, scale)
         row = Table2Row(name=name, n=g.n, m=g.m, f=g.cycle_space_dimension())
-        per_platform: dict[str, list[float]] = {p: [0.0, 0.0] for p in PLATFORM_NAMES}
+        per_platform: dict[str, list[float]] = {}
 
         def leg(use_ear: bool):
             def call():
@@ -283,37 +281,27 @@ def run_table2(
                         1.0, row.basis_weight
                     ), f"{name}: ear/no-ear weight mismatch"
             for p in table2_platforms():
-                res = simulate_trace(trace, p)
-                per_platform[p.name][k] = res.total_time
+                per_platform.setdefault(p.name, [0.0, 0.0])[k] = simulate_trace(trace, p).total_time
         row.seconds = {p: (v[0], v[1]) for p, v in per_platform.items()}
         rows.append(row)
     return rows
 
 
 def run_fig5(rows: list[Table2Row]) -> dict[str, float]:
-    """Average speedup of each implementation over sequential (with ear)."""
-    out: dict[str, float] = {}
-    for p in PLATFORM_NAMES[1:]:
-        out[p] = geomean(
-            r.seconds["sequential"][0] / r.seconds[p][0] for r in rows
-        )
-    return out
+    """Average speedup of each implementation over the first, sequential,
+    column (with ear)."""
+    seq, *others = rows[0].seconds
+    return {p: geomean(r.seconds[seq][0] / r.seconds[p][0] for r in rows) for p in others}
 
 
 def run_fig6(rows: list[Table2Row]) -> list[dict]:
     """Absolute virtual times per implementation (with ear) — Figure 6."""
-    return [
-        {"name": r.name, **{p: r.seconds[p][0] for p in PLATFORM_NAMES}}
-        for r in rows
-    ]
+    return [{"name": r.name, **{p: w for p, (w, _) in r.seconds.items()}} for r in rows]
 
 
 def ear_speedup_by_impl(rows: list[Table2Row]) -> dict[str, float]:
     """Average speedup attributable to ear decomposition, per platform."""
-    return {
-        p: geomean(r.seconds[p][1] / r.seconds[p][0] for r in rows)
-        for p in PLATFORM_NAMES
-    }
+    return {p: geomean(r.seconds[p][1] / r.seconds[p][0] for r in rows) for p in rows[0].seconds}
 
 
 def run_phase_breakdown(

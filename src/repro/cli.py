@@ -99,18 +99,11 @@ def _cmd_fig2(args) -> None:
 
 def _cmd_table2(args) -> None:
     rows = run_table2(scale=args.scale, names=args.datasets)
-    body = []
-    for r in rows:
-        body.append(
-            (
-                r.name,
-                r.f,
-                *(x for p in ("sequential", "multicore", "gpu", "cpu+gpu") for x in r.seconds[p]),
-            )
-        )
+    platforms = list(rows[0].seconds)
+    body = [(r.name, r.f, *(x for ws in r.seconds.values() for x in ws)) for r in rows]
     print(
         format_table(
-            ["graph", "f", "seq w", "seq w/o", "mc w", "mc w/o", "gpu w", "gpu w/o", "het w", "het w/o"],
+            ["graph", "f", *(f"{p} {w}" for p in platforms for w in ("w", "w/o"))],
             body,
             title="Table 2 — MCB virtual seconds (w = with ear decomposition)",
         )
@@ -126,8 +119,8 @@ def _cmd_table2(args) -> None:
         print()
         print(
             format_table(
-                ["graph", "sequential", "multicore", "gpu", "cpu+gpu"],
-                [(d["name"], d["sequential"], d["multicore"], d["gpu"], d["cpu+gpu"]) for d in run_fig6(rows)],
+                ["graph", *platforms],
+                [tuple(d.values()) for d in run_fig6(rows)],
                 title="Figure 6 — absolute virtual seconds (with ear)",
             )
         )

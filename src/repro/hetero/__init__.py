@@ -22,7 +22,6 @@ from .device import (
 )
 from .mcb_runner import HeteroMCBResult, mcb_with_trace, run_mcb_on_platforms
 from .trace import Platform, SimulationResult, Stage, WorkTrace, simulate_trace, table2_platforms
-from .workqueue import DequeWorkQueue
 
 __all__ = [
     "apsp_with_trace",
@@ -45,5 +44,4 @@ __all__ = [
     "WorkTrace",
     "simulate_trace",
     "table2_platforms",
-    "DequeWorkQueue",
 ]

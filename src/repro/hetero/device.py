@@ -24,6 +24,9 @@ comments give the derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, lt
 
 __all__ = [
     "ClockSample",
@@ -62,6 +65,17 @@ class VirtualClock:
             self.samples.append(ClockSample(label, self.now, seconds))
         self.now += seconds
         self.busy += seconds
+
+    def advance_all(self, costs: list[float], label: str = "") -> None:
+        """:meth:`advance` by each of ``costs`` in turn, as one left fold:
+        the same IEEE additions in the same order, without a call each."""
+        if any(map(lt, costs, repeat(0.0))):
+            raise ValueError("cannot charge negative time")
+        if self.record_samples:
+            starts = accumulate(costs, add, initial=self.now)
+            self.samples += map(ClockSample, repeat(label), starts, costs)
+        self.now = reduce(add, costs, self.now)
+        self.busy = reduce(add, costs, self.busy)
 
     def wait_until(self, t: float) -> None:
         """Idle (synchronise) until virtual time ``t``."""

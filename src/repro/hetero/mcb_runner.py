@@ -65,13 +65,14 @@ def mcb_with_trace(g: CSRGraph, use_ear: bool = True) -> tuple[list[Cycle], Work
             continue
         n, f = mm.n, mm.f
         words = gf2.n_words(f)
+        # One unit per FVS root, all alike: add one and repeat it.
         spt = trace.new_stage("spt")
-        for _ in range(mm.n_fvs):
-            spt.add(max(mm.m, 1) * BYTES_SPT_PER_EDGE, n)
+        spt.add(max(mm.m, 1) * BYTES_SPT_PER_EDGE, n)
+        spt.units *= mm.n_fvs
         for i, tested in enumerate(mm.tested):
             labels = trace.new_stage("labels")
-            for _ in range(mm.n_fvs):
-                labels.add(n * BYTES_LABEL_PER_VERTEX, n)
+            labels.add(n * BYTES_LABEL_PER_VERTEX, n)
+            labels.units *= mm.n_fvs
             k = max(tested, 1)
             trace.new_stage("scan", divisible=True).add(k * BYTES_SCAN_PER_CANDIDATE, k)
             rows = f - i - 1

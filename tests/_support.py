@@ -59,11 +59,11 @@ def bridge_count(g: CSRGraph) -> int:
 class GrabRecorder:
     """Each work-queue grab as ``(end, batch, device, remaining)``, in order.
 
-    Recorded from the test side only: :meth:`install` wraps
-    ``DequeWorkQueue.take`` (which end, how many units, how many are left)
-    and the step ``trace.race`` hands each batch to (which device took
-    it), which ``simulate_trace`` calls for every queue stage.  A
-    reference queue can call :meth:`add` directly.
+    Recorded from the test side only: :meth:`install` wraps ``trace.race``,
+    which ``simulate_trace`` calls once per queue stage and which returns
+    each grab's device index and batch size.  A grab comes off its
+    device's end; ``remaining`` is the stage's units less those grabbed so
+    far.  A reference queue can call :meth:`add` directly.
     """
 
     def __init__(self) -> None:
@@ -74,24 +74,17 @@ class GrabRecorder:
 
     def install(self, monkeypatch) -> "GrabRecorder":
         from repro.hetero import trace
-        from repro.hetero.workqueue import DequeWorkQueue
 
-        take, race = DequeWorkQueue.take, trace.race
-        taken: list[tuple] = []
+        race = trace.race
 
-        def recorded_take(queue, batch_size, from_back):
-            out = take(queue, batch_size, from_back)
-            taken.append(("back" if from_back else "front", len(out), len(queue)))
-            return out
+        def recorded_race(devices, units, kind):
+            picks, sizes = race(devices, units, kind)
+            remaining = len(units)
+            for j, batch in zip(picks, sizes):
+                remaining -= batch
+                dev = devices[j]
+                self.add("back" if dev.takes_from_back else "front", batch, dev.name, remaining)
+            return picks, sizes
 
-        def recorded_race(devices, queue, step):
-            def recorded_step(dev, batch):
-                end, n, remaining = taken.pop()
-                self.add(end, n, dev.name, remaining)
-                step(dev, batch)
-
-            return race(devices, queue, recorded_step)
-
-        monkeypatch.setattr(DequeWorkQueue, "take", recorded_take)
         monkeypatch.setattr(trace, "race", recorded_race)
         return self

@@ -209,6 +209,27 @@ class TestHarness:
         fig6 = run_fig6(rows)
         assert len(fig6) == 2 and "cpu+gpu" in fig6[0]
 
+    def test_table2_columns_follow_the_platform_names(self, monkeypatch):
+        """Table 2 and Figures 5/6 take their columns from
+        ``table2_platforms``: renaming a platform there renames the column."""
+        from repro.bench import harness
+
+        real = harness.table2_platforms
+
+        def renamed():
+            platforms = real()
+            platforms[0].name = "serial"
+            return platforms
+
+        monkeypatch.setattr(harness, "table2_platforms", renamed)
+        (row,) = run_table2(scale=TINY, names=["nopoly"])
+        names = ["serial", "multicore", "gpu", "cpu+gpu"]
+        assert list(row.seconds) == names
+        assert all(w > 0 and wo > 0 for w, wo in row.seconds.values())
+        assert list(run_fig5([row])) == names[1:]
+        assert list(run_fig6([row])[0]) == ["name", *names]
+        assert list(ear_speedup_by_impl([row])) == names
+
     def test_phase_breakdown_sums_to_one(self):
         frac = run_phase_breakdown("as-22july06", scale=TINY)
         assert sum(frac.values()) == pytest.approx(1.0)

@@ -1,9 +1,9 @@
 """Work queue, device models, the race loop, trace simulation."""
 
 import pytest
+from _support import GrabRecorder
 
 from repro.hetero import (
-    DequeWorkQueue,
     Device,
     HeteroMCBResult,
     Platform,
@@ -30,31 +30,58 @@ def one_stage(works, items=1):
     return tr
 
 
+def unit_devices(*specs):
+    """A platform of devices that charge exactly a batch's work: one
+    ``(name, batch_size, takes_from_back)`` triple per device."""
+    return Platform(
+        "units",
+        [Device(name, effective_bandwidth=1.0, batch_size=b, takes_from_back=back)
+         for name, b, back in specs],
+    )
+
+
 class TestWorkQueue:
-    def test_sorted_small_front_big_back(self):
-        q = DequeWorkQueue([(5.0, 1), (1.0, 2), (3.0, 3)])
-        front = q.take(1, from_back=False)
-        back = q.take(1, from_back=True)
-        assert front == [(1.0, 2)]
-        assert back == [(5.0, 1)]
+    """The [19] queue, through the replay: each device's clock samples are
+    the work of its batches, in grab order."""
 
-    def test_conservation(self):
-        q = DequeWorkQueue([(1.0, i) for i in range(17)])
-        seen = []
-        while not q.empty:
-            seen += q.take(3, from_back=bool(len(seen) % 2))
-        assert sorted(i for _, i in seen) == list(range(17))
+    def test_sorted_small_front_big_back(self, monkeypatch):
+        trace = WorkTrace()
+        trace.new_stage("units").units = [(5.0, 1), (1.0, 2), (3.0, 3)]
+        plat = unit_devices(("front", 1, False), ("back", 1, True))
+        rec = GrabRecorder().install(monkeypatch)
+        simulate_trace(trace, plat, record_samples=True)
+        front, back = (d.clock.samples for d in plat.devices)
+        assert [s.duration for s in front] == [1.0, 3.0]
+        assert [s.duration for s in back] == [5.0]
+        assert rec.grabs == [
+            ("front", 1, "front", 2), ("back", 1, "back", 1), ("front", 1, "front", 0),
+        ]
 
-    def test_batch_bigger_than_queue(self):
-        q = DequeWorkQueue([(1.0, 1), (2.0, 1)])
-        got = q.take(10, from_back=False)
-        assert len(got) == 2 and q.empty
+    def test_conservation(self, monkeypatch):
+        # Distinct powers of two: the priced work is 2**17 - 1 exactly when
+        # every unit is taken once.
+        trace = WorkTrace()
+        trace.new_stage("units").units = [(2.0**i, i) for i in range(17)]
+        plat = unit_devices(("front", 3, False), ("back", 3, True))
+        rec = GrabRecorder().install(monkeypatch)
+        res = simulate_trace(trace, plat)
+        assert sum(res.device_busy.values()) == 2.0**17 - 1
+        assert sum(batch for _, batch, _, _ in rec.grabs) == 17
+        assert rec.grabs[-1][3] == 0
+
+    def test_batch_bigger_than_queue(self, monkeypatch):
+        trace = WorkTrace()
+        trace.new_stage("units").units = [(1.0, 1), (2.0, 1)]
+        rec = GrabRecorder().install(monkeypatch)
+        simulate_trace(trace, unit_devices(("big", 10, False)))
+        assert rec.grabs == [("front", 2, "big", 0)]
 
     def test_grab_counters(self):
-        q = DequeWorkQueue([(1.0, 1)] * 4)
-        q.take(1, from_back=False)
-        q.take(1, from_back=True)
-        assert q.grabs_front == 1 and q.grabs_back == 1
+        front = _metrics.counter("queue.grabs.front")
+        back = _metrics.counter("queue.grabs.back")
+        f0, b0 = front.value, back.value
+        simulate_trace(one_stage([1.0] * 2), unit_devices(("front", 1, False), ("back", 1, True)))
+        assert front.value == f0 + 1 and back.value == b0 + 1
 
 
 class TestClockAndDevices:

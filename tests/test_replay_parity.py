@@ -1,9 +1,10 @@
 """The trace replay against the loop it replaced, bit for bit.
 
 Table 2's virtual seconds come from replaying a recorded work trace on
-each platform model.  The replay drains each stage's ``(work, items)``
-pairs through one race loop over a two-cursor queue; the reference below
-is the path it replaced: one :class:`WorkUnit` per pair, a deque popped
+each platform model.  The replay prices each stage's ``(work, items)``
+pairs in one pass (a lone device's fixed batches folded onto its clock,
+several devices raced over two cursors); the reference below is a
+per-grab loop: one :class:`WorkUnit` per pair, a deque popped
 one unit at a time, a stage loop with per-grab telemetry, and
 ``_run_divisible`` pricing a probe ``WorkUnit``.  Every virtual time,
 stage time, busy time, clock sample, ``queue.*`` metric delta and grab
@@ -71,7 +72,6 @@ class ReferenceQueue:
             out.append(self._q.pop() if from_back else self._q.popleft())
         if out:
             _metrics.counter("queue.grabs.back" if from_back else "queue.grabs.front").inc()
-            _metrics.histogram("queue.grab.batch").observe(len(out))
             if device:
                 _metrics.counter(f"queue.device.{device}.units").inc(len(out))
             if self.recorder is not None:
@@ -293,3 +293,16 @@ def test_equal_work_ties_keep_their_recorded_order(monkeypatch):
     assert (
         reference_simulate(regrouped, het())[1] != reference_simulate(trace, het())[1]
     ), "the tie case no longer tells the two sort keys apart"
+
+
+@pytest.mark.parametrize("name", list(PLATFORMS))
+def test_negative_work_raises(name):
+    """A queue stage whose batch prices below zero raises, as the clock
+    does, whether the stage is drained alone or raced."""
+    trace = WorkTrace()
+    trace.new_stage("spt").add(1e6, 10)
+    st = trace.new_stage("labels")
+    for work in (1e3, -1e9, 5e3):
+        st.add(work, 4)
+    with pytest.raises(ValueError, match="negative"):
+        simulate_trace(trace, PLATFORMS[name]())

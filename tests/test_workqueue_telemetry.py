@@ -1,17 +1,17 @@
 """Work-queue telemetry: per-end and per-device grab counters.
 
-Covers the queue's own grabs, the trace-replay simulator
-(:func:`repro.hetero.trace.simulate_trace`) that drives it, and the
-virtual-clock bridge that turns replay samples into Chrome-trace device
-tracks.
+Covers the counters the trace-replay simulator
+(:func:`repro.hetero.trace.simulate_trace`) adds once per replay, the
+grabs it makes, and the virtual-clock bridge that turns replay samples
+into Chrome-trace device tracks.
 """
 
 from __future__ import annotations
 
 from _support import GrabRecorder
 
+from repro.hetero.device import Device
 from repro.hetero.trace import Platform, WorkTrace, simulate_trace
-from repro.hetero.workqueue import DequeWorkQueue, count_grabs
 from repro.obs import metrics as _metrics
 from repro.obs.export import (
     VIRTUAL_PID,
@@ -31,23 +31,24 @@ class TestGrabCounters:
         front = _metrics.counter("queue.grabs.front")
         back = _metrics.counter("queue.grabs.back")
         dev = _metrics.counter("queue.device.testdev.units")
-        f0, b0, d0 = front.value, back.value, dev.value
-        q = DequeWorkQueue(_units(6))
-        n = len(q.take(2, from_back=True)) + len(q.take(1, from_back=False))
-        q.take(10, from_back=False)  # drains
-        # Empty-queue grabs count nothing.
-        assert q.take(4, from_back=True) == []
-        count_grabs(q.grabs_front, q.grabs_back, {"testdev": n, "idle": 0})
+        big = _metrics.counter("queue.device.backdev.units")
+        f0, b0, d0, g0 = front.value, back.value, dev.value, big.value
+        trace = WorkTrace()
+        trace.new_stage("units").units = _units(3)
+        # testdev grabs first (ties go to the first listed), backdev next;
+        # the queue is empty before idle's turn.
+        platform = Platform("t", [
+            Device("testdev", effective_bandwidth=1.0),
+            Device("backdev", effective_bandwidth=1.0, batch_size=2, takes_from_back=True),
+            Device("idle", effective_bandwidth=1.0),
+        ])
+        simulate_trace(trace, platform)
+        assert front.value == f0 + 1
         assert back.value == b0 + 1
-        assert front.value == f0 + 2
-        assert dev.value == d0 + 3  # 2 back + 1 front units for testdev
+        assert dev.value == d0 + 1
+        assert big.value == g0 + 2
+        # A device that grabbed nothing gets no counter.
         assert "queue.device.idle.units" not in _metrics.snapshot("queue.device.idle")
-
-    def test_batch_histogram_observes(self):
-        hist = _metrics.histogram("queue.grab.batch")
-        n0 = hist.count
-        DequeWorkQueue(_units(4)).take(3, from_back=True)
-        assert hist.count == n0 + 1
 
 
 class TestSimulatedPath:
