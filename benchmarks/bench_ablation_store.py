@@ -1,9 +1,9 @@
-"""Ablation — the hybrid candidate store of Section 3.3.2.
+"""Ablation — the candidate store of Section 3.3.2.
 
 The paper motivates the block/array hybrid ("linked-lists are lacking in
 efficiency due to higher penalty in access times"): this ablation sweeps
 the block size and measures the scan wall time of a full MCB run, plus
-the store's own counters (batches visited, compaction events).
+the store's own counters (batches visited, candidates tested).
 """
 
 import time
@@ -53,7 +53,7 @@ def test_block_size_sweep(benchmark, reduced):
 
 
 def test_store_counters(benchmark, reduced):
-    """One phase-by-phase run exposing batches/compactions."""
+    """One phase-by-phase run exposing the batch and test counts."""
     from repro.mcb.mehlhorn_michail import MMContext
     from repro.mcb import gf2
     import numpy as np
@@ -76,8 +76,7 @@ def test_store_counters(benchmark, reduced):
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
         f"\nbatches visited={stats.batches_visited} "
-        f"candidates tested={stats.candidates_tested} "
-        f"compactions={stats.compactions}"
+        f"candidates tested={stats.candidates_tested}"
     )
     assert stats.batches_visited > 0
     # early exit pays off: far fewer candidate tests than phases x store

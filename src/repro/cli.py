@@ -596,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
         help="profile/regress: which pipeline to trace (default apsp)",
     )
     parser.add_argument("--scale", type=float, default=None, help="dataset scale factor")
-    parser.add_argument("--datasets", nargs="*", default=None, help="restrict to named datasets")
+    parser.add_argument("--datasets", nargs="+", default=None, help="restrict to named datasets")
     parser.add_argument("--mteps", action="store_true", help="also print Figure 3 (fig2)")
     parser.add_argument("--fig6", action="store_true", help="also print Figure 6 (table2)")
     parser.add_argument("--qa-count", type=int, default=200, help="qa: corpus size")

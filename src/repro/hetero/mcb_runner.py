@@ -41,8 +41,9 @@ BYTES_SCAN_PER_CANDIDATE = 16.0
 BYTES_UPDATE_PER_WORD = 24.0
 BYTES_REDUCE_PER_EDGE = 24.0
 
-# Per-run peaks of the GF(2) witness matrix and the Horton candidate
-# store, in actual bytes: the largest over the run's solved components.
+# Per-run peaks of the GF(2) witness matrix and the candidate store (its
+# alive mask and block counts), in actual bytes: the largest over the
+# run's solved components.
 _G_WITNESS_BYTES = _metrics.gauge("memory.mcb.witness_bytes")
 _G_STORE_BYTES = _metrics.gauge("memory.mcb.candidate_store_bytes")
 

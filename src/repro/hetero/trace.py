@@ -80,10 +80,6 @@ class WorkTrace:
         self.stages.append(st)
         return st
 
-    @property
-    def total_work(self) -> float:
-        return float(sum(s.total_work for s in self.stages))
-
 
 @dataclass
 class Platform:

@@ -1,4 +1,4 @@
-"""Hybrid array/linked-list candidate container (Section 3.3.2).
+"""Weight-ranked candidate container (Section 3.3.2).
 
 The paper stores the weight-sorted candidate cycles in "a hybrid of
 linked-list as well as linear arrays ... each linked-list node consists of
@@ -8,10 +8,16 @@ found skip to the next node.  We mark the removal of elements by setting
 off the MSB and reorder the cycles within nodes when half of those in a
 node are removed."
 
-This is that structure: blocks of a fixed size scanned batch-by-batch with
-a vectorized predicate, tombstone removal, and per-block compaction once
-half the entries are dead.  Scanning early-exits at the first block that
-contains a match — the "logical batches B₁, B₂, …" of the search step.
+Here a candidate's id is its weight rank (:class:`MMContext` sorts its
+arrays once), so the store is one ``alive`` mask over ranks — the MSB
+tombstones — plus a live count per fixed-size block.  A scan tests
+contiguous rank windows, growing from one block up to
+:data:`WINDOW_CAP` candidates, and returns the first live match.  Its
+work counts are those of a block-by-block walk that skips empty blocks:
+the live counts of the blocks from the first non-empty one through the
+block holding the match — the "logical batches B₁, B₂, …" of the
+search step.  A window has no dead slots to compact away, so there are
+no next pointers and no compaction.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ __all__ = ["CandidateStore", "ScanStats"]
 _C_SCANNED = _metrics.counter("mcb.candidates_scanned")
 _C_BATCHES = _metrics.counter("mcb.scan_batches")
 
+#: Largest rank window one predicate call sees (at least one block);
+#: bounds the predicate's temporaries.
+WINDOW_CAP = 4096
+
 
 @dataclass
 class ScanStats:
@@ -35,109 +45,75 @@ class ScanStats:
 
     batches_visited: int = 0
     candidates_tested: int = 0
-    compactions: int = 0
-
-
-class _Block:
-    __slots__ = ("ids", "alive", "n_alive", "next")
-
-    def __init__(self, ids: np.ndarray) -> None:
-        self.ids = ids
-        self.alive = np.ones(ids.size, dtype=bool)
-        self.n_alive = int(ids.size)
-        self.next: "_Block | None" = None
 
 
 class CandidateStore:
-    """Weight-ordered candidate ids with vectorized first-match scans."""
+    """Live candidate ranks ``0 .. n-1`` with windowed first-match scans."""
 
-    def __init__(self, ordered_ids: np.ndarray, block_size: int = 512) -> None:
+    def __init__(self, n: int, block_size: int = 512) -> None:
         if block_size < 1:
             raise ValueError("block size must be positive")
         self.block_size = block_size
-        ordered_ids = np.asarray(ordered_ids, dtype=np.int64)
-        self._head: _Block | None = None
-        self._size = int(ordered_ids.size)
-        prev: _Block | None = None
-        for start in range(0, ordered_ids.size, block_size):
-            blk = _Block(ordered_ids[start : start + block_size].copy())
-            if prev is None:
-                self._head = blk
-            else:
-                prev.next = blk
-            prev = blk
+        self._alive = np.ones(n, dtype=bool)
+        self._live = np.full(-(-n // block_size), block_size, dtype=np.int64)
+        if n % block_size:
+            self._live[-1] = n % block_size
+        self._first = 0  # no live rank before this block
+        self._size = n
         self.stats = ScanStats()
 
     def __len__(self) -> int:
         return self._size
 
     def memory_bytes(self) -> int:
-        """Actual bytes held by the block chain (id arrays + alive masks).
+        """Bytes held by the store: the alive mask plus the block counts.
 
         Feeds the ``memory.mcb.candidate_store_bytes`` gauge so Table-1
         style memory accounting covers the MCB side of the pipeline too.
         """
-        total = 0
-        blk = self._head
-        while blk is not None:
-            total += int(blk.ids.nbytes) + int(blk.alive.nbytes)
-            blk = blk.next
-        return total
+        return int(self._alive.nbytes + self._live.nbytes)
 
-    def scan_and_remove(
-        self, predicate: Callable[[np.ndarray], np.ndarray]
-    ) -> int | None:
-        """First live candidate (in weight order) matching ``predicate``.
+    def scan_and_remove(self, predicate: Callable[[slice], np.ndarray]) -> int | None:
+        """Lightest live rank matching ``predicate``, removed from the store.
 
-        ``predicate`` receives a batch of candidate ids and returns a
-        boolean mask.  The match is removed from the store.  ``None`` when
+        ``predicate`` receives a ``slice`` of ranks and returns a boolean
+        mask over it; dead ranks are masked out here.  ``None`` when
         nothing matches.
         """
-        blk = self._head
-        prev: _Block | None = None
-        while blk is not None:
-            if blk.n_alive == 0:
-                # Unlink empty blocks lazily during traversal.
-                nxt = blk.next
-                if prev is None:
-                    self._head = nxt
-                else:
-                    prev.next = nxt
-                blk = nxt
-                continue
-            live_pos = np.nonzero(blk.alive)[0]
-            live_ids = blk.ids[live_pos]
-            self.stats.batches_visited += 1
-            self.stats.candidates_tested += int(live_ids.size)
-            _C_BATCHES.inc()
-            _C_SCANNED.inc(int(live_ids.size))
-            mask = predicate(live_ids)
-            hits = np.nonzero(mask)[0]
-            if hits.size:
-                pos = int(live_pos[hits[0]])
-                found = int(blk.ids[pos])
-                blk.alive[pos] = False
-                blk.n_alive -= 1
+        live, bs, n = self._live, self.block_size, self._alive.size
+        cap = max(1, WINDOW_CAP // bs)  # in blocks
+        b = self._first
+        while b < live.size and live[b] == 0:
+            b += 1
+        self._first = start = b
+        width = 1
+        while b < live.size:
+            end = min(b + width, live.size)
+            lo, hi = b * bs, min(end * bs, n)
+            hit = predicate(slice(lo, hi)) & self._alive[lo:hi]
+            pos = int(hit.argmax())
+            if hit[pos]:
+                rank = lo + pos
+                b = rank // bs
+                self._count(live[start : b + 1])
+                self._alive[rank] = False
+                live[b] -= 1
                 self._size -= 1
-                if 0 < blk.n_alive <= blk.ids.size // 2:
-                    self._compact(blk)
-                return found
-            prev, blk = blk, blk.next
+                return rank
+            b = end
+            width = min(2 * width, cap)
+        self._count(live[start:])
         return None
 
-    def _compact(self, blk: _Block) -> None:
-        """Reorder a half-dead block down to its live entries."""
-        blk.ids = blk.ids[blk.alive]
-        blk.alive = np.ones(blk.ids.size, dtype=bool)
-        blk.n_alive = int(blk.ids.size)
-        self.stats.compactions += 1
+    def _count(self, counts: np.ndarray) -> None:
+        """Charge a scan over blocks with these live counts: one batch per
+        non-empty block, as the block-by-block walk visited them."""
+        batches, tested = int(np.count_nonzero(counts)), int(counts.sum())
+        self.stats.batches_visited += batches
+        self.stats.candidates_tested += tested
+        _C_BATCHES.inc(batches)
+        _C_SCANNED.inc(tested)
 
     def remaining_ids(self) -> np.ndarray:
-        """All live candidate ids in weight order (mainly for tests)."""
-        out: list[np.ndarray] = []
-        blk = self._head
-        while blk is not None:
-            if blk.n_alive:
-                out.append(blk.ids[blk.alive])
-            blk = blk.next
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        """All live ranks in weight order (mainly for tests)."""
+        return np.flatnonzero(self._alive)

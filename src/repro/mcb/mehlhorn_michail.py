@@ -5,13 +5,13 @@ This is the paper's *processing phase* (Section 3.3.2) in full:
 * shortest-path trees ``T_z`` from every vertex of a feedback vertex set;
 * the candidate family ``A = {C_ze}`` (optionally restricted to pairs with
   ``lca_{T_z}(u, v) = z`` — the Mehlhorn–Michail reduction — in which case
-  every candidate is a simple cycle), sorted by weight into the hybrid
-  array/linked-list :class:`CandidateStore`;
+  every candidate is a simple cycle), sorted by weight once, so that a
+  candidate's id is its weight rank in the :class:`CandidateStore`;
 * per phase, **Algorithm 3**: labels ``l_z(u) = ⟨path_z(u), S⟩`` computed
   by two tree passes (a gather of witness bits onto parent edges, then a
   level-order prefix-xor), making each candidate's orthogonality test O(1):
   ``⟨C_ze, S⟩ = l_z(u) ⊕ l_z(v) ⊕ S(e)``;
-* batched scanning of the store for the first (lightest) odd candidate;
+* windowed scanning of the store for the first (lightest) odd candidate;
 * the vectorized witness update (independence test).
 
 Set-up is whole-array numpy: the trees' depth, ``top_z`` and level
@@ -19,7 +19,7 @@ schedule fill one depth level at a time across all trees, and one boolean
 mask over (tree, edge) selects the candidates (the LCA filter is
 ``top_z(u) != top_z(v)``, where ``top_z(x)`` is the child of ``z`` above
 ``x``).  :class:`MMContext` exposes the per-phase steps — labels for all
-trees at once, one batch scan, one witness update; the heterogeneous
+trees at once, one store scan, one witness update; the heterogeneous
 trace (:mod:`repro.hetero.mcb_runner`) sizes its per-tree label units and
 per-phase scan and update units from the counts :class:`MMReport` records.
 
@@ -75,8 +75,10 @@ class MMReport:
 class MMContext:
     """Precomputed state for one Mehlhorn–Michail run.
 
-    The per-phase operations (labels, one batch scan, reconstruction, the
+    The per-phase operations (labels, one store scan, reconstruction, the
     witness update) are methods, so the caller drives the phase loop.
+    The ``cand_*`` arrays are in weight order: a candidate's id is its
+    rank.
     """
 
     def __init__(
@@ -160,12 +162,13 @@ class MMContext:
         return top.reshape(k, n)
 
     def _build_candidates(self, top: np.ndarray, pw: np.ndarray, lca_filter: bool) -> None:
-        """Candidate family A, weight-sorted into the hybrid store.
+        """Candidate family A, in weight order.
 
         One boolean mask over (tree, non-loop edge) keeps ``C_ze`` when both
         ends are reachable, ``e`` is no tree arc of ``T_z`` and, with the
         filter, ``lca_z(u, v) = z`` — i.e. ``top_z(u) != top_z(v)``.
-        Self-loops come first, then tree by tree in edge-id order.
+        Self-loops come first, then tree by tree in edge-id order; a
+        stable argsort on weight then fixes each candidate's rank.
         """
         g = self.graph
         k, n = self.dist.shape
@@ -178,23 +181,21 @@ class MMContext:
         if lca_filter:
             keep &= top[:, u] != top[:, v]
         zi, j = np.nonzero(keep)
-        cu, cv = u[j], v[j]
         e = chords[j]
-        w = (self.dist[zi, cu] + pw[e]) + self.dist[zi, cv]
+        w = (self.dist[zi, u[j]] + pw[e]) + self.dist[zi, v[j]]
 
-        lu = g.edge_u[loops]
-        self.cand_z = np.concatenate([np.full(loops.size, -1, dtype=np.int64), zi])
-        self.cand_e = np.concatenate([loops, e])
-        self.cand_u = np.concatenate([lu, cu])
-        self.cand_v = np.concatenate([lu, cv])
         self.cand_w = np.concatenate([pw[loops], w])
+        rank = np.argsort(self.cand_w, kind="stable")
+        self.cand_w = self.cand_w[rank]
+        self.cand_z = np.concatenate([np.full(loops.size, -1, dtype=np.int64), zi])[rank]
+        self.cand_e = np.concatenate([loops, e])[rank]
+        self.cand_u, self.cand_v = g.edge_u[self.cand_e], g.edge_v[self.cand_e]
         self.cand_ep = self.ss.eprime_index[self.cand_e]
-        self.order = np.argsort(self.cand_w, kind="stable")
         # Flat label indices ``z·n + u`` per candidate; self-loops read the
         # zero pad slot ``k·n`` that :meth:`scan_predicate` appends.
-        pad = np.full(loops.size, k * n, dtype=np.int64)
-        self._lab_u = np.concatenate([pad, zi * n + cu])
-        self._lab_v = np.concatenate([pad, zi * n + cv])
+        loop_cand = self.cand_z < 0
+        self._lab_u = np.where(loop_cand, k * n, self.cand_z * n + self.cand_u)
+        self._lab_v = np.where(loop_cand, k * n, self.cand_z * n + self.cand_v)
 
     # ------------------------------------------------------------------ #
     # Per-phase work units
@@ -220,14 +221,15 @@ class MMContext:
         return labels.reshape(len(self.fvs), self.n)
 
     def scan_predicate(self, labels: np.ndarray, s_pad: np.ndarray):
-        """Vectorized O(1)-per-candidate orthogonality test over a batch:
-        ``S(e) ⊕ l_z(u) ⊕ l_z(v)`` through flat label indices."""
+        """Vectorized O(1)-per-candidate orthogonality test over a window
+        of ranks: ``S(e) ⊕ l_z(u) ⊕ l_z(v)`` through flat label indices,
+        read as views of the weight-ordered arrays."""
         lab = np.zeros(labels.size + 1, dtype=np.uint8)
         lab[:-1] = labels.reshape(-1)
         ep, iu, iv = self.cand_ep, self._lab_u, self._lab_v
 
-        def predicate(ids: np.ndarray) -> np.ndarray:
-            return (s_pad[ep[ids]] ^ lab[iu[ids]] ^ lab[iv[ids]]) == 1
+        def predicate(win: slice) -> np.ndarray:
+            return (s_pad[ep[win]] ^ lab[iu[win]] ^ lab[iv[win]]) == 1
 
         return predicate
 
@@ -268,8 +270,8 @@ class MMContext:
         return flipped
 
     def new_store(self) -> CandidateStore:
-        """Fresh weight-ordered candidate store for one run."""
-        return CandidateStore(self.order, block_size=self.block_size)
+        """Fresh store holding every candidate rank, for one run."""
+        return CandidateStore(len(self.cand_e), block_size=self.block_size)
 
 
 def mm_mcb(

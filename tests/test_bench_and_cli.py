@@ -254,3 +254,12 @@ class TestCLI:
     def test_phases(self, capsys):
         assert main(["phases", "--scale", str(TINY), "--datasets", "as-22july06"]) == 0
         assert "labels" in capsys.readouterr().out
+
+    def test_datasets_without_names_is_a_usage_error(self, capsys):
+        # table2 first: it used to run no rows and fail on ``rows[0]``.
+        for command in ("table2", "table1", "fig2", "phases", "datasets", "qa",
+                        "profile", "regress", "report", "critpath", "all"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--scale", str(TINY), "--datasets"])
+            assert exc.value.code == 2, command
+            assert "usage: repro-bench" in capsys.readouterr().err, command

@@ -1,4 +1,5 @@
-"""Hybrid array/linked-list candidate store (Section 3.3.2)."""
+"""Weight-ranked candidate store (Section 3.3.2): an alive mask over
+ranks scanned in windows, with the counts of a block-by-block walk."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ from repro.mcb import CandidateStore
 
 
 def make_store(n=100, block=16):
-    return CandidateStore(np.arange(n), block_size=block)
+    return CandidateStore(n, block_size=block)
 
 
 def match_set(targets):
     targets = set(targets)
 
-    def pred(ids):
-        return np.array([int(i) in targets for i in ids])
+    def pred(win):
+        return np.array([i in targets for i in range(win.start, win.stop)], dtype=bool)
 
     return pred
 
@@ -41,7 +42,7 @@ def test_len_tracks_removals():
 
 def test_no_match_returns_none_and_keeps_all():
     store = make_store(20)
-    assert store.scan_and_remove(lambda ids: np.zeros(len(ids), dtype=bool)) is None
+    assert store.scan_and_remove(lambda win: np.zeros(win.stop - win.start, dtype=bool)) is None
     assert len(store) == 20
 
 
@@ -53,38 +54,38 @@ def test_early_exit_skips_later_batches():
     assert store.stats.candidates_tested == 10
 
 
-def test_compaction_triggers_at_half():
-    store = CandidateStore(np.arange(8), block_size=8)
-    for t in (0, 1, 2, 3):
+def test_counts_stop_at_the_hit_block():
+    # Windows of 1, 2 and 4 blocks: 35 lies in the third, which is charged
+    # through block 3 only, as a block-by-block walk would be.
+    store = make_store(100, block=10)
+    assert store.scan_and_remove(match_set({35})) == 35
+    assert (store.stats.batches_visited, store.stats.candidates_tested) == (4, 40)
+    # An emptied block is no batch; the hit block counts its live entries.
+    store = make_store(30, block=10)
+    for t in range(10):
         store.scan_and_remove(match_set({t}))
-    assert store.stats.compactions >= 1
-    assert sorted(store.remaining_ids().tolist()) == [4, 5, 6, 7]
+    store.stats.batches_visited = store.stats.candidates_tested = 0
+    assert store.scan_and_remove(match_set({25})) == 25
+    assert (store.stats.batches_visited, store.stats.candidates_tested) == (2, 20)
 
 
 def test_empty_blocks_unlinked():
-    store = CandidateStore(np.arange(4), block_size=2)
+    store = CandidateStore(4, block_size=2)
     for t in (0, 1):
         store.scan_and_remove(match_set({t}))
     # first block now empty; next scan must still find later entries
     assert store.scan_and_remove(match_set({3})) == 3
 
 
-def test_weight_order_preserved_nontrivial_ids():
-    # ordered ids need not be 0..n-1
-    order = np.array([42, 17, 99, 3])
-    store = CandidateStore(order, block_size=2)
-    assert store.scan_and_remove(match_set({99, 3})) == 99  # first in order
-
-
 def test_invalid_block_size():
     with pytest.raises(ValueError):
-        CandidateStore(np.arange(3), block_size=0)
+        CandidateStore(3, block_size=0)
 
 
 def test_empty_store():
-    store = CandidateStore(np.array([], dtype=np.int64))
+    store = CandidateStore(0)
     assert len(store) == 0
-    assert store.scan_and_remove(lambda ids: np.ones(len(ids), dtype=bool)) is None
+    assert store.scan_and_remove(lambda win: np.ones(win.stop - win.start, dtype=bool)) is None
 
 
 @given(
@@ -94,8 +95,8 @@ def test_empty_store():
 )
 @settings(max_examples=60)
 def test_property_matches_naive_first_match(n, block, removals):
-    """Whatever the removal pattern, scan == first live id matching."""
-    store = CandidateStore(np.arange(n), block_size=block)
+    """Whatever the removal pattern, scan == first live rank matching."""
+    store = CandidateStore(n, block_size=block)
     alive = list(range(n))
     for r in removals:
         targets = {r, (r * 7) % n}

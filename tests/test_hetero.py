@@ -182,7 +182,7 @@ class TestTraceSimulation:
 
     def test_total_work(self):
         tr = self.make_trace()
-        assert tr.total_work == pytest.approx(50 * 1e7 + 5e7)
+        assert sum(s.total_work for s in tr.stages) == pytest.approx(50 * 1e7 + 5e7)
         assert tr.stages[0].total_work == pytest.approx(5e8)
 
     def test_simulation_deterministic(self):

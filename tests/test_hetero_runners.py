@@ -45,7 +45,9 @@ class TestMCBRunner:
     def test_ear_reduces_total_work(self, medium):
         _, with_ear = mcb_with_trace(medium, use_ear=True)
         _, without = mcb_with_trace(medium, use_ear=False)
-        assert with_ear.total_work < without.total_work
+        assert sum(s.total_work for s in with_ear.stages) < sum(
+            s.total_work for s in without.stages
+        )
 
     def test_platform_results(self, medium):
         res = run_mcb_on_platforms(medium, use_ear=True)

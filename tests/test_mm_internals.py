@@ -72,15 +72,15 @@ def test_flat_levels_match_per_tree_path(ctx):
 
 
 def test_candidate_weights_sorted_by_order(ctx):
-    w = ctx.cand_w[ctx.order]
+    w = ctx.cand_w  # a candidate's id is its weight rank
     assert (np.diff(w) >= -1e-12).all()
 
 
 def test_candidates_cover_cycle_space(ctx):
     """Greedy over the candidate family must reach full rank."""
     rows = []
-    for cid in ctx.order:
-        _, vec = ctx.reconstruct(int(cid))
+    for cid in range(len(ctx.cand_e)):
+        _, vec = ctx.reconstruct(cid)
         rows.append(vec)
     mat = np.stack(rows)
     assert gf2.rank(mat) == ctx.f
@@ -88,8 +88,8 @@ def test_candidates_cover_cycle_space(ctx):
 
 def test_reconstruct_weights_true_not_perturbed(ctx):
     g = ctx.graph
-    for cid in ctx.order[:20]:
-        cyc, _ = ctx.reconstruct(int(cid))
+    for cid in range(min(20, len(ctx.cand_e))):
+        cyc, _ = ctx.reconstruct(cid)
         assert cyc.weight == pytest.approx(cyc.support_weight(g), rel=1e-12)
 
 
@@ -100,8 +100,9 @@ def test_scan_predicate_matches_vector_dot(ctx):
     s_pad = ctx.witness_edge_bits(packed)
     labels = ctx.compute_labels(s_pad)
     pred = ctx.scan_predicate(labels, s_pad)
-    ids = ctx.order[:64]
-    fast = pred(ids)
+    win = slice(0, 64)
+    ids = np.arange(len(ctx.cand_e))[win]
+    fast = pred(win)
     slow = np.array(
         [gf2.dot(ctx.reconstruct(int(c))[1], packed) == 1 for c in ids]
     )

@@ -208,7 +208,7 @@ class TestPipelineGauges:
     def test_candidate_store_memory_bytes(self):
         from repro.mcb.candidate_store import CandidateStore
 
-        store = CandidateStore(np.arange(100, dtype=np.int64), block_size=16)
+        store = CandidateStore(100, block_size=16)
         total = store.memory_bytes()
-        # 100 int64 ids + 100 bool alive flags, regardless of block count
-        assert total == 100 * 8 + 100 * 1
+        # 100 bool alive flags over ranks + 7 int64 per-block live counts
+        assert total == 100 * 1 + 7 * 8
