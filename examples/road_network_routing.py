@@ -75,12 +75,12 @@ def main() -> None:
     print("\nsample routes (oracle):")
     for u, v in queries:
         print(f"  d({u:4d}, {v:4d}) = {oracle.query(int(u), int(v)):8.4f}")
-    from repro.apsp import memory_model
+    from repro.graph.stats import table1_row
 
-    red_model = memory_model(g, reduced=True)
+    reduced = table1_row(g).storage_bytes(4)["reduced_oracle_bytes"]
     print(
         f"oracle storage: {oracle.memory_bytes() / 2**20:.2f} MB "
-        f"(reduced-table variant would use {red_model.ours_mb:.2f} MB) "
+        f"(reduced-table variant would use {reduced / 2**20:.2f} MB) "
         f"vs dense {oracle.full_matrix_bytes() / 2**20:.2f} MB"
     )
 

@@ -13,7 +13,7 @@ Run:  python examples/social_network_analysis.py
 import numpy as np
 
 from repro import datasets
-from repro.apsp import DistanceOracle, memory_model
+from repro.apsp import DistanceOracle
 from repro.decomposition import BlockCutTree, biconnected_components
 from repro.graph.stats import table1_row
 
@@ -35,10 +35,10 @@ def main() -> None:
     tree = BlockCutTree(g, bcc)
     print(f"block-cut forest: {tree.n_nodes} nodes in {tree.n_trees} tree(s)")
 
-    mm = memory_model(g)
-    mm_red = memory_model(g, reduced=True)
-    print(f"\nAPSP storage: dense {mm.max_mb:.1f} MB | per-BCC tables "
-          f"{mm.ours_mb:.1f} MB | ear-reduced tables {mm_red.ours_mb:.1f} MB")
+    b = stats.storage_bytes(4)  # the paper's 4-byte entries
+    print(f"\nAPSP storage: dense {b['dense_bytes'] / 2**20:.1f} MB | per-BCC tables "
+          f"{b['oracle_bytes'] / 2**20:.1f} MB | ear-reduced tables "
+          f"{b['reduced_oracle_bytes'] / 2**20:.1f} MB")
 
     oracle = DistanceOracle(g)
     rng = np.random.default_rng(1)

@@ -127,8 +127,11 @@ def bench_table2(scale: float) -> list[dict]:
     from repro.bench import run_table2
 
     rows = run_table2(scale=scale, names=["nopoly", "OPF_3754"])
-    rows_out = [
-        {
+    rows_out = []
+    for r in rows:
+        # Columns in table2_platforms() order: sequential first, cpu+gpu last.
+        (seq, _), *_, (het, _) = r.seconds.values()
+        rows_out.append({
             "name": r.name,
             "n": r.n,
             "m": r.m,
@@ -137,14 +140,8 @@ def bench_table2(scale: float) -> list[dict]:
             "wall_without_ear_s": r.wall_without_ear,
             "wall_with_ear_spread_s": r.wall_with_ear_spread,
             "wall_without_ear_spread_s": r.wall_without_ear_spread,
-            "virtual_speedup_cpu_gpu": (
-                r.seconds["sequential"][0] / r.seconds["cpu+gpu"][0]
-                if r.seconds["cpu+gpu"][0]
-                else float("inf")
-            ),
-        }
-        for r in rows
-    ]
+            "virtual_speedup_cpu_gpu": seq / het if het else float("inf"),
+        })
     return rows_out
 
 
@@ -225,11 +222,7 @@ def main() -> None:
             "size": info.size,
             "maxsize": info.maxsize,
         },
-        "counters": {
-            k: v
-            for k, v in snapshot().items()
-            if not isinstance(v, dict) and v
-        },
+        "counters": {k: v for k, v in snapshot().items() if v},
     }
     args.out.write_text(json.dumps(baseline, indent=2) + "\n")
     if not args.no_ledger:

@@ -6,7 +6,7 @@ from .composition import ComponentTables, assemble_full_matrix, build_component_
 from .dense import blocked_floyd_warshall, floyd_warshall
 from .dijkstra_apsp import dijkstra_apsp
 from .ear_apsp import EarAPSPReport, ear_apsp_full, extend_reduced_distances
-from .oracle import DistanceOracle, MemoryModel, memory_model
+from .oracle import DistanceOracle
 from .partition_apsp import partition_apsp
 from .reduced_oracle import ReducedDistanceOracle
 
@@ -24,8 +24,6 @@ __all__ = [
     "ear_apsp_full",
     "extend_reduced_distances",
     "DistanceOracle",
-    "MemoryModel",
-    "memory_model",
     "partition_apsp",
     "ReducedDistanceOracle",
 ]

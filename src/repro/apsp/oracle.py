@@ -10,12 +10,12 @@ queries exactly through the block-cut tree:
 where ``a1``/``a2`` are the articulation points bracketing every ``u–v``
 path (Section 2.2, Stage 2).  Same-component queries are table lookups.
 
-:func:`memory_model` reproduces the two memory columns of Table 1.
+:meth:`DistanceOracle.memory_bytes` counts the tables one built oracle
+holds; :func:`repro.graph.stats.table1_row` models Table 1's memory
+columns from the decompositions alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .bulk_query import check_vertex_ids
 from .composition import Solver, build_component_tables
 from .ear_apsp import ear_apsp_full
 
-__all__ = ["DistanceOracle", "memory_model"]
+__all__ = ["DistanceOracle"]
 
 
 class DistanceOracle:
@@ -142,51 +142,3 @@ class DistanceOracle:
     def full_matrix_bytes(self, dtype_bytes: int = 4) -> int:
         """Bytes a dense ``n × n`` table would need ("Max Memory")."""
         return self.graph.n * self.graph.n * dtype_bytes
-
-
-@dataclass(frozen=True)
-class MemoryModel:
-    """Both memory columns of Table 1, in megabytes."""
-
-    ours_mb: float
-    max_mb: float
-
-    @property
-    def saving_factor(self) -> float:
-        return self.max_mb / self.ours_mb if self.ours_mb else float("inf")
-
-
-def memory_model(g: CSRGraph, dtype_bytes: int = 4, reduced: bool = False) -> MemoryModel:
-    """Compute the ``a² + Σ nᵢ²`` vs ``n²`` storage model without solving.
-
-    Only the decompositions run (cheap); no distance tables are built, so
-    this scales to the full-size Table 1 stand-ins.
-
-    With ``reduced=True`` each component counts only its ear-*reduced*
-    vertex count (plus three scalars per removed vertex for the
-    ``left/right/offset`` anchor arrays): the footprint of an oracle that
-    stores ``S^r`` and answers removed-vertex queries through the
-    Section 2.1.3 formulas on the fly.  The paper's Table 1 savings for
-    single-BCC, chain-heavy graphs (c-50) are only explainable with this
-    accounting — the plain per-component formula gives no saving when the
-    graph is one biconnected component.
-    """
-    from .composition import build_component_tables  # noqa: F401 (doc xref)
-    from ..decomposition.reduce import reduce_graph
-
-    bcc = biconnected_components(g)
-    entries = 0
-    for cid, verts in enumerate(bcc.component_vertices):
-        if reduced:
-            sub, _ = bcc.component_subgraph(g, cid)
-            red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
-            entries += int(red.graph.n) ** 2 + 3 * red.n_removed
-        else:
-            entries += int(verts.size) ** 2
-    a = int(bcc.is_articulation.sum())
-    entries += a * a
-    mb = 1.0 / (1024 * 1024)
-    return MemoryModel(
-        ours_mb=entries * dtype_bytes * mb,
-        max_mb=g.n * g.n * dtype_bytes * mb,
-    )

@@ -3,7 +3,6 @@
 from . import expected
 from .harness import (
     Fig2Row,
-    Table1Row,
     Table2Row,
     ear_speedup_by_impl,
     run_fig2,
@@ -20,7 +19,6 @@ from .reporting import format_kv, format_table, ratio_note
 __all__ = [
     "expected",
     "Fig2Row",
-    "Table1Row",
     "Table2Row",
     "ear_speedup_by_impl",
     "run_fig2",

@@ -19,9 +19,8 @@ import numpy as np
 from .. import datasets
 from ..apsp.bcc_apsp import bcc_apsp
 from ..apsp.ear_apsp import EarAPSPReport, ear_apsp_full
-from ..apsp.oracle import memory_model
 from ..apsp.partition_apsp import partition_apsp
-from ..graph.stats import table1_row
+from ..graph.stats import GraphStats, table1_row
 from ..hetero.mcb_runner import mcb_with_trace
 from ..hetero.trace import Platform, simulate_trace, table2_platforms
 from ..mcb.verify import verify_cycle_basis
@@ -30,7 +29,6 @@ from ..sssp.engine import adjacency_cache
 from .metrics import geomean, mteps, speedup as _speedup
 
 __all__ = [
-    "Table1Row",
     "run_table1",
     "Fig2Row",
     "run_fig2",
@@ -61,48 +59,14 @@ def _check_matrices(name: str, ours: np.ndarray, base: np.ndarray) -> None:
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class Table1Row:
-    name: str
-    n: int
-    m: int
-    n_bcc: int
-    largest_bcc_pct: float
-    nodes_removed_pct: float
-    ours_mb: float
-    max_mb: float
-    reduced_mb: float = 0.0
-
-
-def run_table1(scale: float | None = None, names: list[str] | None = None) -> list[Table1Row]:
-    """Structure + memory columns for every Table-1 stand-in.
-
-    ``ours_mb`` is the per-BCC table model of Section 2.3; ``reduced_mb``
-    additionally stores only the ear-reduced tables (see
-    :func:`repro.apsp.memory_model`).
-    """
-    rows: list[Table1Row] = []
-    for spec in datasets.TABLE1:
-        if names is not None and spec.name not in names:
-            continue
-        g = spec.generate(scale)
-        st = table1_row(g, spec.name)
-        mm = memory_model(g)
-        mm_red = memory_model(g, reduced=True)
-        rows.append(
-            Table1Row(
-                name=spec.name,
-                n=st.n,
-                m=st.m,
-                n_bcc=st.n_bcc,
-                largest_bcc_pct=st.largest_bcc_edge_pct,
-                nodes_removed_pct=st.nodes_removed_pct,
-                ours_mb=mm.ours_mb,
-                max_mb=mm.max_mb,
-                reduced_mb=mm_red.ours_mb,
-            )
-        )
-    return rows
+def run_table1(scale: float | None = None, names: list[str] | None = None) -> list[GraphStats]:
+    """Every Table-1 column for each stand-in (see
+    :func:`repro.graph.stats.table1_row`), in paper order."""
+    return [
+        table1_row(spec.generate(scale), spec.name)
+        for spec in datasets.TABLE1
+        if names is None or spec.name in names
+    ]
 
 
 # --------------------------------------------------------------------- #

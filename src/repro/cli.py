@@ -42,24 +42,32 @@ __all__ = ["main"]
 
 
 def _cmd_table1(args) -> None:
-    rows = run_table1(scale=args.scale, names=args.datasets)
+    from . import datasets
+
+    specs = {spec.name: spec for spec in datasets.TABLE1}
+    body = []
+    for r in run_table1(scale=args.scale, names=args.datasets):
+        spec, b = specs[r.name], r.storage_bytes(4)
+        body.append((
+            r.name,
+            "planar" if spec.planar else "general",
+            r.n,
+            r.m,
+            r.n_bcc,
+            r.largest_bcc_edge_pct,
+            r.nodes_removed_pct,
+            spec.removed_pct,
+            b["oracle_bytes"] / 2**20,
+            b["reduced_oracle_bytes"] / 2**20,
+            b["dense_bytes"] / 2**20,
+        ))
     print(
         format_table(
-            ["graph", "|V|", "|E|", "#BCC", "largest%", "removed%", "ours MB", "max MB"],
-            [
-                (
-                    r.name,
-                    r.n,
-                    r.m,
-                    r.n_bcc,
-                    r.largest_bcc_pct,
-                    r.nodes_removed_pct,
-                    r.ours_mb,
-                    r.max_mb,
-                )
-                for r in rows
-            ],
-            title="Table 1 — dataset structure and APSP memory model",
+            ["graph", "kind", "|V|", "|E|", "#BCC", "largest%", "removed%",
+             "paper removed%", "ours MB", "reduced MB", "max MB"],
+            body,
+            title=f"Table 1 — dataset structure and APSP memory model "
+                  f"(scale={args.scale or 'default'})",
         )
     )
 
@@ -135,29 +143,6 @@ def _cmd_phases(args) -> None:
         print(ratio_note(f"{k} share", v, frac.get(k, 0.0)))
 
 
-def _cmd_datasets(args) -> None:
-    from . import datasets
-    from .graph.stats import table1_row
-
-    rows = []
-    for spec in datasets.TABLE1:
-        if args.datasets and spec.name not in args.datasets:
-            continue
-        g = spec.generate(args.scale)
-        st = table1_row(g, spec.name)
-        rows.append(
-            (spec.name, "planar" if spec.planar else "general", st.n, st.m,
-             st.n_bcc, st.nodes_removed_pct, spec.removed_pct)
-        )
-    print(
-        format_table(
-            ["dataset", "kind", "|V|", "|E|", "#BCC", "removed%", "paper removed%"],
-            rows,
-            title=f"Table-1 stand-ins (scale={args.scale or 'default'})",
-        )
-    )
-
-
 def _resolve_ledger(args):
     """The run ledger to append to: ``--ledger`` flag or ``REPRO_LEDGER``."""
     from .obs.ledger import Ledger, default_ledger_path
@@ -204,11 +189,7 @@ def _cmd_qa(args) -> None:
             RunRecord.new(
                 kind="qa",
                 phases={"qa.suite": qa_seconds},
-                counters={
-                    k: v
-                    for k, v in metrics_diff(before, snapshot()).items()
-                    if not isinstance(v, dict)
-                },
+                counters=metrics_diff(before, snapshot()),
                 meta={
                     "count": args.qa_count,
                     "seed": args.qa_seed,
@@ -223,47 +204,38 @@ def _cmd_qa(args) -> None:
     print("conformance OK")
 
 
-def _print_table1_measured(name: str, g, mem_gauges: dict) -> None:
+def _print_table1_measured(model: dict, mem_gauges: dict) -> None:
     """The measured-vs-model Table 1 block of ``profile apsp``.
 
     Prints distance-table bytes for the per-BCC oracle (``a² + Σ nᵢ²``),
-    the ear-reduced oracle, and the dense ``n²`` matrix — the model from
-    the decompositions alongside the bytes actually allocated this run.
+    the ear-reduced oracle, and the dense ``n²`` matrix — the model
+    (:meth:`repro.graph.stats.GraphStats.storage_bytes`) alongside the
+    bytes actually allocated this run.
     """
-    from .obs.memory import format_bytes, table1_bytes
+    from .obs.memory import format_bytes
+    from .obs.report import MEMORY_ROWS
 
-    tb = table1_bytes(g, name=name)
-    meas_comp = mem_gauges.get("memory.apsp.component_table_bytes", 0.0)
-    meas_ap = mem_gauges.get("memory.apsp.ap_table_bytes", 0.0)
-    meas_oracle = mem_gauges.get("memory.apsp.oracle_bytes", 0.0)
-    meas_reduced = mem_gauges.get("memory.apsp.reduced_table_bytes", 0.0)
-    meas_dense = mem_gauges.get("memory.apsp.dense_bytes", 0.0)
     print(
         format_table(
             ["distance storage", "model bytes", "measured bytes", "human"],
             [
-                ("component tables (Σ nᵢ²)", tb.component_bytes,
-                 int(meas_comp), format_bytes(meas_comp or tb.component_bytes)),
-                ("articulation table (a²)", tb.ap_bytes,
-                 int(meas_ap), format_bytes(meas_ap or tb.ap_bytes)),
-                ("oracle total (a² + Σ nᵢ²)", tb.oracle_bytes,
-                 int(meas_oracle), format_bytes(meas_oracle or tb.oracle_bytes)),
-                ("reduced oracle (ear)", tb.reduced_oracle_bytes,
-                 int(meas_reduced), format_bytes(meas_reduced or tb.reduced_oracle_bytes)),
-                ("dense matrix (n²)", tb.dense_bytes,
-                 int(meas_dense), format_bytes(meas_dense or tb.dense_bytes)),
+                (label, model[key], int(mem_gauges.get(gauge, 0.0)),
+                 format_bytes(mem_gauges.get(gauge, 0.0) or model[key]))
+                for label, key, gauge in MEMORY_ROWS
             ],
             title=(
-                f"Table 1 (measured) — {name}: n={tb.n}, #BCC={tb.n_bcc}, "
-                f"a={tb.n_articulation}"
+                f"Table 1 (measured) — {model['name']}: n={model['n']}, "
+                f"#BCC={model['n_bcc']}, a={model['n_articulation']}"
             ),
         )
     )
-    rel = "<" if tb.oracle_bytes < tb.dense_bytes else ">="
+    oracle, dense = model["oracle_bytes"], model["dense_bytes"]
+    rel = "<" if oracle < dense else ">="
+    saving = dense / oracle if oracle else float("inf")
     print(
-        f"shape: a² + Σ nᵢ² = {tb.oracle_bytes} {rel} n² = {tb.dense_bytes} "
-        f"(saving {tb.saving_factor:.2f}x; reduced oracle "
-        f"{tb.dense_bytes / max(tb.reduced_oracle_bytes, 1):.2f}x)"
+        f"shape: a² + Σ nᵢ² = {oracle} {rel} n² = {dense} "
+        f"(saving {saving:.2f}x; reduced oracle "
+        f"{dense / max(model['reduced_oracle_bytes'], 1):.2f}x)"
     )
 
 
@@ -347,10 +319,11 @@ def _cmd_profile(args) -> None:
         print()
     memory_block = {"spans": mem, "gauges": snapshot("memory.")}
     if workload in ("apsp", "both"):
-        _print_table1_measured(name, g, snapshot("memory."))
-        from .obs.memory import table1_bytes
+        from .graph.stats import table1_row
 
-        memory_block["table1_model"] = table1_bytes(g, name=name).as_dict()
+        # 8-byte entries: the float64 tables the gauges measured.
+        memory_block["table1_model"] = table1_row(g, name).storage_bytes(8)
+        _print_table1_measured(memory_block["table1_model"], memory_block["gauges"])
     ledger = _resolve_ledger(args)
     if ledger is not None:
         from .obs.ledger import RunRecord
@@ -365,9 +338,7 @@ def _cmd_profile(args) -> None:
             RunRecord.new(
                 kind="profile",
                 phases=phase_totals(tr),
-                counters={
-                    k: v for k, v in counters.items() if not isinstance(v, dict)
-                },
+                counters=counters,
                 memory=memory_block,
                 meta=meta,
             )
@@ -584,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "command",
         choices=[
-            "table1", "fig2", "table2", "phases", "datasets", "qa",
+            "table1", "fig2", "table2", "phases", "qa",
             "profile", "regress", "report", "critpath", "all",
         ],
     )
@@ -690,7 +661,6 @@ def main(argv: list[str] | None = None) -> int:
         "fig2": _cmd_fig2,
         "table2": _cmd_table2,
         "phases": _cmd_phases,
-        "datasets": _cmd_datasets,
         "qa": _cmd_qa,
         "profile": _cmd_profile,
         "regress": _cmd_regress,

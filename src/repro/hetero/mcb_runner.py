@@ -103,7 +103,9 @@ class HeteroMCBResult:
         return float(sum(c.weight for c in self.cycles))
 
     def speedups_vs_sequential(self) -> dict[str, float]:
-        seq = self.timings["sequential"].total_time
+        """Each platform's speedup over the first, sequential, one (the
+        :func:`~repro.hetero.trace.table2_platforms` column order)."""
+        seq = next(iter(self.timings.values())).total_time
         return {
             name: seq / r.total_time if r.total_time else float("inf")
             for name, r in self.timings.items()

@@ -91,12 +91,15 @@ class MMContext:
         self.graph = g
         self.ss: SpanningStructure = spanning_structure(g)
         self.f = self.ss.f
-        if self.f == 0:
-            self.fvs = np.empty(0, dtype=np.int64)
-            self.n = g.n
+        self.n = g.n
+        self.block_size = block_size
+        if self.f == 0:  # acyclic: no roots, no candidates, an empty store
+            self.fvs = empty = np.empty(0, dtype=np.int64)
+            self.cand_w = np.empty(0)
+            self.cand_z = self.cand_e = self.cand_u = self.cand_v = empty
+            self.cand_ep = self._lab_u = self._lab_v = empty
             return
         self.fvs = greedy_fvs(g)
-        self.n = g.n
         pw = perturbed_weights(g) if perturb else g.edge_w
 
         # Shortest-path trees from every FVS root (compiled bulk call).
@@ -106,7 +109,6 @@ class MMContext:
 
         top = self._build_tree_tables(pw)
         self._build_candidates(top, pw, lca_filter)
-        self.block_size = block_size
 
     # ------------------------------------------------------------------ #
     # Setup

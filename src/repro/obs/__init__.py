@@ -8,8 +8,8 @@ This package makes that accounting first-class for the reproduction:
   stack, exported as span trees, JSON, or Chrome ``trace_event`` files
   that open directly in ``chrome://tracing`` / Perfetto.  Disabled by
   default; the guarded no-op path costs one module-global read per span.
-* :mod:`repro.obs.metrics` — process-wide named counters / gauges /
-  histograms with a snapshot/diff API.  The hot paths (adjacency cache,
+* :mod:`repro.obs.metrics` — process-wide named counters and gauges
+  with a snapshot/diff API.  The hot paths (adjacency cache,
   chunk dispatch, witness updates, invariant checks) increment counters
   unconditionally — integer adds are cheap enough to always stay on.
 * :mod:`repro.obs.export` — Chrome-trace serialization, the trace loader
@@ -19,8 +19,9 @@ This package makes that accounting first-class for the reproduction:
   ``repro-bench critpath --trace``.
 * :mod:`repro.obs.memory` — per-phase memory accounting (tracemalloc
   current/peak + peak RSS, recorded by :func:`repro.obs.trace.phase`) and
-  the exact byte accounting behind the paper's Table 1 (``a² + Σ nᵢ²`` vs
-  dense ``n²``).
+  the distance-table bytes a run allocated, measured against the paper's
+  Table 1 model (``a² + Σ nᵢ²`` vs dense ``n²``,
+  :func:`repro.graph.stats.table1_row`).
 * :mod:`repro.obs.ledger` — the append-only JSONL run database: every
   benchmark run stamped with git SHA, host fingerprint, knobs, per-phase
   times, counters, and memory stats.

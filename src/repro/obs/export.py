@@ -315,14 +315,7 @@ def summary(collector: "TraceCollector", metrics: dict | None = None) -> str:
         lines.append(f"{'metric':<44} {'value':>12}")
         lines.append("-" * 58)
         for name, val in metrics.items():
-            if isinstance(val, dict):  # histogram
-                val = (
-                    f"n={val['count']} sum={val['sum']:.6g}"
-                    if val.get("count")
-                    else "n=0"
-                )
-                lines.append(f"{name:<44} {val:>12}")
-            elif isinstance(val, float):
+            if isinstance(val, float):
                 lines.append(f"{name:<44} {val:>12.4f}")
             else:
                 lines.append(f"{name:<44} {val:>12}")

@@ -1,20 +1,19 @@
-"""Per-phase memory accounting: tracemalloc spans + exact table-byte models.
+"""Per-phase memory accounting: tracemalloc spans + measured table bytes.
 
 The paper's headline Table 1 claim is about *memory*, not only speed: the
 ear-reduced APSP oracle stores ``O(a² + Σᵢ nᵢ²)`` distance entries instead
-of the dense ``O(n²)`` matrix.  This module makes that claim measurable:
+of the dense ``O(n²)`` matrix.  :func:`repro.graph.stats.table1_row`
+models those entries from the decompositions alone; this module measures
+what a run allocates:
 
 * :func:`memory_profiling` — arms per-phase memory spans: inside the
   block every :func:`repro.obs.trace.phase` records the tracemalloc
   current-allocation delta, the allocation *peak* inside the phase
   (segmented so nested phases attribute peaks correctly), and the process
   peak RSS where the platform exposes it.
-* :func:`table1_bytes` — the exact byte model of the oracle's distance
-  tables (``a²`` articulation table, ``Σ nᵢ²`` per-component tables, the
-  ear-*reduced* variant, and the dense ``n²`` matrix) computed from the
-  decompositions alone, so it scales to full-size Table 1 stand-ins.
-* :func:`measured_component_bytes` — the same split measured off an
-  actually-built :class:`~repro.apsp.composition.ComponentTables` (real
+* :func:`measured_component_bytes` — the ``a²`` / ``Σ nᵢ²`` split
+  measured off an actually-built
+  :class:`~repro.apsp.composition.ComponentTables` (real
   ``ndarray.nbytes``), which the pipeline drivers publish as
   ``memory.apsp.*`` gauges.
 
@@ -27,14 +26,13 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..apsp.composition import ComponentTables
-    from ..graph.csr import CSRGraph
 
 try:  # pragma: no cover - import guard exercised only on Windows
     import resource as _resource
@@ -47,8 +45,6 @@ __all__ = [
     "memory_profiling",
     "memory_profiling_enabled",
     "peak_rss_bytes",
-    "Table1Bytes",
-    "table1_bytes",
     "measured_component_bytes",
     "format_bytes",
 ]
@@ -201,103 +197,13 @@ class memory_profiling:
         return False
 
 
-# --------------------------------------------------------------------- #
-# Exact byte accounting of the paper's distance tables (Table 1)
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class Table1Bytes:
-    """Exact byte model of every distance-table layout in Table 1.
-
-    All figures count *distance entries × dtype_bytes*; ``reduced_bytes``
-    additionally counts the three per-removed-vertex anchor scalars
-    (``left/right/offset``) the reduced oracle needs to answer queries for
-    ear-removed vertices on the fly (Section 2.1.3).
-    """
-
-    name: str
-    n: int
-    m: int
-    n_bcc: int
-    n_articulation: int
-    ap_bytes: int         # a² — the articulation-point table
-    component_bytes: int  # Σ nᵢ² — per-BCC full tables
-    reduced_bytes: int    # Σ (nᵢʳ² + 3·removedᵢ) — ear-reduced tables
-    dense_bytes: int      # n² — the baseline full matrix
-    dtype_bytes: int = 8
-
-    @property
-    def oracle_bytes(self) -> int:
-        """The ``a² + Σ nᵢ²`` storage of the per-BCC oracle."""
-        return self.ap_bytes + self.component_bytes
-
-    @property
-    def reduced_oracle_bytes(self) -> int:
-        """Oracle storage when each component keeps only reduced tables."""
-        return self.ap_bytes + self.reduced_bytes
-
-    @property
-    def saving_factor(self) -> float:
-        return self.dense_bytes / self.oracle_bytes if self.oracle_bytes else float("inf")
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "m": self.m,
-            "n_bcc": self.n_bcc,
-            "n_articulation": self.n_articulation,
-            "ap_bytes": self.ap_bytes,
-            "component_bytes": self.component_bytes,
-            "reduced_bytes": self.reduced_bytes,
-            "dense_bytes": self.dense_bytes,
-            "oracle_bytes": self.oracle_bytes,
-            "reduced_oracle_bytes": self.reduced_oracle_bytes,
-            "dtype_bytes": self.dtype_bytes,
-        }
-
-
-def table1_bytes(g: "CSRGraph", name: str = "", dtype_bytes: int = 8) -> Table1Bytes:
-    """Compute every Table 1 byte column from the decompositions alone.
-
-    Only biconnected components + degree-2 reduction run (near-linear);
-    no distance tables are built, so this is safe at full dataset scale.
-    ``dtype_bytes`` defaults to 8 to match the float64 tables the solvers
-    actually produce (the paper's Table 1 uses 4-byte entries).
-    """
-    from ..decomposition.biconnected import biconnected_components
-    from ..decomposition.reduce import reduce_graph
-
-    bcc = biconnected_components(g)
-    comp_entries = 0
-    red_entries = 0
-    for cid, verts in enumerate(bcc.component_vertices):
-        comp_entries += int(verts.size) ** 2
-        sub, _ = bcc.component_subgraph(g, cid)
-        red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
-        red_entries += int(red.graph.n) ** 2 + 3 * red.n_removed
-    a = int(bcc.is_articulation.sum())
-    return Table1Bytes(
-        name=name,
-        n=g.n,
-        m=g.m,
-        n_bcc=bcc.count,
-        n_articulation=a,
-        ap_bytes=a * a * dtype_bytes,
-        component_bytes=comp_entries * dtype_bytes,
-        reduced_bytes=red_entries * dtype_bytes,
-        dense_bytes=g.n * g.n * dtype_bytes,
-        dtype_bytes=dtype_bytes,
-    )
-
-
 def measured_component_bytes(ct: "ComponentTables") -> dict:
     """Actual ``ndarray.nbytes`` held by a built component-table set.
 
-    This is the *measured* counterpart of :func:`table1_bytes`: real
-    storage of the per-component tables plus the articulation-point
-    matrix, as built by :func:`repro.apsp.composition.build_component_tables`.
+    This is the *measured* counterpart of the model in
+    :func:`repro.graph.stats.table1_row`: real storage of the
+    per-component tables plus the articulation-point matrix, as built by
+    :func:`repro.apsp.composition.build_component_tables`.
     """
     comp = sum(int(t.nbytes) for t in ct.tables)
     ap = int(ct.ap_matrix.nbytes)

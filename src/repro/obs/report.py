@@ -37,7 +37,7 @@ from .export import VIRTUAL_PID, load_chrome_trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ledger import RunRecord
 
-__all__ = ["REPORT_SECTIONS", "build_report", "write_report", "validate_report"]
+__all__ = ["MEMORY_ROWS", "REPORT_SECTIONS", "build_report", "write_report", "validate_report"]
 
 #: The mandatory sections, in render order; ``validate_report``
 #: checks each ``id="section-<name>"`` anchor exists.
@@ -226,7 +226,9 @@ def _timeline_svg(trace: dict) -> str:
 # Section 3 — Table-1 memory block
 # --------------------------------------------------------------------- #
 
-_MEMORY_ROWS = (
+#: ``(label, table1_model key, memory.apsp gauge)`` per distance store;
+#: ``repro-bench profile`` prints the same rows.
+MEMORY_ROWS = (
     ("component tables (Σ nᵢ²)", "component_bytes", "memory.apsp.component_table_bytes"),
     ("articulation table (a²)", "ap_bytes", "memory.apsp.ap_table_bytes"),
     ("oracle total (a² + Σ nᵢ²)", "oracle_bytes", "memory.apsp.oracle_bytes"),
@@ -241,9 +243,9 @@ def _memory_section(record: "RunRecord | None") -> str:
     gauges = record.memory.get("gauges") or {}
     model = record.memory.get("table1_model") or {}
     parts: list[str] = []
-    if model or any(g in gauges for _, _, g in _MEMORY_ROWS):
+    if model or any(g in gauges for _, _, g in MEMORY_ROWS):
         rows = []
-        for label, model_key, gauge_key in _MEMORY_ROWS:
+        for label, model_key, gauge_key in MEMORY_ROWS:
             mv = model.get(model_key)
             gv = gauges.get(gauge_key)
             rows.append(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apsp import DistanceOracle, dijkstra_apsp, memory_model
-from repro.graph import CSRGraph, path_graph, subdivide_edges
+from repro.apsp import DistanceOracle, dijkstra_apsp
+from repro.graph import CSRGraph, path_graph, table1_row
 
 from _support import composite_graph
 
@@ -55,36 +55,45 @@ def test_memory_smaller_than_dense():
     assert oracle.memory_bytes() <= oracle.full_matrix_bytes()
 
 
+def _saving(g) -> float:
+    """The model's ``n² / (a² + Σ nᵢ²)`` saving factor."""
+    b = table1_row(g).storage_bytes(4)
+    return b["dense_bytes"] / b["oracle_bytes"]
+
+
 def test_memory_model_formula():
     g = path_graph(4)  # 3 bridges (2x2 tables), 2 APs
-    mm = memory_model(g, dtype_bytes=4)
+    b = table1_row(g).storage_bytes(4)
     expected_entries = 3 * 4 + 2 * 2
-    assert mm.ours_mb == pytest.approx(expected_entries * 4 / 2**20)
-    assert mm.max_mb == pytest.approx(16 * 4 / 2**20)
+    assert b["oracle_bytes"] == expected_entries * 4
+    assert b["dense_bytes"] == 16 * 4
     # amusing identity: for a path, a² + Σ nᵢ² == n² exactly
-    assert mm.saving_factor == pytest.approx(1.0)
+    assert _saving(g) == 1.0
 
 
 def test_memory_model_star_saves():
     # star: n-1 bridge blocks of 4 entries + one AP -> far below n²
-    from repro.graph import CSRGraph
-
     n = 9
     g = CSRGraph(n, [0] * (n - 1), list(range(1, n)))
-    mm = memory_model(g, dtype_bytes=4)
-    assert mm.saving_factor > 1.5
+    assert _saving(g) > 1.5
 
 
 def test_memory_model_biconnected_equals_dense():
     from repro.graph import complete_graph
 
-    mm = memory_model(complete_graph(8))
-    assert mm.ours_mb == pytest.approx(mm.max_mb)
+    assert _saving(complete_graph(8)) == 1.0
 
 
 def test_memory_model_savings_grow_with_fragmentation():
-    from repro.graph import CSRGraph
-
     base = composite_graph(0)
     star = CSRGraph(base.n, [0] * (base.n - 1), list(range(1, base.n)))
-    assert memory_model(star).saving_factor > memory_model(base).saving_factor
+    assert _saving(star) > _saving(base)
+
+
+def test_memory_model_matches_the_built_oracle():
+    """The model's per-BCC store is what a built oracle holds."""
+    g = composite_graph(1)
+    oracle = DistanceOracle(g)
+    b = table1_row(g).storage_bytes(4)
+    assert oracle.memory_bytes() == b["oracle_bytes"]
+    assert oracle.full_matrix_bytes() == b["dense_bytes"]

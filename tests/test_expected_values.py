@@ -59,3 +59,12 @@ def test_phase_fractions_sum_below_one():
 def test_ear_speedup_by_impl_sequential_largest():
     e = expected.EAR_SPEEDUP_BY_IMPL
     assert e["sequential"] >= max(e.values()) - 1e-9
+
+
+def test_speedup_keys_are_the_table2_platform_names():
+    """``repro-bench table2`` looks each measured platform up by name."""
+    from repro.hetero.trace import table2_platforms
+
+    names = [p.name for p in table2_platforms()]
+    assert list(expected.FIG5_AVG_SPEEDUP) == names[1:]
+    assert list(expected.EAR_SPEEDUP_BY_IMPL) == names

@@ -142,3 +142,18 @@ def test_tree_arc_lost_to_rounding(lca_filter):
     assert ctx.depth.tolist() == [[0, 2, 1]]
     cycles = mm_mcb(g, lca_filter=lca_filter, perturb=False)
     assert [c.edge_ids.tolist() for c in cycles] == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("g", [
+    CSRGraph(0, [], []),
+    CSRGraph(3, [0, 1], [1, 2], [1.0, 2.0]),  # a path
+    CSRGraph(5, [0, 0, 3], [1, 2, 4], [1.0, 1.0, 1.0]),  # a forest
+], ids=["empty", "path", "forest"])
+def test_acyclic_context_has_an_empty_store(g):
+    ctx = MMContext(g, block_size=64)
+    assert ctx.f == 0 and ctx.block_size == 64
+    assert ctx.cand_e.size == ctx.cand_w.size == ctx.fvs.size == 0
+    store = ctx.new_store()
+    assert len(store) == 0
+    assert store.scan_and_remove(lambda win: np.zeros(0, dtype=bool)) is None
+    assert store.stats.candidates_tested == 0

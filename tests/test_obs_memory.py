@@ -1,9 +1,10 @@
 """repro.obs.memory: phase memory spans, Table-1 byte accounting, pipeline gauges.
 
-The Table-1 shape test is the ISSUE's acceptance criterion verbatim: on
-every multi-BCC corpus stand-in, the oracle's ``a² + Σ nᵢ²`` distance
-storage must undercut the dense ``n²`` matrix, and the measured bytes of
-an actually-built table set must equal the model.
+The Table-1 shape test: on every multi-BCC corpus stand-in, the oracle's
+``a² + Σ nᵢ²`` distance storage (modelled by
+:func:`repro.graph.stats.table1_row`) must undercut the dense ``n²``
+matrix, and the measured bytes of an actually-built table set must equal
+the model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import datasets
-from repro.graph import grid_graph
+from repro.graph import grid_graph, table1_row
 from repro.obs import metrics as obs_metrics
 from repro.obs.memory import (
     MemoryProfile,
@@ -23,7 +24,6 @@ from repro.obs.memory import (
     memory_profiling,
     memory_profiling_enabled,
     peak_rss_bytes,
-    table1_bytes,
 )
 from repro.obs.trace import phase
 
@@ -133,34 +133,33 @@ class TestTable1Bytes:
         seen_multi = 0
         for spec in datasets.TABLE1:
             g = spec.generate(TINY)
-            tb = table1_bytes(g, spec.name)
-            assert tb.dense_bytes == g.n * g.n * 8
-            if tb.n_bcc > 1:
+            tb = table1_row(g, spec.name).storage_bytes(8)
+            assert tb["dense_bytes"] == g.n * g.n * 8
+            if tb["n_bcc"] > 1:
                 seen_multi += 1
-                assert tb.oracle_bytes < tb.dense_bytes, spec.name
-                assert tb.reduced_oracle_bytes <= tb.oracle_bytes + 1, spec.name
+                assert tb["oracle_bytes"] < tb["dense_bytes"], spec.name
+                assert tb["reduced_oracle_bytes"] <= tb["oracle_bytes"] + 1, spec.name
         assert seen_multi >= 5  # the corpus genuinely exercises the claim
 
     def test_single_bcc_graph_model(self):
         g = grid_graph(4, 4)
-        tb = table1_bytes(g, "grid", dtype_bytes=4)
-        assert tb.n_bcc == 1
-        assert tb.n_articulation == 0
-        assert tb.ap_bytes == 0
-        assert tb.component_bytes == 16 * 16 * 4
-        assert tb.oracle_bytes == tb.dense_bytes
-        assert tb.as_dict()["oracle_bytes"] == tb.oracle_bytes
+        tb = table1_row(g, "grid").storage_bytes(4)
+        assert tb["n_bcc"] == 1
+        assert tb["n_articulation"] == 0
+        assert tb["ap_bytes"] == 0
+        assert tb["component_bytes"] == 16 * 16 * 4
+        assert tb["oracle_bytes"] == tb["dense_bytes"]
 
     def test_measured_matches_model_on_built_tables(self):
         from repro.apsp.composition import build_component_tables
 
         g = datasets.load("ca-AstroPh", TINY)
-        tb = table1_bytes(g, "ca-AstroPh")
+        tb = table1_row(g, "ca-AstroPh").storage_bytes(8)
         ct = build_component_tables(g)
         meas = measured_component_bytes(ct)
-        assert meas["component_table_bytes"] == tb.component_bytes
-        assert meas["ap_table_bytes"] == tb.ap_bytes
-        assert meas["total_bytes"] == tb.oracle_bytes
+        assert meas["component_table_bytes"] == tb["component_bytes"]
+        assert meas["ap_table_bytes"] == tb["ap_bytes"]
+        assert meas["total_bytes"] == tb["oracle_bytes"]
 
 
 class TestPipelineGauges:
@@ -170,13 +169,13 @@ class TestPipelineGauges:
         g = datasets.load("ca-AstroPh", TINY)
         apsp_with_trace(g)
         snap = obs_metrics.snapshot("memory.apsp.")
-        tb = table1_bytes(g)
-        assert snap["memory.apsp.oracle_bytes"] == tb.oracle_bytes
-        assert snap["memory.apsp.dense_bytes"] == tb.dense_bytes
-        assert snap["memory.apsp.component_table_bytes"] == tb.component_bytes
-        assert snap["memory.apsp.ap_table_bytes"] == tb.ap_bytes
+        tb = table1_row(g).storage_bytes(8)
+        assert snap["memory.apsp.oracle_bytes"] == tb["oracle_bytes"]
+        assert snap["memory.apsp.dense_bytes"] == tb["dense_bytes"]
+        assert snap["memory.apsp.component_table_bytes"] == tb["component_bytes"]
+        assert snap["memory.apsp.ap_table_bytes"] == tb["ap_bytes"]
         # ear reduction must never cost more storage than the full oracle
-        assert 0 < snap["memory.apsp.reduced_table_bytes"] <= tb.oracle_bytes
+        assert 0 < snap["memory.apsp.reduced_table_bytes"] <= tb["oracle_bytes"]
         assert snap["memory.apsp.oracle_bytes"] < snap["memory.apsp.dense_bytes"]
 
     def test_mcb_runner_publishes_store_gauges(self):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.graph import grid_graph
-from repro.obs import metrics as _metrics
 from repro.obs import metrics_diff, reset_metrics, snapshot
 from repro.obs.metrics import MetricsRegistry
 
@@ -38,145 +37,11 @@ class TestInstruments:
         g.set(0.5)
         assert g.value == 0.5
 
-    def test_histogram(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.sum == pytest.approx(6.0)
-        assert (h.min, h.max) == (1.0, 3.0)
-        assert h.mean == pytest.approx(2.0)
-        assert h.as_dict() == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0}
-
-    def test_empty_histogram_dict(self):
-        h = MetricsRegistry().histogram("h")
-        assert h.as_dict() == {"count": 0, "sum": 0.0, "min": None, "max": None}
-
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError, match="already registered"):
             reg.gauge("x")
-
-
-class TestHistogramPercentiles:
-    def test_single_sample_answers_every_p(self):
-        h = MetricsRegistry().histogram("h")
-        h.observe(7.5)
-        for p in (0, 25, 50, 99, 100):
-            assert h.percentile(p) == 7.5
-
-    def test_all_equal_samples(self):
-        h = MetricsRegistry().histogram("h")
-        for _ in range(10):
-            h.observe(3.0)
-        assert h.percentile(0) == 3.0
-        assert h.percentile(50) == 3.0
-        assert h.percentile(100) == 3.0
-
-    def test_linear_interpolation(self):
-        h = MetricsRegistry().histogram("h")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 4.0
-        assert h.percentile(50) == pytest.approx(2.5)
-
-    def test_empty_raises(self):
-        h = MetricsRegistry().histogram("h")
-        with pytest.raises(ValueError, match="no samples"):
-            h.percentile(50)
-
-    def test_out_of_range_p_raises(self):
-        h = MetricsRegistry().histogram("h")
-        h.observe(1.0)
-        with pytest.raises(ValueError, match=r"outside \[0, 100\]"):
-            h.percentile(101)
-        with pytest.raises(ValueError, match=r"outside \[0, 100\]"):
-            h.percentile(-0.5)
-
-    def test_sample_retention_cap(self):
-        h = MetricsRegistry().histogram("h")
-        for i in range(h.MAX_SAMPLES + 50):
-            h.observe(float(i))
-        assert len(h.samples) == h.MAX_SAMPLES
-        assert h.count == h.MAX_SAMPLES + 50  # aggregates stay exact
-        assert h.max == float(h.MAX_SAMPLES + 49)
-
-    def test_reset_clears_samples(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        h.observe(1.0)
-        reg.reset()
-        assert h.samples == []
-        with pytest.raises(ValueError, match="no samples"):
-            h.percentile(50)
-
-
-class TestHistogramReservoir:
-    def test_length_capped_and_aggregates_exact(self):
-        h = _metrics.Histogram("cap")
-        n = h.RETAIN_CAP + 500
-        for i in range(n):
-            h.observe(float(i))
-        assert len(h.samples) == h.RETAIN_CAP
-        assert h.count == n
-        assert h.sum == pytest.approx(sum(range(n)))
-        assert h.min == 0.0 and h.max == float(n - 1)
-
-    def test_reservoir_sees_the_tail(self):
-        """Post-cap observations must be able to enter the retained set —
-        the pre-reservoir behaviour (frozen prefix) kept none of them."""
-        h = _metrics.Histogram("tail")
-        for i in range(h.RETAIN_CAP):
-            h.observe(0.0)
-        for _ in range(h.RETAIN_CAP):
-            h.observe(1.0)
-        assert any(s == 1.0 for s in h.samples)
-
-    def test_deterministic_under_repro_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "1234")
-
-        def run():
-            h = _metrics.Histogram("det")
-            for i in range(h.RETAIN_CAP + 1000):
-                h.observe(float(i))
-            return list(h.samples)
-
-        assert run() == run()
-
-    def test_seed_and_name_change_the_reservoir(self, monkeypatch):
-        def run(name):
-            h = _metrics.Histogram(name)
-            for i in range(h.RETAIN_CAP + 1000):
-                h.observe(float(i))
-            return list(h.samples)
-
-        monkeypatch.setenv("REPRO_SEED", "1")
-        a = run("x")
-        b = run("y")
-        monkeypatch.setenv("REPRO_SEED", "2")
-        c = run("x")
-        assert a != b and a != c
-
-    def test_registry_reset_rearms_reservoir(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "77")
-        reg = _metrics.MetricsRegistry()
-        h = reg.histogram("reset-me")
-
-        def fill():
-            for i in range(h.RETAIN_CAP + 200):
-                h.observe(float(i))
-            return list(h.samples)
-
-        first = fill()
-        reg.reset()
-        assert h.count == 0 and not h.samples
-        assert fill() == first  # same seed ⇒ same reservoir after reset
-
-    def test_max_samples_alias(self):
-        assert _metrics.Histogram.MAX_SAMPLES == _metrics.Histogram.RETAIN_CAP
 
 
 class TestRegistry:
@@ -193,21 +58,19 @@ class TestRegistry:
         reg = MetricsRegistry()
         c = reg.counter("c")
         c.inc(9)
-        h = reg.histogram("h")
-        h.observe(4.0)
+        g = reg.gauge("g")
+        g.set(4.0)
         reg.reset()
-        assert c.value == 0
-        assert h.count == 0 and h.as_dict()["min"] is None
+        assert c.value == 0 and isinstance(c.value, int)
+        assert g.value == 0.0 and isinstance(g.value, float)
         assert reg.counter("c") is c
 
     def test_metrics_diff(self):
-        before = {"c": 3, "g": 0.5, "h": {"count": 2, "sum": 5.0, "min": 1, "max": 4}}
-        after = {"c": 10, "g": 0.9, "h": {"count": 5, "sum": 9.0, "min": 1, "max": 4},
-                 "new": 7}
+        before = {"c": 3, "g": 0.5}
+        after = {"c": 10, "g": 0.9, "new": 7}
         d = metrics_diff(before, after)
         assert d["c"] == 7          # counters subtract
         assert d["g"] == 0.9        # gauges report "after"
-        assert d["h"]["count"] == 3 and d["h"]["sum"] == pytest.approx(4.0)
         assert d["new"] == 7        # absent-before counts from zero
 
     def test_metrics_diff_decreasing_gauge(self):
