@@ -1,12 +1,9 @@
-"""Bulk-SSSP engine — adjacency cache + chunked dispatch micro-benchmarks.
+"""Bulk-SSSP engine — adjacency cache micro-benchmark.
 
 The workload the engine optimises: many SSSPs against the same frozen
-graph (per-BCC APSP, oracle construction, MCB restarts).  Two shapes are
-measured and checked:
-
-* rebuilding the scipy adjacency per source (the pre-cache behaviour) vs
-  one cached, chunked ``multi_source`` call — must be >= 2x;
-* chunk-size sweep — all chunkings bit-identical, timings reported.
+graph.  Rebuilding the scipy adjacency per source (the pre-cache
+behaviour) is measured against one cached ``multi_source`` call, which
+must be bit-identical and at least 2x faster.
 """
 
 import numpy as np
@@ -38,29 +35,6 @@ def test_cache_vs_rebuild(benchmark, graph):
     assert np.array_equal(warm, cold)
     benchmark.pedantic(lambda: engine.multi_source(graph, sources), rounds=1, iterations=1)
     ratio = t_uncached / t_cached if t_cached else float("inf")
-    print(f"\nrepeated-sssp: rebuild-per-source / cached+chunked = {ratio:.1f}x")
+    print(f"\nrepeated-sssp: rebuild-per-source / one cached call = {ratio:.1f}x")
     assert ratio >= 2.0
-    benchmark.extra_info["cached_chunked_speedup"] = round(ratio, 2)
-
-
-def test_chunk_size_sweep(benchmark, graph):
-    sources = np.arange(min(graph.n, 256), dtype=np.int64)
-    reference = engine.multi_source(graph, sources, chunk_size=len(sources))
-    import time
-
-    timings = {}
-    for chunk in (1, 8, 32, 128):
-        t0 = time.perf_counter()
-        out = engine.multi_source(graph, sources, chunk_size=chunk)
-        timings[chunk] = time.perf_counter() - t0
-        assert np.array_equal(out, reference)
-    benchmark.pedantic(
-        lambda: engine.multi_source(graph, sources), rounds=3, iterations=1
-    )
-    print()
-    for chunk, t in timings.items():
-        print(f"chunk={chunk:>4}: {t:.3f}s")
-    benchmark.extra_info["chunk_timings_s"] = {
-        str(k): round(v, 4) for k, v in timings.items()
-    }
-
+    benchmark.extra_info["cached_speedup"] = round(ratio, 2)

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Smoke benchmark: engine caching/chunking, bulk queries and paper rows.
+"""Smoke benchmark: engine adjacency cache, bulk queries and paper rows.
 
 Runs in well under a minute and writes ``BENCH_BASELINE.json`` at the repo
 root, giving every change to the bulk-SSSP engine a before/after anchor:
 
-* ``repeated_sssp`` — the workload the adjacency cache + chunked dispatch
-  target: many SSSPs on one graph.  ``uncached_per_source`` rebuilds the
+* ``repeated_sssp`` — the workload the adjacency cache targets: many
+  SSSPs on one graph.  ``uncached_per_source`` rebuilds the
   scipy adjacency for every source (the pre-cache behaviour);
   ``cached_chunked`` is one ``multi_source`` call through the cache.
 * ``bulk_query`` — vectorized oracle ``query_many`` vs the scalar per-pair
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 
@@ -202,15 +201,14 @@ def main() -> None:
         "created_unix": time.time(),
         "host": host_fingerprint(),
         "scale": args.scale,
-        "chunk_size": os.environ.get("REPRO_SSSP_CHUNK", "32 (default)"),
         "repeated_sssp": bench_repeated_sssp(args.scale),
         "bulk_query": bench_bulk_query(args.scale),
         "fig2": bench_fig2(args.scale),
         "table2": bench_table2(args.scale),
     }
     baseline["phases"] = _phases(baseline)
-    # Whole-run observability counters: cache efficacy, chunk dispatch
-    # volume (repro.obs.metrics snapshot).
+    # Whole-run observability counters: cache efficacy, dispatch volume
+    # (repro.obs.metrics snapshot).
     from repro.obs import snapshot
     from repro.sssp.engine import adjacency_cache
 
@@ -245,7 +243,7 @@ def main() -> None:
     print(f"adjacency cache: {cache['hits']} hits / {cache['misses']} misses")
     print(
         f"repeated-sssp: uncached {rs['uncached_per_source_s']:.3f}s "
-        f"vs cached+chunked {rs['cached_chunked_s']:.3f}s "
+        f"vs cached {rs['cached_chunked_s']:.3f}s "
         f"({rs['speedup']:.1f}x)"
     )
     bq = baseline["bulk_query"]

@@ -35,10 +35,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..decomposition.block_cut_tree import BlockCutTree
+from ..graph.csr import check_vertex_ids
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 
-__all__ = ["BulkOracleIndex", "check_vertex_ids"]
+__all__ = ["BulkOracleIndex"]
 
 #: Component-local distance kernel: ``dist_many(cid, lu, lv)``.
 DistManyFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
@@ -49,18 +50,6 @@ _C_SAME = _metrics.counter("bulk_query.same_component_pairs")
 _C_CROSS = _metrics.counter("bulk_query.cross_component_pairs")
 _C_UNREACH = _metrics.counter("bulk_query.unreachable_pairs")
 _C_GROUPS = _metrics.counter("bulk_query.component_groups")
-
-
-def check_vertex_ids(n: int, *ids: int) -> None:
-    """Raise ``ValueError`` for the first of ``ids`` outside ``[0, n)``.
-
-    Both oracles' scalar ``query(u, v)`` pass ``u, v``; ``query_many``
-    passes its pair array's minimum and maximum, which lie in range iff
-    every id does.
-    """
-    for vid in ids:
-        if not 0 <= vid < n:
-            raise ValueError(f"vertex id {vid} is outside [0, {n})")
 
 
 class BulkOracleIndex:

@@ -159,16 +159,12 @@ def extend_reduced_distances(red: ReducedGraph, s_r: np.ndarray) -> np.ndarray:
     return out
 
 
-def ear_apsp_full(
-    g: CSRGraph,
-    report: EarAPSPReport | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
+def ear_apsp_full(g: CSRGraph, report: EarAPSPReport | None = None) -> np.ndarray:
     """Algorithm 1 on the whole graph: full exact ``n × n`` matrix.
 
-    Phase II runs the cached, chunked bulk engine
-    (:func:`repro.sssp.engine.all_pairs`, ``chunk_size`` sources per
-    compiled call).  Pass a :class:`EarAPSPReport` to collect the
+    Phase II runs the cached bulk engine
+    (:func:`repro.sssp.engine.all_pairs`, one compiled call over every
+    reduced vertex).  Pass a :class:`EarAPSPReport` to collect the
     reduction counts.  The three phases are timed as ``obs.trace.phase``
     spans with cat ``apsp``.
     """
@@ -176,7 +172,7 @@ def ear_apsp_full(
         red = reduce_graph(g)
         simple = red.simple_graph()
     with phase("process", "apsp", stage="dijkstra", n=simple.n):
-        s_r = all_pairs(simple, chunk_size=chunk_size)
+        s_r = all_pairs(simple)
     with phase("postprocess", "apsp", stage="extend", n=g.n):
         out = extend_reduced_distances(red, s_r)
     if report is not None:

@@ -21,9 +21,8 @@ import numpy as np
 
 from ..decomposition.biconnected import biconnected_components
 from ..decomposition.block_cut_tree import BlockCutTree
-from ..graph.csr import CSRGraph
-from .bulk_query import check_vertex_ids
-from .composition import Solver, build_component_tables
+from ..graph.csr import CSRGraph, check_vertex_ids
+from .composition import build_component_tables
 from .ear_apsp import ear_apsp_full
 
 __all__ = ["DistanceOracle"]
@@ -32,10 +31,10 @@ __all__ = ["DistanceOracle"]
 class DistanceOracle:
     """Exact all-pairs distance oracle with the paper's memory footprint."""
 
-    def __init__(self, g: CSRGraph, solver: Solver = ear_apsp_full) -> None:
+    def __init__(self, g: CSRGraph) -> None:
         self.graph = g
         bcc = biconnected_components(g)
-        self.tables = build_component_tables(g, solver=solver, bcc=bcc)
+        self.tables = build_component_tables(g, solver=ear_apsp_full, bcc=bcc)
         self.tree = BlockCutTree(g, bcc)
         # Local index of each vertex inside each of its components.
         self._local = self.tables.vertex_local

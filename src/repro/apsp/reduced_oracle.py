@@ -22,9 +22,9 @@ import numpy as np
 from ..decomposition.biconnected import biconnected_components
 from ..decomposition.block_cut_tree import BlockCutTree
 from ..decomposition.reduce import ReducedGraph, reduce_graph
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, check_vertex_ids
 from ..sssp.engine import ZERO_WEIGHT_NUDGE, all_pairs
-from .bulk_query import BulkOracleIndex, check_vertex_ids
+from .bulk_query import BulkOracleIndex
 
 __all__ = ["ReducedDistanceOracle"]
 
@@ -132,7 +132,7 @@ class _ComponentStore:
 class ReducedDistanceOracle:
     """Exact APSP oracle over reduced per-component tables."""
 
-    def __init__(self, g: CSRGraph, chunk_size: int | None = None) -> None:
+    def __init__(self, g: CSRGraph) -> None:
         self.graph = g
         bcc = biconnected_components(g)
         self.tree = BlockCutTree(g, bcc)
@@ -142,7 +142,7 @@ class ReducedDistanceOracle:
         for cid in range(bcc.count):
             sub, vmap = bcc.component_subgraph(g, cid)
             red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
-            table = all_pairs(red.simple_graph(), chunk_size=chunk_size)
+            table = all_pairs(red.simple_graph())
             self.stores.append(_ComponentStore(red, table, vmap))
             for v in vmap:
                 self._memberships.setdefault(int(v), []).append(cid)

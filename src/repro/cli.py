@@ -24,6 +24,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import datasets
 from .bench import expected
 from .bench.harness import (
     ear_speedup_by_impl,
@@ -42,8 +43,6 @@ __all__ = ["main"]
 
 
 def _cmd_table1(args) -> None:
-    from . import datasets
-
     specs = {spec.name: spec for spec in datasets.TABLE1}
     body = []
     for r in run_table1(scale=args.scale, names=args.datasets):
@@ -254,7 +253,6 @@ def _cmd_profile(args) -> None:
     at the trace file, so ``repro-bench report`` can reassemble the run
     later.
     """
-    from . import datasets
     from .obs import (
         format_bytes,
         memory_profiling,
@@ -567,7 +565,14 @@ def main(argv: list[str] | None = None) -> int:
         help="profile/regress: which pipeline to trace (default apsp)",
     )
     parser.add_argument("--scale", type=float, default=None, help="dataset scale factor")
-    parser.add_argument("--datasets", nargs="+", default=None, help="restrict to named datasets")
+    parser.add_argument(
+        "--datasets",
+        nargs="+",
+        default=None,
+        choices=[spec.name for spec in datasets.TABLE1],
+        metavar="NAME",
+        help="restrict to these Table-1 stand-ins",
+    )
     parser.add_argument("--mteps", action="store_true", help="also print Figure 3 (fig2)")
     parser.add_argument("--fig6", action="store_true", help="also print Figure 6 (table2)")
     parser.add_argument("--qa-count", type=int, default=200, help="qa: corpus size")

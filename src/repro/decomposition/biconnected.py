@@ -76,10 +76,16 @@ class BCCDecomposition:
         component* differs from two, or when it is an articulation point of
         the whole graph (articulation points anchor the block-cut tree and
         must survive reduction for the cross-component post-processing of
-        Section 2.2).
+        Section 2.2).  The mask is indexed like :meth:`component_subgraph`'s
+        vertices.  Degrees are counted from the component's edge list (a
+        self-loop counts twice, as in :attr:`CSRGraph.degree`), so a caller
+        that also needs the subgraph builds it once.
         """
-        sub, vmap = self.component_subgraph(g, comp_id)
-        return (sub.degree != 2) | self.is_articulation[vmap]
+        eids = self.component_edges[comp_id]
+        vmap = self.component_vertices[comp_id]
+        ends = np.searchsorted(vmap, np.concatenate([g.edge_u[eids], g.edge_v[eids]]))
+        degree = np.bincount(ends, minlength=vmap.size)
+        return (degree != 2) | self.is_articulation[vmap]
 
 
 def biconnected_components(g: CSRGraph) -> BCCDecomposition:

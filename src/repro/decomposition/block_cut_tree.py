@@ -290,19 +290,3 @@ class BlockCutTree:
             a1[live] = c1 - self.n_blocks
             a2[live] = c2 - self.n_blocks
         return a1, a2, same_block, disconnected
-
-    def blocks_of_vertex(self, v: int) -> list[int]:
-        """All block ids containing graph vertex ``v``."""
-        k = self.ap_index.get(int(v))
-        if k is None:
-            b = int(self._vertex_block[v])
-            return [b] if b >= 0 else []
-        return [b for b in self.adj[self.n_blocks + k]]
-
-    def same_block(self, u: int, v: int) -> int | None:
-        """A block id containing both vertices, or ``None``."""
-        bu = set(self.blocks_of_vertex(u))
-        for b in self.blocks_of_vertex(v):
-            if b in bu:
-                return b
-        return None

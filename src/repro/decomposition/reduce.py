@@ -211,10 +211,6 @@ class ReducedGraph:
             self._simple_cache = self.graph.simplify()
         return self._simple_cache
 
-    def expand_edge(self, reduced_eid: int) -> np.ndarray:
-        """Original edge ids contracted into reduced edge ``reduced_eid``."""
-        return self.chains[reduced_eid].edges
-
     def expand_cycle(self, reduced_eids: np.ndarray | list[int]) -> np.ndarray:
         """Map a cycle in ``G^r`` (reduced edge ids) to original edge ids.
 

@@ -23,11 +23,24 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CSRGraph", "GraphError"]
+__all__ = ["CSRGraph", "GraphError", "check_vertex_ids"]
 
 
 class GraphError(ValueError):
     """Raised when graph construction or validation fails."""
+
+
+def check_vertex_ids(n: int, *ids: int) -> None:
+    """Raise ``ValueError`` for the first of ``ids`` outside ``[0, n)``.
+
+    The one definition of a valid vertex id: the SSSP kernels pass their
+    sources (the bulk engine a source array's minimum and maximum, which
+    lie in range iff every source does) and the distance oracles their
+    query ids.  numpy and scipy would wrap a negative id silently.
+    """
+    for vid in ids:
+        if not 0 <= vid < n:
+            raise ValueError(f"vertex id {vid} is outside [0, {n})")
 
 
 class CSRGraph:

@@ -1,13 +1,15 @@
 """Heterogeneous APSP driver (Algorithm 1 on the CPU+GPU platform).
 
-Phase II's work units are one Dijkstra source each ("if the graph is
-already biconnected ... the workunits can correspond to the processing
-required with respect to a vertex", Section 2.3); for general graphs the
-units are whole biconnected components sorted by size.  Phase III's
-anchor-formula sweep is perfectly divisible (pure broadcast arithmetic).
+The paper's Phase II work units are the Dijkstra runs of single
+vertices ("if the graph is already biconnected ... the workunits can
+correspond to the processing required with respect to a vertex",
+Section 2.3).  The trace records each component's sources in units of
+:data:`DIJKSTRA_SOURCES_PER_UNIT` in a divisible stage, like Phase III's
+anchor-formula sweep (pure broadcast arithmetic).
 
-Like the MCB runner, the computation executes once for real and its trace
-replays on every platform through :func:`~repro.hetero.trace.simulate_trace`.
+Like the MCB runner, the computation executes once for real (one compiled
+Dijkstra call per component) and its trace replays on every platform
+through :func:`~repro.hetero.trace.simulate_trace`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ..graph.csr import CSRGraph
 from ..obs import metrics as _metrics
 from ..obs.memory import publish_apsp_table_gauges
 from ..obs.trace import phase
-from ..sssp.engine import multi_source, resolve_chunk_size
+from ..sssp.engine import multi_source
 from .trace import WorkTrace
 
 __all__ = ["apsp_with_trace"]
@@ -29,19 +31,20 @@ __all__ = ["apsp_with_trace"]
 BYTES_DIJKSTRA_PER_EDGE = 40.0
 BYTES_POSTPROCESS_PER_ENTRY = 24.0
 BYTES_REDUCE_PER_EDGE = 24.0
+#: Dijkstra sources per trace unit.  The replay sums a divisible stage's
+#: units, so this split fixes the sum's rounding and every APSP virtual time.
+DIJKSTRA_SOURCES_PER_UNIT = 32
 
 
-def _record_dijkstra(trace: WorkTrace, n: int, m: int, chunk: int) -> None:
-    """One trace unit per batched dispatch of ``chunk`` Dijkstra sources.
+def _record_dijkstra(trace: WorkTrace, n: int, m: int) -> None:
+    """One trace unit per :data:`DIJKSTRA_SOURCES_PER_UNIT` Dijkstra sources.
 
-    Batching amortises the per-call dispatch cost, so a chunk — not a
-    single source — is the atomic grab on a device queue.  Each unit is
-    still marked divisible: the sources inside a chunk are independent,
-    so a device with internal lanes (the GPU model) can split it.
+    The stage is divisible: every source's search is independent, so the
+    replay splits the stage's work across devices by bandwidth.
     """
     stage = trace.new_stage("dijkstra", divisible=True)
-    for lo in range(0, n, chunk):
-        k = min(chunk, n - lo)
+    for lo in range(0, n, DIJKSTRA_SOURCES_PER_UNIT):
+        k = min(DIJKSTRA_SOURCES_PER_UNIT, n - lo)
         stage.add(k * max(m, 1) * BYTES_DIJKSTRA_PER_EDGE, k * n)
 
 
@@ -55,11 +58,10 @@ def apsp_with_trace(g: CSRGraph, use_ear: bool = True) -> tuple[np.ndarray, Work
     counts the calls report.  The Section 2.4 phases are
     ``obs.trace.phase`` spans: ``ear_apsp_full`` emits reduce / dijkstra /
     extend, this driver only the calls it makes itself (decompose,
-    assemble, and the Dijkstra of the ``use_ear=False`` path).  Sources
-    go to Dijkstra in chunks of ``REPRO_SSSP_CHUNK`` (see
-    :func:`~repro.sssp.engine.resolve_chunk_size`).
+    assemble, and the Dijkstra of the ``use_ear=False`` path).  Each
+    component's Dijkstra runs as one compiled call; the trace splits its
+    sources into units of :data:`DIJKSTRA_SOURCES_PER_UNIT`.
     """
-    chunk = resolve_chunk_size()
     trace = WorkTrace()
     with phase("preprocess", "apsp", stage="decompose", n=g.n, m=g.m):
         bcc = biconnected_components(g)
@@ -74,15 +76,15 @@ def apsp_with_trace(g: CSRGraph, use_ear: bool = True) -> tuple[np.ndarray, Work
     def traced_solver(sub: CSRGraph) -> np.ndarray:
         nonlocal reduced_bytes
         if not use_ear:
-            _record_dijkstra(trace, sub.n, sub.m, chunk)
+            _record_dijkstra(trace, sub.n, sub.m)
             with phase("process", "apsp", stage="dijkstra", n=sub.n):
-                out = multi_source(sub, np.arange(sub.n), chunk_size=chunk)
+                out = multi_source(sub, np.arange(sub.n))
             reduced_bytes += int(out.nbytes)
             return out
         rep = EarAPSPReport()
-        full = ear_apsp_full(sub, chunk_size=chunk, report=rep)
+        full = ear_apsp_full(sub, report=rep)
         trace.new_stage("reduce").add(sub.m * BYTES_REDUCE_PER_EDGE, sub.m)
-        _record_dijkstra(trace, rep.n_reduced, rep.m_reduced, chunk)
+        _record_dijkstra(trace, rep.n_reduced, rep.m_reduced)
         trace.new_stage("postprocess", divisible=True).add(
             sub.n * sub.n * BYTES_POSTPROCESS_PER_ENTRY, sub.n * sub.n
         )

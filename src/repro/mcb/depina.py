@@ -4,8 +4,10 @@ Maintains witness vectors ``S_1..S_f`` over E'; each phase finds the
 lightest cycle non-orthogonal to ``S_i`` (signed-graph search) and xors
 ``S_i`` into every later witness still non-orthogonal to the found cycle.
 Weight-exact without any tie-breaking assumptions, hence the trusted
-reference the faster Mehlhorn–Michail implementation is tested against,
-and the "Sequential" row of Table 2.
+reference the faster Mehlhorn–Michail implementation is tested against.
+Table 2's "Sequential" column is not this solver: it replays the
+Mehlhorn–Michail work trace on one CPU core
+(:func:`repro.hetero.run_mcb_on_platforms`).
 """
 
 from __future__ import annotations

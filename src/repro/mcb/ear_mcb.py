@@ -64,7 +64,6 @@ def minimum_cycle_basis(
     algorithm: str = "mm",
     use_ear: bool = True,
     report: EarMCBReport | None = None,
-    **solver_kwargs,
 ) -> list[Cycle]:
     """Minimum-weight cycle basis of ``g``.
 
@@ -76,9 +75,6 @@ def minimum_cycle_basis(
     use_ear:
         When False, each biconnected component is solved *without* the
         degree-2 reduction — the "w/o" ablation columns of Table 2.
-    solver_kwargs:
-        Forwarded to the selected solver (e.g. ``lca_filter``,
-        ``block_size`` for ``"mm"``).
     """
     if algorithm not in _SOLVERS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -110,7 +106,7 @@ def minimum_cycle_basis(
 
         sub_report = report_type() if report is not None else None
         with phase("process", "mcb", stage=stage, n=solve_on.n):
-            sub_cycles = solver(solve_on, report=sub_report, **solver_kwargs)
+            sub_cycles = solver(solve_on, report=sub_report)
 
         with phase("postprocess", "mcb", stage="expand", cycles=len(sub_cycles)):
             for cyc in sub_cycles:

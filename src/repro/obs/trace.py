@@ -232,7 +232,7 @@ def span(name: str, cat: str = "repro", **args):
 
     The disabled path is the hot-path contract: one global read, one
     comparison, and the shared :data:`_NULL_SPAN` singleton — callers may
-    sprinkle spans on per-chunk loops without measurable cost.
+    sprinkle spans on hot loops without measurable cost.
     """
     col = _collector
     if col is None:

@@ -8,7 +8,6 @@ from .engine import (
     adjacency_matrix,
     all_pairs,
     multi_source,
-    resolve_chunk_size,
     spt_forest,
     sssp,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "CacheInfo",
     "adjacency_cache",
     "adjacency_matrix",
-    "resolve_chunk_size",
     "all_pairs",
     "multi_source",
     "spt_forest",

@@ -15,7 +15,7 @@ import heapq
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, GraphError
+from ..graph.csr import CSRGraph, GraphError, check_vertex_ids
 
 __all__ = ["dijkstra", "dijkstra_tree", "shortest_path"]
 
@@ -28,8 +28,10 @@ def dijkstra(
     """Distances from ``source`` to every vertex (``inf`` if unreachable).
 
     With ``target`` given, stops as soon as the target is settled; the
-    remaining entries are then upper bounds, not exact distances.
+    remaining entries are then upper bounds, not exact distances.  A
+    source outside ``[0, n)`` raises ``ValueError``.
     """
+    check_vertex_ids(g.n, source)
     dist = np.full(g.n, np.inf, dtype=np.float64)
     dist[source] = 0.0
     indptr, indices, weights = g.indptr, g.indices, g.weights
@@ -59,7 +61,10 @@ def dijkstra_tree(g: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray, np.
         (``-1`` for the source and unreachable vertices); ``parent_edge[v]``
         the canonical edge id used.  Ties are broken by heap order, so the
         tree is deterministic for a given graph.
+
+    A source outside ``[0, n)`` raises ``ValueError``.
     """
+    check_vertex_ids(g.n, source)
     n = g.n
     dist = np.full(n, np.inf, dtype=np.float64)
     parent = np.full(n, -1, dtype=np.int64)
@@ -87,6 +92,7 @@ def shortest_path(g: CSRGraph, source: int, target: int) -> tuple[float, list[in
 
     The path is empty when the target is unreachable.
     """
+    check_vertex_ids(g.n, target)
     dist, parent, _ = dijkstra_tree(g, source)
     if not np.isfinite(dist[target]):
         return float("inf"), []

@@ -1,4 +1,4 @@
-"""Bulk shortest-path engine: cached adjacency + chunked multi-source dispatch.
+"""Bulk shortest-path engine: cached adjacency + one compiled call per source set.
 
 Per the HPC-Python guides, the hot loop belongs in compiled code: this
 engine dispatches multi-source Dijkstra to ``scipy.sparse.csgraph`` (a
@@ -7,26 +7,22 @@ same array contract as the pure-Python kernels.  All APSP pipelines and
 benchmarks go through here; tests cross-check it against
 :mod:`repro.sssp.dijkstra`.
 
-Two bulk-execution mechanisms remove the repeated Python-side tax that
-dominated per-BCC APSP workloads:
+Two mechanisms keep the Python-side cost of a call small:
 
 * **Adjacency caching** — the CSR→scipy conversion (simplify + COO build +
   sort) runs once per distinct graph.  :class:`CSRGraph` objects are frozen
   after construction, so the cache key is the graph's content
   :attr:`~repro.graph.csr.CSRGraph.fingerprint` and entries never need
-  invalidation; an LRU bound (``REPRO_ADJ_CACHE`` entries, default 128)
-  caps memory.
-* **Chunked dispatch** — ``multi_source``/``spt_forest`` split their source
-  sets into chunks of ``REPRO_SSSP_CHUNK`` (default 32) sources per
-  compiled call.  Each scipy call amortises dispatch overhead over the
-  whole chunk, chunk boundaries bound the size of transient predecessor
-  buffers, and — because every source's Dijkstra is independent — the
-  result is bit-identical for every chunk size.
+  invalidation; an LRU bound of 128 entries caps memory.
+* **One compiled call per source set** — ``multi_source``, ``all_pairs``
+  and ``spt_forest`` hand every source to a single ``csgraph.dijkstra``
+  call.  The paper's batching of Dijkstra runs over CPU threads and the
+  GPU (Sections 2.1.2 and 2.3) is modelled by the work-trace replay of
+  :mod:`repro.hetero`, not by splitting the real call.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -34,11 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from ..graph.csr import CSRGraph, GraphError
+from ..graph.csr import CSRGraph, GraphError, check_vertex_ids
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 
-# Preresolved instruments: the cache and chunk loops increment these
+# Preresolved instruments: the cache and the dispatch increment these
 # unconditionally (see repro.obs.metrics for why counters stay on).
 _C_HITS = _metrics.counter("engine.adj_cache.hits")
 _C_MISSES = _metrics.counter("engine.adj_cache.misses")
@@ -51,12 +47,10 @@ _G_CACHE_BYTES = _metrics.gauge("memory.engine.adj_cache_bytes")
 __all__ = [
     "ZERO_WEIGHT_NUDGE",
     "MIN_POSITIVE_WEIGHT",
-    "DEFAULT_CHUNK_SIZE",
     "AdjacencyCache",
     "CacheInfo",
     "adjacency_cache",
     "adjacency_matrix",
-    "resolve_chunk_size",
     "sssp",
     "multi_source",
     "all_pairs",
@@ -73,20 +67,6 @@ ZERO_WEIGHT_NUDGE = 1e-300
 #: zero-weight edges could compete with genuine weights and silently
 #: mis-rank paths, so :func:`adjacency_matrix` raises instead.
 MIN_POSITIVE_WEIGHT = 1e-12
-
-#: Default number of sources per compiled dijkstra call
-#: (``REPRO_SSSP_CHUNK`` overrides).
-DEFAULT_CHUNK_SIZE = 32
-
-
-def resolve_chunk_size(chunk_size: int | None = None) -> int:
-    """Effective chunk size: explicit argument > env knob > default."""
-    if chunk_size is None:
-        chunk_size = int(os.environ.get("REPRO_SSSP_CHUNK", DEFAULT_CHUNK_SIZE))
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
-    return chunk_size
-
 
 @dataclass(frozen=True)
 class CacheInfo:
@@ -162,7 +142,7 @@ class AdjacencyCache:
         _G_CACHE_BYTES.set(0.0)
 
 
-_GLOBAL_CACHE = AdjacencyCache(maxsize=int(os.environ.get("REPRO_ADJ_CACHE", 128)))
+_GLOBAL_CACHE = AdjacencyCache()
 
 
 def adjacency_cache() -> AdjacencyCache:
@@ -206,90 +186,53 @@ def sssp(g: CSRGraph, source: int, cache: bool = True) -> np.ndarray:
     return multi_source(g, np.asarray([source]), cache=cache)[0]
 
 
-def multi_source(
-    g: CSRGraph,
-    sources: np.ndarray,
-    chunk_size: int | None = None,
-    cache: bool = True,
-) -> np.ndarray:
-    """Distance matrix of shape ``(len(sources), n)``.
+def _dijkstra(
+    g: CSRGraph, sources: np.ndarray, cache: bool, predecessors: bool
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Every source's Dijkstra in one compiled ``csgraph.dijkstra`` call.
 
-    Sources are dispatched to compiled Dijkstra in chunks of ``chunk_size``
-    (default: ``REPRO_SSSP_CHUNK`` / :data:`DEFAULT_CHUNK_SIZE`).  Every
-    source's search is independent, so the output is bit-identical for any
-    chunking.  ``cache=False`` bypasses the adjacency cache (used by the
+    Returns float64 distances of shape ``(len(sources), n)``, plus int64
+    predecessors when ``predecessors`` is set.  A source outside
+    ``[0, n)`` raises ``ValueError`` (scipy would wrap a negative one).
+    ``cache=False`` bypasses the adjacency cache (used by the
     before/after benchmarks).
     """
     sources = np.asarray(sources, dtype=np.int64)
-    if g.n == 0:
-        return np.zeros((len(sources), 0))
-    if len(sources) == 0:
-        return np.zeros((0, g.n))
-    mat = _GLOBAL_CACHE.get(g) if cache else adjacency_matrix(g)
-    chunk = resolve_chunk_size(chunk_size)
     k = len(sources)
+    if k == 0:
+        dist = np.zeros((0, g.n))
+        return (dist, np.zeros((0, g.n), dtype=np.int64)) if predecessors else dist
+    check_vertex_ids(g.n, int(sources.min()), int(sources.max()))
+    mat = _GLOBAL_CACHE.get(g) if cache else adjacency_matrix(g)
     _C_SOURCES.inc(k)
-    if k <= chunk:
-        _C_CHUNKS.inc()
-        with _span("sssp.chunk", cat="sssp", sources=k):
-            out = csgraph.dijkstra(mat, directed=False, indices=sources)
-        return np.asarray(out, dtype=np.float64)
-    out = np.empty((k, g.n), dtype=np.float64)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        _C_CHUNKS.inc()
-        with _span("sssp.chunk", cat="sssp", sources=hi - lo):
-            out[lo:hi] = csgraph.dijkstra(
-                mat, directed=False, indices=sources[lo:hi]
-            )
-    return out
+    _C_CHUNKS.inc()
+    with _span("sssp.chunk", cat="sssp", sources=k, predecessors=predecessors):
+        out = csgraph.dijkstra(
+            mat, directed=False, indices=sources, return_predecessors=predecessors
+        )
+    if predecessors:
+        dist, pred = out
+        return np.asarray(dist, dtype=np.float64), np.asarray(pred, dtype=np.int64)
+    return np.asarray(out, dtype=np.float64)
 
 
-def all_pairs(
-    g: CSRGraph, chunk_size: int | None = None, cache: bool = True
-) -> np.ndarray:
+def multi_source(g: CSRGraph, sources: np.ndarray, cache: bool = True) -> np.ndarray:
+    """Distance matrix of shape ``(len(sources), n)``."""
+    return _dijkstra(g, sources, cache, predecessors=False)
+
+
+def all_pairs(g: CSRGraph, cache: bool = True) -> np.ndarray:
     """Full ``n × n`` distance matrix (the baseline Phase II on ``G``)."""
-    if g.n == 0:
-        return np.zeros((0, 0))
-    return multi_source(
-        g, np.arange(g.n, dtype=np.int64), chunk_size=chunk_size, cache=cache
-    )
+    return multi_source(g, np.arange(g.n, dtype=np.int64), cache=cache)
 
 
 def spt_forest(
-    g: CSRGraph,
-    sources: np.ndarray,
-    chunk_size: int | None = None,
-    cache: bool = True,
+    g: CSRGraph, sources: np.ndarray, cache: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shortest-path trees from each source.
 
     Returns ``(dist, parent)`` arrays of shape ``(len(sources), n)``;
     ``parent[i, v]`` is the predecessor of ``v`` in the tree rooted at
     ``sources[i]`` (``-9999`` for roots/unreachable, scipy's sentinel).
-    Chunked exactly like :func:`multi_source`.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    mat = _GLOBAL_CACHE.get(g) if cache else adjacency_matrix(g)
-    chunk = resolve_chunk_size(chunk_size)
-    k = len(sources)
-    _C_SOURCES.inc(k)
-    if k <= chunk:
-        _C_CHUNKS.inc()
-        with _span("sssp.chunk", cat="sssp", sources=k, predecessors=True):
-            dist, pred = csgraph.dijkstra(
-                mat, directed=False, indices=sources, return_predecessors=True
-            )
-        return np.asarray(dist, dtype=np.float64), np.asarray(pred, dtype=np.int64)
-    dist = np.empty((k, g.n), dtype=np.float64)
-    pred = np.empty((k, g.n), dtype=np.int64)
-    for lo in range(0, k, chunk):
-        hi = min(lo + chunk, k)
-        _C_CHUNKS.inc()
-        with _span("sssp.chunk", cat="sssp", sources=hi - lo, predecessors=True):
-            d, p = csgraph.dijkstra(
-                mat, directed=False, indices=sources[lo:hi], return_predecessors=True
-            )
-        dist[lo:hi] = d
-        pred[lo:hi] = p
-    return dist, pred
+    return _dijkstra(g, sources, cache, predecessors=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse.csgraph as csgraph
 
 from repro.decomposition import biconnected_components
 from repro.graph import (
@@ -13,6 +14,7 @@ from repro.graph import (
     random_biconnected_graph,
     subdivide_edges,
 )
+from repro.sssp.engine import adjacency_matrix
 
 
 def close(a, b, atol: float = 1e-8) -> bool:
@@ -88,3 +90,54 @@ class GrabRecorder:
 
         monkeypatch.setattr(trace, "race", recorded_race)
         return self
+
+
+# The SSSP engine's chunked dispatch as it was before every source set
+# became one compiled call, kept as the parity reference
+# (tests/test_engine_parity.py).  Each source's search is independent, so
+# the single call must match it bit for bit at every chunk size.
+
+
+def chunked_multi_source(g: CSRGraph, sources, chunk_size: int) -> np.ndarray:
+    """``multi_source`` in compiled calls of ``chunk_size`` sources."""
+    sources = np.asarray(sources, dtype=np.int64)
+    if g.n == 0:
+        return np.zeros((len(sources), 0))
+    if len(sources) == 0:
+        return np.zeros((0, g.n))
+    mat = adjacency_matrix(g)
+    chunk = chunk_size
+    k = len(sources)
+    if k <= chunk:
+        out = csgraph.dijkstra(mat, directed=False, indices=sources)
+        return np.asarray(out, dtype=np.float64)
+    out = np.empty((k, g.n), dtype=np.float64)
+    for lo in range(0, k, chunk):
+        hi = min(lo + chunk, k)
+        out[lo:hi] = csgraph.dijkstra(
+            mat, directed=False, indices=sources[lo:hi]
+        )
+    return out
+
+
+def chunked_spt_forest(g: CSRGraph, sources, chunk_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``spt_forest`` in compiled calls of ``chunk_size`` sources."""
+    sources = np.asarray(sources, dtype=np.int64)
+    mat = adjacency_matrix(g)
+    chunk = chunk_size
+    k = len(sources)
+    if k <= chunk:
+        dist, pred = csgraph.dijkstra(
+            mat, directed=False, indices=sources, return_predecessors=True
+        )
+        return np.asarray(dist, dtype=np.float64), np.asarray(pred, dtype=np.int64)
+    dist = np.empty((k, g.n), dtype=np.float64)
+    pred = np.empty((k, g.n), dtype=np.int64)
+    for lo in range(0, k, chunk):
+        hi = min(lo + chunk, k)
+        d, p = csgraph.dijkstra(
+            mat, directed=False, indices=sources[lo:hi], return_predecessors=True
+        )
+        dist[lo:hi] = d
+        pred[lo:hi] = p
+    return dist, pred

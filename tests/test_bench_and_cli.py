@@ -264,3 +264,13 @@ class TestCLI:
                 main([command, "--scale", str(TINY), "--datasets"])
             assert exc.value.code == 2, command
             assert "usage: repro-bench" in capsys.readouterr().err, command
+
+    def test_unknown_dataset_is_a_usage_error(self, capsys):
+        # Without argparse choices, table1 and fig2 print header-only
+        # tables and exit 0, and the others raise KeyError in datasets.load.
+        for command in ("table1", "fig2", "table2", "phases", "profile"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--scale", str(TINY), "--datasets", "nopolyy"])
+            assert exc.value.code == 2, command
+            err = capsys.readouterr().err
+            assert "usage: repro-bench" in err and "invalid choice: 'nopolyy'" in err, command

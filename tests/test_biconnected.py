@@ -108,6 +108,40 @@ def test_component_subgraph_roundtrip():
         assert np.isclose(sub.total_weight, total)
 
 
+def test_component_keep_mask_matches_subgraph_degrees():
+    from repro.qa import strategies
+
+    graphs = [g for _, g in strategies.corpus(120) + strategies.adversarial_corpus(3)]
+    for g in graphs + [composite_graph(s) for s in range(4)]:
+        bcc = biconnected_components(g)
+        for cid in range(bcc.count):
+            sub, vmap = bcc.component_subgraph(g, cid)
+            want = (sub.degree != 2) | bcc.is_articulation[vmap]
+            keep = bcc.component_keep_mask(g, cid)
+            assert keep.dtype == want.dtype and np.array_equal(keep, want)
+
+
+def test_table1_and_reduced_oracle_relabel_each_component_once(monkeypatch):
+    from repro.apsp import ReducedDistanceOracle
+    from repro.decomposition.biconnected import BCCDecomposition
+    from repro.graph.stats import table1_row
+
+    calls = []
+    subgraph = BCCDecomposition.component_subgraph
+
+    def counted(self, g, comp_id):
+        calls.append(comp_id)
+        return subgraph(self, g, comp_id)
+
+    monkeypatch.setattr(BCCDecomposition, "component_subgraph", counted)
+    g = composite_graph(0)
+    count = biconnected_components(g).count
+    for build in (table1_row, ReducedDistanceOracle):
+        calls.clear()
+        build(g)
+        assert sorted(calls) == list(range(count)), build.__name__
+
+
 def test_component_keep_mask_includes_aps():
     g = composite_graph(0)
     bcc = biconnected_components(g)

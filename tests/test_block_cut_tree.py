@@ -112,15 +112,6 @@ def test_adjacent_blocks_share_ap():
     assert tree.boundary_aps(0, 2) == (1, 1)
 
 
-def test_blocks_of_vertex():
-    g = path_graph(3)
-    tree, _ = build(g)
-    assert len(tree.blocks_of_vertex(1)) == 2
-    assert len(tree.blocks_of_vertex(0)) == 1
-    assert tree.same_block(0, 1) is not None
-    assert tree.same_block(0, 2) is None
-
-
 def test_disconnected_raises():
     g = CSRGraph(4, [0, 2], [1, 3])
     tree, _ = build(g)

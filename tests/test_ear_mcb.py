@@ -110,13 +110,6 @@ def test_unknown_algorithm():
         minimum_cycle_basis(cycle_graph(4), algorithm="magic")
 
 
-def test_solver_kwargs_forwarded():
-    g = biconnected_weighted(5, n=14, extra=6)
-    a = minimum_cycle_basis(g, algorithm="mm", block_size=8, lca_filter=False)
-    b = minimum_cycle_basis(g, algorithm="mm")
-    assert total(a) == pytest.approx(total(b), rel=1e-6)
-
-
 def test_multigraph_input(multigraph):
     basis = minimum_cycle_basis(multigraph)
     rep = verify_cycle_basis(multigraph, basis)

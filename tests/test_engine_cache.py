@@ -1,23 +1,22 @@
-"""Adjacency cache, chunked dispatch, and the engine's weight contract."""
+"""Adjacency cache, one-call dispatch, and the engine's weight contract."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from _support import chunked_multi_source, chunked_spt_forest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, GraphError, gnm_random_graph, grid_graph, randomize_weights
 from repro.sssp import dijkstra
 from repro.sssp.engine import (
-    DEFAULT_CHUNK_SIZE,
     MIN_POSITIVE_WEIGHT,
     AdjacencyCache,
     adjacency_cache,
     adjacency_matrix,
     all_pairs,
     multi_source,
-    resolve_chunk_size,
     spt_forest,
     sssp,
 )
@@ -90,14 +89,7 @@ class TestAdjacencyCache:
 
 
 class TestChunkedDispatch:
-    def test_resolve_chunk_size(self, monkeypatch):
-        assert resolve_chunk_size(7) == 7
-        assert resolve_chunk_size() == DEFAULT_CHUNK_SIZE
-        monkeypatch.setenv("REPRO_SSSP_CHUNK", "5")
-        assert resolve_chunk_size() == 5
-        assert resolve_chunk_size(9) == 9
-        with pytest.raises(ValueError):
-            resolve_chunk_size(0)
+    """The one compiled call matches the chunked dispatch it replaced."""
 
     @given(
         st.integers(min_value=1, max_value=40),
@@ -108,19 +100,19 @@ class TestChunkedDispatch:
         g = randomize_weights(gnm_random_graph(30, 60, seed=seed), seed=seed)
         rng = np.random.default_rng(seed)
         sources = rng.integers(0, g.n, size=rng.integers(1, 2 * g.n))
-        whole = multi_source(g, sources, chunk_size=len(sources) + 1)
-        chunked = multi_source(g, sources, chunk_size=chunk)
+        whole = multi_source(g, sources)
+        chunked = chunked_multi_source(g, sources, chunk)
         assert np.array_equal(whole, chunked)
 
     def test_chunked_spt_forest_bit_identical(self, grid):
         src = np.arange(grid.n)
-        d1, p1 = spt_forest(grid, src, chunk_size=grid.n + 1)
-        d2, p2 = spt_forest(grid, src, chunk_size=3)
+        d1, p1 = spt_forest(grid, src)
+        d2, p2 = chunked_spt_forest(grid, src, 3)
         assert np.array_equal(d1, d2)
         assert np.array_equal(p1, p2)
 
     def test_all_pairs_matches_reference_dijkstra(self, grid):
-        mat = all_pairs(grid, chunk_size=4)
+        mat = all_pairs(grid)
         for s in range(grid.n):
             assert np.allclose(mat[s], dijkstra(grid, s))
 

@@ -41,10 +41,10 @@ class TestStamps:
         assert fp["cpus"] >= 1
 
     def test_repro_knobs_filters_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SSSP_CHUNK", "64")
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.08")
         monkeypatch.setenv("NOT_A_KNOB", "x")
         knobs = repro_knobs()
-        assert knobs["REPRO_SSSP_CHUNK"] == "64"
+        assert knobs["REPRO_BENCH_SCALE"] == "0.08"
         assert "NOT_A_KNOB" not in knobs
 
     def test_default_ledger_path_env(self, monkeypatch):

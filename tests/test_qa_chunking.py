@@ -1,11 +1,15 @@
-"""Chunked-dispatch edge cases: chunk size 1, chunk > n, empty sources."""
+"""Dispatch edge cases: the one compiled call vs the chunked dispatch at
+chunk size 1 and at a chunk larger than the source set, and empty sources."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from _support import chunked_multi_source
 
 from repro.apsp import dijkstra_apsp, ear_apsp_full
+from repro.apsp.ear_apsp import extend_reduced_distances
+from repro.decomposition import reduce_graph
 from repro.graph import grid_graph
 from repro.qa import strategies
 from repro.sssp import engine
@@ -18,42 +22,31 @@ def graph():
     return grid_graph(4, 5)
 
 
-class TestChunkSizeOne:
-    def test_env_chunk_of_one(self, graph, monkeypatch):
-        want = dijkstra_apsp(graph)
-        monkeypatch.setenv("REPRO_SSSP_CHUNK", "1")
-        assert engine.resolve_chunk_size(None) == 1
-        assert np.array_equal(dijkstra_apsp(graph), want)
-        assert np.array_equal(ear_apsp_full(graph), want)
+def chunked_ear_apsp(g, chunk):
+    """``ear_apsp_full`` with Phase II in compiled calls of ``chunk`` sources."""
+    red = reduce_graph(g)
+    simple = red.simple_graph()
+    return extend_reduced_distances(red, chunked_multi_source(simple, np.arange(simple.n), chunk))
 
+
+class TestChunkSizeOne:
     def test_explicit_chunk_of_one(self, graph):
-        want = dijkstra_apsp(graph)
-        assert np.array_equal(dijkstra_apsp(graph, chunk_size=1), want)
-        assert np.array_equal(ear_apsp_full(graph, chunk_size=1), want)
+        sources = np.arange(graph.n)
+        assert np.array_equal(dijkstra_apsp(graph), chunked_multi_source(graph, sources, 1))
+        assert np.array_equal(ear_apsp_full(graph), chunked_ear_apsp(graph, 1))
 
     def test_chunk_of_one_on_multigraph(self):
         g = strategies.parallel_hairball(5, 12, seed=7)
         assert np.array_equal(
-            dijkstra_apsp(g, chunk_size=1), dijkstra_apsp(g)
+            chunked_multi_source(g, np.arange(g.n), 1), dijkstra_apsp(g)
         )
 
 
 class TestChunkLargerThanSources:
     def test_single_oversized_chunk(self, graph):
-        want = dijkstra_apsp(graph)
-        assert np.array_equal(dijkstra_apsp(graph, chunk_size=1000), want)
-        assert np.array_equal(ear_apsp_full(graph, chunk_size=1000), want)
-
-    def test_env_oversized_chunk(self, graph, monkeypatch):
-        want = dijkstra_apsp(graph)
-        monkeypatch.setenv("REPRO_SSSP_CHUNK", "1000")
-        assert np.array_equal(dijkstra_apsp(graph), want)
-
-    def test_invalid_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            engine.resolve_chunk_size(0)
-        with pytest.raises(ValueError):
-            engine.resolve_chunk_size(-3)
+        sources = np.arange(graph.n)
+        assert np.array_equal(dijkstra_apsp(graph), chunked_multi_source(graph, sources, 1000))
+        assert np.array_equal(ear_apsp_full(graph), chunked_ear_apsp(graph, 1000))
 
 
 class TestEmptySources:
@@ -73,7 +66,7 @@ class TestEmptySources:
         assert dijkstra_apsp(g).shape == (0, 0)
         assert ear_apsp_full(g).shape == (0, 0)
 
-    def test_empty_sources_with_chunk_of_one(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_SSSP_CHUNK", "1")
+    def test_empty_sources_with_chunk_of_one(self, graph):
         out = engine.multi_source(graph, np.array([], dtype=np.int64))
-        assert out.shape == (0, graph.n)
+        want = chunked_multi_source(graph, np.array([], dtype=np.int64), 1)
+        assert out.shape == want.shape == (0, graph.n)

@@ -176,3 +176,36 @@ class TestParentChainGuard:
         g = path_graph(5)
         d, path = shortest_path(g, 0, 4)
         assert d == 4.0 and path == [0, 1, 2, 3, 4]
+
+
+class TestSourceIdsAreRangeChecked:
+    """Every kernel rejects a vertex id outside ``[0, n)``: scipy would
+    wrap -1 to the last row, and the Python heap would seed ``dist[-1]``."""
+
+    @pytest.mark.parametrize("bad", [-1, 4, 99])
+    def test_engine(self, bad):
+        g = path_graph(4)
+        for call in (
+            lambda: sssp(g, bad),
+            lambda: multi_source(g, np.array([0, bad])),
+            lambda: spt_forest(g, np.array([bad, 3])),
+        ):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_reference_kernels(self, bad):
+        g = path_graph(4)
+        for call in (
+            lambda: dijkstra(g, bad),
+            lambda: dijkstra_tree(g, bad),
+            lambda: shortest_path(g, bad, 0),
+            lambda: shortest_path(g, 0, bad),
+        ):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                call()
+
+    def test_any_source_on_the_empty_graph(self):
+        g = CSRGraph(0, [], [], [])
+        with pytest.raises(ValueError, match=r"outside \[0, 0\)"):
+            multi_source(g, np.array([0]))
