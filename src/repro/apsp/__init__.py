@@ -3,7 +3,7 @@
 from .bcc_apsp import bcc_apsp, peel_pendants
 from .bulk_query import BulkOracleIndex
 from .composition import ComponentTables, assemble_full_matrix, build_component_tables
-from .dense import blocked_floyd_warshall, floyd_warshall
+from .dense import floyd_warshall
 from .dijkstra_apsp import dijkstra_apsp
 from .ear_apsp import EarAPSPReport, ear_apsp_full, extend_reduced_distances
 from .oracle import DistanceOracle
@@ -17,7 +17,6 @@ __all__ = [
     "ComponentTables",
     "assemble_full_matrix",
     "build_component_tables",
-    "blocked_floyd_warshall",
     "floyd_warshall",
     "dijkstra_apsp",
     "EarAPSPReport",

@@ -18,8 +18,8 @@ Python ``set`` intersections, one LCA per pair.
    :meth:`repro.decomposition.block_cut_tree.BlockCutTree.boundary_aps_many`
    and finish with one fused ``d(u,a1) + A[a1,a2] + d(a2,v)`` pass.
 
-The index is oracle-agnostic: it only needs the component vertex lists,
-the block-cut tree, the articulation closure ``A``, and a callable
+The index is oracle-agnostic: it only needs the decomposition's vertex
+index, the block-cut tree, the articulation closure ``A``, and a callable
 ``dist_many(cid, lu, lv)`` that answers component-local distances for
 index arrays — the full-table oracle passes a table gather, the reduced
 oracle passes the vectorized chain-formula kernel.  Every resolution is
@@ -30,10 +30,11 @@ adversarial corpus.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from ..decomposition.biconnected import BCCDecomposition
 from ..decomposition.block_cut_tree import BlockCutTree
 from ..graph.csr import check_vertex_ids
 from ..obs import metrics as _metrics
@@ -55,89 +56,65 @@ _C_GROUPS = _metrics.counter("bulk_query.component_groups")
 class BulkOracleIndex:
     """Vectorized pair classification + resolution for a distance oracle.
 
+    Every per-vertex fact it classifies by — articulation point or not, AP
+    rank, home component, memberships — is read from the decomposition's
+    vertex index; a component's local indices are positions in its sorted
+    ``component_vertices``.
+
     Parameters
     ----------
-    n:
-        Vertex count of the original graph.
+    bcc:
+        The :class:`~repro.decomposition.biconnected.BCCDecomposition` of
+        the original graph.
     tree:
         Its :class:`~repro.decomposition.block_cut_tree.BlockCutTree`.
-    component_vertices:
-        ``component_vertices[c]`` lists the global vertex ids of component
-        ``c`` — local index *is* position, matching both oracles' tables.
     dist_many:
         ``dist_many(cid, lu, lv) -> distances`` for arrays of
         component-local indices; must be bit-identical to the oracle's
         scalar per-component distance.
     ap_matrix:
-        The ``a × a`` articulation closure.  May be attached after
-        construction (the reduced oracle derives it *from* this index's
-        :attr:`ap_shared`).
+        The ``a × a`` articulation closure.
     """
 
     def __init__(
         self,
-        n: int,
+        bcc: BCCDecomposition,
         tree: BlockCutTree,
-        component_vertices: Sequence[np.ndarray],
         dist_many: DistManyFn,
-        ap_matrix: np.ndarray | None = None,
+        ap_matrix: np.ndarray,
     ) -> None:
-        self.n = int(n)
+        self.bcc = bcc
+        self.n = int(bcc.ap_rank.size)
         self.tree = tree
         self._dist_many = dist_many
         self.ap_matrix = ap_matrix
+        self.member = np.diff(bcc.member_ptr) > 0
+        # (component, AP rank) of every AP membership as one ascending key,
+        # for the local index of an AP in a given component.
         a = len(tree.ap_ids)
-        n_blocks = len(component_vertices)
-
-        self.is_ap = np.zeros(self.n, dtype=bool)
-        self.ap_idx_of = np.full(self.n, -1, dtype=np.int64)
-        if a:
-            ap_ids = np.asarray(tree.ap_ids, dtype=np.int64)
-            self.is_ap[ap_ids] = True
-            self.ap_idx_of[ap_ids] = np.arange(a, dtype=np.int64)
-
-        # Home component + local index for every non-AP vertex; per-block
-        # local positions of every AP (``-1`` where the AP is not a member).
-        # Single-vertex blocks (self-loops) are filled first so that a
-        # vertex's multi-vertex block — the only one that can reach other
-        # vertices — wins, mirroring ``BlockCutTree._vertex_block``.
-        self.comp_of = np.full(self.n, -1, dtype=np.int64)
-        self.local_of = np.full(self.n, -1, dtype=np.int64)
-        self.ap_local = np.full((n_blocks, a), -1, dtype=np.int64)
-        for multi in (False, True):
-            for cid, verts in enumerate(component_vertices):
-                verts = np.asarray(verts, dtype=np.int64)
-                if (verts.size > 1) != multi:
-                    continue
-                loc = np.arange(verts.size, dtype=np.int64)
-                ap_here = self.is_ap[verts]
-                plain = verts[~ap_here]
-                self.comp_of[plain] = cid
-                self.local_of[plain] = loc[~ap_here]
-                if ap_here.any():
-                    self.ap_local[cid, self.ap_idx_of[verts[ap_here]]] = loc[ap_here]
-        self.member = self.is_ap | (self.comp_of >= 0)
+        ptr, self._ap_loc, rank = bcc.component_aps()
+        self._ap_key = np.repeat(np.arange(bcc.count), np.diff(ptr)) * a + rank
 
         # Minimum intra-component distance for every AP pair sharing a
         # block (``inf`` elsewhere) — the vectorized form of the scalar
-        # "min over shared components" branch, and the edge list the
-        # reduced oracle's articulation closure is built from.
+        # "min over shared components" branch.
         self.ap_shared = np.full((a, a), np.inf, dtype=np.float64)
-        for cid in range(n_blocks):
-            here = np.nonzero(self.ap_local[cid] >= 0)[0]
-            if here.size < 2:
-                continue
-            iu, iv = np.triu_indices(here.size, k=1)
-            gi, gj = here[iu], here[iv]
-            li, lj = self.ap_local[cid, gi], self.ap_local[cid, gj]
+        for cid, li, lj, ri, rj in bcc.ap_pairs():
             # Both orientations are gathered: per-source Dijkstra tables
             # can differ in the last ulp between d(i,j) and d(j,i), and
             # the scalar query always reads the (u, v) orientation.
-            np.minimum.at(self.ap_shared, (gi, gj), self._dist_many(cid, li, lj))
-            np.minimum.at(self.ap_shared, (gj, gi), self._dist_many(cid, lj, li))
+            np.minimum.at(self.ap_shared, (ri, rj), self._dist_many(cid, li, lj))
+            np.minimum.at(self.ap_shared, (rj, ri), self._dist_many(cid, lj, li))
         np.fill_diagonal(self.ap_shared, 0.0)
 
     # ------------------------------------------------------------------ #
+
+    def _ap_local(self, comp: np.ndarray, ap_idx: np.ndarray) -> np.ndarray:
+        """Local index of AP ``ap_idx[i]`` in component ``comp[i]``
+        (``-1`` where it is not a member)."""
+        key = comp * len(self.tree.ap_ids) + ap_idx
+        pos = np.minimum(np.searchsorted(self._ap_key, key), self._ap_key.size - 1)
+        return np.where(self._ap_key[pos] == key, self._ap_loc[pos], -1)
 
     def _grouped_dist(
         self, comp: np.ndarray, lu: np.ndarray, lv: np.ndarray
@@ -159,12 +136,11 @@ class BulkOracleIndex:
     def _to_ap_many(self, verts: np.ndarray, ap_idx: np.ndarray) -> np.ndarray:
         """Distance from each vertex to its bracketing AP (0 for AP verts)."""
         out = np.zeros(verts.size, dtype=np.float64)
-        plain = ~self.is_ap[verts]
+        plain = ~self.bcc.is_articulation[verts]
         if plain.any():
-            comp = self.comp_of[verts[plain]]
-            lu = self.local_of[verts[plain]]
-            la = self.ap_local[comp, ap_idx[plain]]
-            out[plain] = self._grouped_dist(comp, lu, la)
+            comp = self.bcc.home[verts[plain]]
+            lu = self.bcc.home_local[verts[plain]]
+            out[plain] = self._grouped_dist(comp, lu, self._ap_local(comp, ap_idx[plain]))
         return out
 
     def _resolve(self, pairs: np.ndarray) -> np.ndarray:
@@ -179,25 +155,25 @@ class BulkOracleIndex:
             out[eq] = 0.0
             live = ~eq & self.member[u] & self.member[v]
 
-            apu, apv = self.is_ap[u], self.is_ap[v]
+            bcc = self.bcc
+            rank, home, home_local = bcc.ap_rank, bcc.home, bcc.home_local
+            apu, apv = bcc.is_articulation[u], bcc.is_articulation[v]
             # Same component, no APs involved: unique components must match.
-            same_nn = live & ~apu & ~apv & (self.comp_of[u] == self.comp_of[v])
+            same_nn = live & ~apu & ~apv & (home[u] == home[v])
             # Exactly one AP: shared iff the AP sits in the other's block.
             one_ap = live & (apu ^ apv)
-            comp1 = np.where(apu, self.comp_of[v], self.comp_of[u])
-            ap_side = np.where(apu, u, v)
+            comp1 = np.where(apu, home[v], home[u])
             l_ap = np.full(k, -1, dtype=np.int64)
             if one_ap.any():
-                l_ap[one_ap] = self.ap_local[
-                    comp1[one_ap], self.ap_idx_of[ap_side[one_ap]]
-                ]
+                ap_side = np.where(apu, u, v)[one_ap]
+                l_ap[one_ap] = self._ap_local(comp1[one_ap], rank[ap_side])
             one_ap_shared = one_ap & (l_ap >= 0)
             # Both APs: the precomputed min over shared blocks answers
             # directly (``inf`` marks "no shared block" → cross class).
             both_ap = live & apu & apv
             both_ap_shared = np.zeros(k, dtype=bool)
             if both_ap.any():
-                d = self.ap_shared[self.ap_idx_of[u[both_ap]], self.ap_idx_of[v[both_ap]]]
+                d = self.ap_shared[rank[u[both_ap]], rank[v[both_ap]]]
                 hit = np.isfinite(d)
                 sel = np.nonzero(both_ap)[0]
                 out[sel[hit]] = d[hit]
@@ -206,12 +182,10 @@ class BulkOracleIndex:
             same_comp = same_nn | one_ap_shared
             if same_comp.any():
                 idx = np.nonzero(same_comp)[0]
-                comp = np.where(
-                    apu[idx] | apv[idx], comp1[idx], self.comp_of[u[idx]]
-                )
-                lu = np.where(apu[idx], l_ap[idx], self.local_of[u[idx]])
-                lv = np.where(apv[idx], l_ap[idx], self.local_of[v[idx]])
-                out[idx] = self._grouped_dist(comp, lu, lv)
+                # comp1 is the non-AP side's home, which same_nn pairs share.
+                lu = np.where(apu[idx], l_ap[idx], home_local[u[idx]])
+                lv = np.where(apv[idx], l_ap[idx], home_local[v[idx]])
+                out[idx] = self._grouped_dist(comp1[idx], lu, lv)
             _C_SAME.inc(int(same_comp.sum() + both_ap_shared.sum()))
 
             cross = live & ~(same_comp | both_ap_shared)
@@ -233,19 +207,16 @@ class BulkOracleIndex:
             _C_UNREACH.inc(int(np.isinf(out).sum()))
         return out
 
-    def _check_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
+    def query_many(self, pairs: np.ndarray) -> np.ndarray:
+        """Distances for a ``(k, 2)`` pair array, classified in bulk.
+
+        A non-integer id raises ``TypeError``, one outside ``[0, n)``
+        ``ValueError``.
+        """
+        pairs = np.asarray(pairs)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"expected a (k, 2) pair array, got {pairs.shape}")
-        if pairs.size:
-            check_vertex_ids(self.n, int(pairs.min()), int(pairs.max()))
-        if pairs.shape[0] and self.ap_matrix is None:
-            raise ValueError("BulkOracleIndex.ap_matrix is not attached yet")
-        return pairs
-
-    def query_many(self, pairs: np.ndarray) -> np.ndarray:
-        """Distances for a ``(k, 2)`` pair array, classified in bulk."""
-        pairs = self._check_pairs(pairs)
+        check_vertex_ids(self.n, pairs)
         if pairs.shape[0] == 0:
             return np.full(0, np.inf, dtype=np.float64)
-        return self._resolve(pairs)
+        return self._resolve(pairs.astype(np.int64, copy=False))

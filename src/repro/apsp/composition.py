@@ -18,8 +18,8 @@ Key facts the composition relies on (both hold for any graph):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +32,15 @@ from .ear_apsp import block_rows, ear_apsp_full
 
 Solver = Callable[[CSRGraph], np.ndarray]
 
-__all__ = ["ComponentTables", "build_component_tables", "assemble_full_matrix"]
+__all__ = ["ComponentTables", "ap_closure", "build_component_tables", "assemble_full_matrix"]
 
 
 @dataclass
 class ComponentTables:
     """Per-component distance tables plus the articulation-point closure.
+
+    Vertex memberships, local indices and AP ranks are read from
+    ``bcc``'s vertex index.
 
     Attributes
     ----------
@@ -46,8 +49,9 @@ class ComponentTables:
     tables:
         ``tables[c]`` is the exact distance matrix over
         ``bcc.component_vertices[c]`` (in that vertex order).
-    ap_ids / ap_index:
-        Articulation point vertex ids (sorted) and their positions.
+    ap_ids:
+        Articulation point vertex ids (sorted); row ``k`` of ``ap_matrix``
+        is ``ap_ids[k]``, i.e. the vertex of ``bcc.ap_rank`` ``k``.
     ap_matrix:
         ``a × a`` exact distance table ``A`` between articulation points,
         computed by APSP over the *AP graph* (APs joined by intra-component
@@ -57,13 +61,7 @@ class ComponentTables:
     bcc: BCCDecomposition
     tables: list[np.ndarray]
     ap_ids: np.ndarray
-    ap_index: dict[int, int]
     ap_matrix: np.ndarray
-    vertex_local: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-
-    def component_of(self, v: int) -> list[tuple[int, int]]:
-        """``(component id, local index)`` memberships of vertex ``v``."""
-        return self.vertex_local.get(int(v), [])
 
     def table_bytes(self, dtype_bytes: int = 4) -> int:
         """Memory model of Section 2.3: ``a² + Σ nᵢ²`` entries.
@@ -76,6 +74,28 @@ class ComponentTables:
         return int(total) * dtype_bytes
 
 
+def ap_closure(
+    a: int, triples: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """The ``a × a`` articulation-point table ``A`` from AP-pair triples.
+
+    ``triples`` yields ``(i, j, w)`` arrays: APs of ranks ``i < j`` share
+    a component in which they are ``w`` apart.  Each weight is nudged
+    up to :data:`~repro.sssp.engine.ZERO_WEIGHT_NUDGE` (scipy reads an
+    explicit zero as "no edge"), a pair given twice keeps its minimum
+    (two APs can share more than one component), and one sparse Dijkstra
+    over the resulting AP graph gives ``A`` with a zero diagonal.
+    """
+    best = np.full((a, a), np.inf, dtype=np.float64)
+    for i, j, w in triples:
+        np.minimum.at(best, (i, j), np.maximum(w, ZERO_WEIGHT_NUDGE))
+    rows, cols = np.nonzero(np.isfinite(best))
+    mat = sp.coo_matrix((best[rows, cols], (rows, cols)), shape=(a, a)).tocsr()
+    ap_matrix = np.asarray(csgraph.dijkstra(mat, directed=False), dtype=np.float64)
+    np.fill_diagonal(ap_matrix, 0.0)
+    return ap_matrix
+
+
 def build_component_tables(
     g: CSRGraph,
     solver: Solver = ear_apsp_full,
@@ -84,65 +104,19 @@ def build_component_tables(
     """Solve every biconnected component and close distances over the APs.
 
     ``solver`` maps a component subgraph to its exact distance matrix; it
-    defaults to the ear-reduced Algorithm 1 (:func:`ear_apsp_full`).
+    defaults to the ear-reduced Algorithm 1 (:func:`ear_apsp_full`).  The
+    AP graph joins every two APs of a component by ``tables[c][li, lj]``
+    with ``li < lj``.
     """
     if bcc is None:
         bcc = biconnected_components(g)
-    tables: list[np.ndarray] = []
-    vertex_local: dict[int, list[tuple[int, int]]] = {}
-    for cid in range(bcc.count):
-        sub, vmap = bcc.component_subgraph(g, cid)
-        tables.append(solver(sub))
-        for local, v in enumerate(vmap):
-            vertex_local.setdefault(int(v), []).append((cid, local))
-
+    tables = [solver(bcc.component_subgraph(g, cid)[0]) for cid in range(bcc.count)]
     ap_ids = bcc.articulation_points
-    ap_index = {int(v): i for i, v in enumerate(ap_ids)}
-    a = len(ap_ids)
-    if a:
-        # AP graph: clique per component over its APs, weighted by the
-        # already-exact intra-component distances.  Two APs can share more
-        # than one component, so pairs are deduplicated keeping the minimum
-        # (COO duplicates would otherwise *sum* on CSR conversion).
-        best: dict[tuple[int, int], float] = {}
-        for cid in range(bcc.count):
-            verts = bcc.component_vertices[cid]
-            local_aps = [
-                (ap_index[int(v)], i)
-                for i, v in enumerate(verts)
-                if int(v) in ap_index
-            ]
-            for x, (gi, li) in enumerate(local_aps):
-                for gj, lj in local_aps[x + 1 :]:
-                    w = float(tables[cid][li, lj])
-                    if not np.isfinite(w):
-                        continue
-                    key = (min(gi, gj), max(gi, gj))
-                    w = max(w, ZERO_WEIGHT_NUDGE)
-                    if key not in best or w < best[key]:
-                        best[key] = w
-        if best:
-            rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-            cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-            vals = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-            mat = sp.coo_matrix((vals, (rows, cols)), shape=(a, a)).tocsr()
-        else:
-            mat = sp.csr_matrix((a, a))
-        ap_matrix = np.asarray(
-            csgraph.dijkstra(mat, directed=False), dtype=np.float64
-        )
-        np.fill_diagonal(ap_matrix, 0.0)
-    else:
-        ap_matrix = np.zeros((0, 0), dtype=np.float64)
-
-    return ComponentTables(
-        bcc=bcc,
-        tables=tables,
-        ap_ids=ap_ids,
-        ap_index=ap_index,
-        ap_matrix=ap_matrix,
-        vertex_local=vertex_local,
+    ap_matrix = ap_closure(
+        len(ap_ids),
+        ((ri, rj, tables[cid][li, lj]) for cid, li, lj, ri, rj in bcc.ap_pairs()),
     )
+    return ComponentTables(bcc=bcc, tables=tables, ap_ids=ap_ids, ap_matrix=ap_matrix)
 
 
 def assemble_full_matrix(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
@@ -168,15 +142,10 @@ def assemble_full_matrix(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
     n = g.n
     bcc = ct.bcc
     a = len(ct.ap_ids)
-    ap_pos = np.full(n, -1, dtype=np.int64)
-    ap_pos[ct.ap_ids] = np.arange(a)
-    members = np.zeros(n, dtype=np.int64)
-    # Per component: (global AP index, local index) of each of its APs.
-    comp_aps: list[tuple[np.ndarray, np.ndarray]] = []
-    for verts in bcc.component_vertices:
-        members[verts] += 1
-        local = np.flatnonzero(ap_pos[verts] >= 0)
-        comp_aps.append((ap_pos[verts[local]], local))
+    members = np.diff(bcc.member_ptr)
+    # Per component: (AP rank, local index) of each of its APs.
+    ptr, ap_local, ap_rank = bcc.component_aps()
+    comp_aps = [(ap_rank[s:e], ap_local[s:e]) for s, e in zip(ptr[:-1], ptr[1:])]
 
     # ap_to_all[k, v]: exact distance from AP k to every vertex v, built
     # per component as min over that component's APs.
@@ -220,7 +189,7 @@ def assemble_full_matrix(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
     for v in np.flatnonzero(members != 1):
         row = out[v]
         row.fill(np.inf)
-        for cid, lv in ct.component_of(v):
+        for cid, lv in bcc.memberships(v):
             candidates(block[:1], scratch[:1], cid, np.array([lv]))
             np.minimum(row, block[0], out=row)
         row[v] = 0.0

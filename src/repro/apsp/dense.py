@@ -1,9 +1,9 @@
-"""Dense Floyd–Warshall APSP (naive vectorized and cache-blocked).
+"""Dense Floyd–Warshall APSP (vectorized).
 
 The Floyd–Warshall family is the classical GPU APSP baseline the related
 work builds on (Buluc et al. [5], Matsumoto et al. [28], Katz et al. [23]).
-We provide the straightforward vectorized form and the three-phase blocked
-(tiled) form those papers use for cache/shared-memory locality.
+We provide the straightforward vectorized form, which the differential
+suite uses as its independent dense cross-check.
 """
 
 from __future__ import annotations
@@ -13,77 +13,15 @@ import numpy as np
 from ..graph.builders import to_adjacency
 from ..graph.csr import CSRGraph
 
-__all__ = ["floyd_warshall", "blocked_floyd_warshall"]
-
-
-def _init_matrix(g: CSRGraph) -> np.ndarray:
-    d = to_adjacency(g, absent=np.inf)
-    np.fill_diagonal(d, 0.0)
-    return d
+__all__ = ["floyd_warshall"]
 
 
 def floyd_warshall(g: CSRGraph) -> np.ndarray:
     """Textbook Floyd–Warshall, one vectorized rank-1 min-plus per pivot."""
-    d = _init_matrix(g)
-    n = g.n
-    for k in range(n):
+    d = to_adjacency(g, absent=np.inf)
+    np.fill_diagonal(d, 0.0)
+    for k in range(g.n):
         # d = min(d, d[:, k] + d[k, :]) without allocating n² temporaries
         # more than once per pivot.
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
     return d
-
-
-def blocked_floyd_warshall(g: CSRGraph, block: int = 64) -> np.ndarray:
-    """Tiled Floyd–Warshall (the [5]/[28] cache-blocking scheme).
-
-    Processes ``block × block`` tiles in the dependent / row-col /
-    independent phase order; identical output to :func:`floyd_warshall`.
-    """
-    d = _init_matrix(g)
-    n = g.n
-    if n == 0:
-        return d
-    nb = (n + block - 1) // block
-
-    def tile(i: int, j: int) -> tuple[slice, slice]:
-        return (
-            slice(i * block, min((i + 1) * block, n)),
-            slice(j * block, min((j + 1) * block, n)),
-        )
-
-    for kb in range(nb):
-        krange = slice(kb * block, min((kb + 1) * block, n))
-        # Phase 1: the diagonal tile, dependent on itself.
-        dk = d[krange, krange]
-        for k in range(dk.shape[0]):
-            np.minimum(dk, dk[:, k : k + 1] + dk[k : k + 1, :], out=dk)
-        # Phase 2: row and column panels of the pivot block.
-        for jb in range(nb):
-            if jb == kb:
-                continue
-            r, c = tile(kb, jb)
-            panel = d[r, c]
-            for k in range(dk.shape[0]):
-                np.minimum(panel, dk[:, k : k + 1] + panel[k : k + 1, :], out=panel)
-            r, c = tile(jb, kb)
-            panel = d[r, c]
-            for k in range(dk.shape[0]):
-                np.minimum(panel, panel[:, k : k + 1] + dk[k : k + 1, :], out=panel)
-        # Phase 3: all remaining tiles via the updated panels.
-        for ib in range(nb):
-            if ib == kb:
-                continue
-            ri, _ = tile(ib, 0)
-            left = d[ri, krange]
-            for jb in range(nb):
-                if jb == kb:
-                    continue
-                _, cj = tile(0, jb)
-                top = d[krange, cj]
-                np.minimum(d[ri, cj], _minplus(left, top), out=d[ri, cj])
-    return d
-
-
-def _minplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus product ``min_k a[i,k] + b[k,j]`` via broadcasting."""
-    return np.min(a[:, :, None] + b[None, :, :], axis=1)

@@ -29,24 +29,20 @@ __all__ = ["DistanceOracle"]
 
 
 class DistanceOracle:
-    """Exact all-pairs distance oracle with the paper's memory footprint."""
+    """Exact all-pairs distance oracle with the paper's memory footprint.
+
+    Memberships, local indices and AP ranks come from the decomposition's
+    vertex index (``self.tables.bcc``).
+    """
 
     def __init__(self, g: CSRGraph) -> None:
         self.graph = g
         bcc = biconnected_components(g)
         self.tables = build_component_tables(g, solver=ear_apsp_full, bcc=bcc)
         self.tree = BlockCutTree(g, bcc)
-        # Local index of each vertex inside each of its components.
-        self._local = self.tables.vertex_local
         self._bulk = None  # built lazily on the first query_many
 
     # ------------------------------------------------------------------ #
-
-    def _local_index(self, cid: int, v: int) -> int:
-        for c, li in self._local[int(v)]:
-            if c == cid:
-                return li
-        raise KeyError(f"vertex {v} not in component {cid}")
 
     def query(self, u: int, v: int) -> float:
         """Exact shortest-path distance between ``u`` and ``v``.
@@ -57,18 +53,16 @@ class DistanceOracle:
         check_vertex_ids(self.graph.n, u, v)
         if u == v:
             return 0.0
-        memb_u = self._local.get(int(u), [])
-        memb_v = self._local.get(int(v), [])
+        bcc, tables = self.tables.bcc, self.tables.tables
+        memb_u = dict(bcc.memberships(u))
+        memb_v = dict(bcc.memberships(v))
         if not memb_u or not memb_v:
             return float("inf")  # isolated vertex
         # Same component: direct lookup (min over shared components — an
         # AP pair can share several).
-        shared = {c for c, _ in memb_u} & {c for c, _ in memb_v}
+        shared = memb_u.keys() & memb_v.keys()
         if shared:
-            return min(
-                float(self.tables.tables[c][self._local_index(c, u), self._local_index(c, v)])
-                for c in shared
-            )
+            return min(float(tables[c][memb_u[c], memb_v[c]]) for c in shared)
         try:
             bracket = self.tree.boundary_aps(u, v)
         except ValueError:
@@ -78,21 +72,17 @@ class DistanceOracle:
         a1, a2 = bracket
         # d(u, a1) within u's block on the path side; a1 is in *some*
         # shared component with u — min over u's components containing a1.
-        d_u = self._vertex_to_ap(memb_u, u, a1)
-        d_v = self._vertex_to_ap(memb_v, v, a2)
-        mid = float(
-            self.tables.ap_matrix[
-                self.tables.ap_index[a1], self.tables.ap_index[a2]
-            ]
-        )
+        d_u = self._vertex_to_ap(memb_u, a1)
+        d_v = self._vertex_to_ap(memb_v, a2)
+        mid = float(self.tables.ap_matrix[bcc.ap_rank[a1], bcc.ap_rank[a2]])
         return d_u + mid + d_v
 
-    def _vertex_to_ap(self, memberships: list[tuple[int, int]], v: int, ap: int) -> float:
+    def _vertex_to_ap(self, memberships: dict[int, int], ap: int) -> float:
         best = float("inf")
-        for cid, li in memberships:
-            for c2, la in self._local.get(int(ap), []):
-                if c2 == cid:
-                    best = min(best, float(self.tables.tables[cid][li, la]))
+        for cid, la in self.tables.bcc.memberships(ap):
+            li = memberships.get(cid)
+            if li is not None:
+                best = min(best, float(self.tables.tables[cid][li, la]))
         return best
 
     def _bulk_index(self):
@@ -105,11 +95,10 @@ class DistanceOracle:
                 return np.asarray(tables[cid][lu, lv], dtype=np.float64)
 
             self._bulk = BulkOracleIndex(
-                self.graph.n,
+                self.tables.bcc,
                 self.tree,
-                self.tables.bcc.component_vertices,
                 dist_many,
-                ap_matrix=np.asarray(self.tables.ap_matrix, dtype=np.float64),
+                np.asarray(self.tables.ap_matrix, dtype=np.float64),
             )
         return self._bulk
 
@@ -127,7 +116,7 @@ class DistanceOracle:
         and the bulk-query smoke benchmark)."""
         pairs = np.asarray(pairs)
         return np.fromiter(
-            (self.query(int(a), int(b)) for a, b in pairs),
+            (self.query(a, b) for a, b in pairs.tolist()),
             dtype=np.float64,
             count=len(pairs),
         )

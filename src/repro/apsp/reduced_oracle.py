@@ -23,22 +23,22 @@ from ..decomposition.biconnected import biconnected_components
 from ..decomposition.block_cut_tree import BlockCutTree
 from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph, check_vertex_ids
-from ..sssp.engine import ZERO_WEIGHT_NUDGE, all_pairs
+from ..sssp.engine import all_pairs
 from .bulk_query import BulkOracleIndex
+from .composition import ap_closure
 
 __all__ = ["ReducedDistanceOracle"]
 
 
 class _ComponentStore:
-    """Reduced table + anchor data for one biconnected component."""
+    """Reduced table + anchor data for one biconnected component, indexed
+    by component-local vertex."""
 
-    __slots__ = ("red", "table", "vmap", "local")
+    __slots__ = ("red", "table")
 
-    def __init__(self, red: ReducedGraph, table: np.ndarray, vmap: np.ndarray):
+    def __init__(self, red: ReducedGraph, table: np.ndarray):
         self.red = red
         self.table = table          # distances over red.graph vertices
-        self.vmap = vmap            # component-local -> global vertex ids
-        self.local = {int(v): i for i, v in enumerate(vmap)}
 
     def dist(self, lu: int, lv: int) -> float:
         """Exact distance between two component-local vertices."""
@@ -130,7 +130,12 @@ class _ComponentStore:
 
 
 class ReducedDistanceOracle:
-    """Exact APSP oracle over reduced per-component tables."""
+    """Exact APSP oracle over reduced per-component tables.
+
+    Memberships, local indices and AP ranks come from the decomposition's
+    vertex index (``self.bcc``); ``A`` is :func:`~repro.apsp.composition.ap_closure`
+    over every AP pair's reduced-table distance ``d(li, lj)``, ``li < lj``.
+    """
 
     def __init__(self, g: CSRGraph) -> None:
         self.graph = g
@@ -138,58 +143,32 @@ class ReducedDistanceOracle:
         self.tree = BlockCutTree(g, bcc)
         self.bcc = bcc
         self.stores: list[_ComponentStore] = []
-        self._memberships: dict[int, list[int]] = {}
         for cid in range(bcc.count):
-            sub, vmap = bcc.component_subgraph(g, cid)
+            sub, _ = bcc.component_subgraph(g, cid)
             red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
-            table = all_pairs(red.simple_graph())
-            self.stores.append(_ComponentStore(red, table, vmap))
-            for v in vmap:
-                self._memberships.setdefault(int(v), []).append(cid)
-        # Vectorized classification index; its ``ap_shared`` matrix is the
-        # min intra-component distance per co-located AP pair — exactly the
-        # edge list the articulation closure is built from, so the closure
-        # construction below is one sparse-Dijkstra over its finite entries.
-        self.ap_ids = bcc.articulation_points
-        self.ap_index = {int(v): i for i, v in enumerate(self.ap_ids)}
-        self._bulk = BulkOracleIndex(
-            g.n,
-            self.tree,
-            bcc.component_vertices,
-            lambda cid, lu, lv: self.stores[cid].dist_many(lu, lv),
+            self.stores.append(_ComponentStore(red, all_pairs(red.simple_graph())))
+        self.ap_matrix = ap_closure(
+            len(self.tree.ap_ids),
+            (
+                (ri, rj, self.stores[cid].dist_many(li, lj))
+                for cid, li, lj, ri, rj in bcc.ap_pairs()
+            ),
         )
-        a = len(self.ap_ids)
-        if a:
-            import scipy.sparse as sp
-            import scipy.sparse.csgraph as csgraph
-
-            rows, cols = np.nonzero(np.triu(np.isfinite(self._bulk.ap_shared), k=1))
-            if rows.size:
-                vals = np.maximum(
-                    self._bulk.ap_shared[rows, cols], ZERO_WEIGHT_NUDGE
-                )
-                mat = sp.coo_matrix((vals, (rows, cols)), shape=(a, a)).tocsr()
-            else:
-                mat = sp.csr_matrix((a, a))
-            self.ap_matrix = np.asarray(csgraph.dijkstra(mat, directed=False))
-            np.fill_diagonal(self.ap_matrix, 0.0)
-        else:
-            self.ap_matrix = np.zeros((0, 0))
-        self._bulk.ap_matrix = self.ap_matrix
+        self._bulk = BulkOracleIndex(
+            bcc,
+            self.tree,
+            lambda cid, lu, lv: self.stores[cid].dist_many(lu, lv),
+            self.ap_matrix,
+        )
 
     # ------------------------------------------------------------------ #
 
-    def _intra(self, cid: int, u: int, v: int) -> float:
-        store = self.stores[cid]
-        return store.dist(store.local[int(u)], store.local[int(v)])
-
-    def _to_ap(self, memberships: list[int], v: int, ap: int) -> float:
+    def _to_ap(self, memberships: dict[int, int], ap: int) -> float:
         best = float("inf")
-        for cid in memberships:
-            store = self.stores[cid]
-            la = store.local.get(int(ap))
-            if la is not None:
-                best = min(best, store.dist(store.local[int(v)], la))
+        for cid, la in self.bcc.memberships(ap):
+            lv = memberships.get(cid)
+            if lv is not None:
+                best = min(best, self.stores[cid].dist(lv, la))
         return best
 
     def query(self, u: int, v: int) -> float:
@@ -197,13 +176,13 @@ class ReducedDistanceOracle:
         check_vertex_ids(self.graph.n, u, v)
         if u == v:
             return 0.0
-        mu = self._memberships.get(int(u), [])
-        mv = self._memberships.get(int(v), [])
+        mu = dict(self.bcc.memberships(u))
+        mv = dict(self.bcc.memberships(v))
         if not mu or not mv:
             return float("inf")
-        shared = set(mu) & set(mv)
+        shared = mu.keys() & mv.keys()
         if shared:
-            return min(self._intra(c, u, v) for c in shared)
+            return min(self.stores[c].dist(mu[c], mv[c]) for c in shared)
         try:
             bracket = self.tree.boundary_aps(u, v)
         except ValueError:
@@ -211,8 +190,8 @@ class ReducedDistanceOracle:
         if bracket is None:  # pragma: no cover - shared-block handled above
             return float("inf")
         a1, a2 = bracket
-        mid = float(self.ap_matrix[self.ap_index[a1], self.ap_index[a2]])
-        return self._to_ap(mu, u, a1) + mid + self._to_ap(mv, v, a2)
+        mid = float(self.ap_matrix[self.bcc.ap_rank[a1], self.bcc.ap_rank[a2]])
+        return self._to_ap(mu, a1) + mid + self._to_ap(mv, a2)
 
     def query_many(self, pairs: np.ndarray) -> np.ndarray:
         """Bulk ``(k, 2)`` pair queries as array passes.
@@ -228,7 +207,7 @@ class ReducedDistanceOracle:
         and the bulk-query smoke benchmark)."""
         pairs = np.asarray(pairs)
         return np.fromiter(
-            (self.query(int(a), int(b)) for a, b in pairs),
+            (self.query(a, b) for a, b in pairs.tolist()),
             dtype=np.float64,
             count=len(pairs),
         )

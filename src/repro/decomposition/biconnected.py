@@ -13,7 +13,8 @@ separately").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +25,8 @@ __all__ = ["BCCDecomposition", "biconnected_components"]
 
 @dataclass
 class BCCDecomposition:
-    """Result of :func:`biconnected_components`.
+    """Result of :func:`biconnected_components`: the components and the
+    per-BCC vertex index every Section 2.2 layer reads.
 
     Attributes
     ----------
@@ -38,22 +40,79 @@ class BCCDecomposition:
         ``component_edges[c]`` is the array of edge ids in component ``c``.
     component_vertices:
         ``component_vertices[c]`` is the sorted array of vertex ids touched
-        by component ``c``.
+        by component ``c``.  A vertex's *local index* in ``c`` is its
+        position here, which is how every per-component table is indexed.
     is_articulation:
         Boolean mask over vertices: True when the vertex belongs to two or
         more non-self-loop components.
+    member_ptr, member_comp, member_local:
+        The memberships of every vertex in CSR form: vertex ``v`` lies in
+        components ``member_comp[member_ptr[v]:member_ptr[v + 1]]``
+        (ascending) at the local indices ``member_local`` of the same
+        slice.  An isolated vertex has none.
+    ap_rank:
+        Each vertex's position among the sorted articulation points (the
+        row of ``A``), ``-1`` for a vertex that is not one.
+    home, home_local:
+        The home component of each non-articulation vertex and its local
+        index there: its one multi-vertex component if it has one (a
+        self-loop component reaches no other vertex), else its last
+        self-loop component; ``-1`` for articulation points and isolated
+        vertices.
+
+    The index takes ``O(n + Σ|Vᵢ|)`` memory; nothing is sized
+    components × articulation points.
     """
 
     count: int
     edge_component: np.ndarray
     component_edges: list[np.ndarray]
-    component_vertices: list[np.ndarray] = field(default_factory=list)
-    is_articulation: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    component_vertices: list[np.ndarray]
+    is_articulation: np.ndarray
+    member_ptr: np.ndarray
+    member_comp: np.ndarray
+    member_local: np.ndarray
+    ap_rank: np.ndarray
+    home: np.ndarray
+    home_local: np.ndarray
 
     @property
     def articulation_points(self) -> np.ndarray:
         """Sorted vertex ids of all articulation points."""
         return np.nonzero(self.is_articulation)[0]
+
+    def memberships(self, v: int) -> list[tuple[int, int]]:
+        """``(component, local index)`` of every component holding ``v``,
+        in ascending component order."""
+        lo, hi = self.member_ptr[v], self.member_ptr[v + 1]
+        return list(zip(self.member_comp[lo:hi].tolist(), self.member_local[lo:hi].tolist()))
+
+    def component_aps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The articulation points of every component, in CSR form.
+
+        Returns ``(ptr, local, rank)``: component ``c`` holds the APs of
+        ranks ``rank[ptr[c]:ptr[c + 1]]`` at local indices
+        ``local[ptr[c]:ptr[c + 1]]``, both ascending.
+        """
+        slot_vertex = np.repeat(np.arange(self.ap_rank.size), np.diff(self.member_ptr))
+        slots = np.flatnonzero(self.is_articulation[slot_vertex])
+        slots = slots[np.argsort(self.member_comp[slots], kind="stable")]
+        ptr = np.searchsorted(self.member_comp[slots], np.arange(self.count + 1))
+        return ptr, self.member_local[slots], self.ap_rank[slot_vertex[slots]]
+
+    def ap_pairs(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Every pair of articulation points that share a component.
+
+        Yields ``(cid, li, lj, ri, rj)`` once per component holding two or
+        more APs: each pair of its APs once, as local indices ``li < lj``
+        and AP ranks ``ri < rj``.
+        """
+        ptr, local, rank = self.component_aps()
+        for cid in np.flatnonzero(np.diff(ptr) >= 2):
+            i, j = np.triu_indices(int(ptr[cid + 1] - ptr[cid]), k=1)
+            i += ptr[cid]
+            j += ptr[cid]
+            yield int(cid), local[i], local[j], rank[i], rank[j]
 
     def component_subgraph(self, g: CSRGraph, comp_id: int) -> tuple[CSRGraph, np.ndarray]:
         """Extract component ``comp_id`` as a standalone graph.
@@ -63,9 +122,8 @@ class BCCDecomposition:
         """
         eids = self.component_edges[comp_id]
         vmap = self.component_vertices[comp_id]
-        inv = {int(v): i for i, v in enumerate(vmap)}
-        us = np.fromiter((inv[int(g.edge_u[e])] for e in eids), dtype=np.int64, count=len(eids))
-        vs = np.fromiter((inv[int(g.edge_v[e])] for e in eids), dtype=np.int64, count=len(eids))
+        us = np.searchsorted(vmap, g.edge_u[eids])
+        vs = np.searchsorted(vmap, g.edge_v[eids])
         sub = CSRGraph(len(vmap), us, vs, g.edge_w[eids])
         return sub, vmap
 
@@ -158,23 +216,45 @@ def biconnected_components(g: CSRGraph) -> BCCDecomposition:
                         edge_component[e] = cid
                     components.append(np.asarray(comp, dtype=np.int64))
 
-    # Vertex membership per component, articulation points by membership.
-    comp_vertices: list[np.ndarray] = []
-    member_count = np.zeros(n, dtype=np.int64)
-    for cid, comp in enumerate(components):
-        verts = np.unique(
-            np.concatenate([g.edge_u[comp], g.edge_v[comp]])
-        )
-        comp_vertices.append(verts)
-        loop_only = bool(np.all(g.edge_u[comp] == g.edge_v[comp]))
-        if not loop_only:
-            member_count[verts] += 1
-    is_articulation = member_count >= 2
+    # The vertex index, one array pass: every (component, vertex) incidence
+    # once, component-major; a vertex's local index is its rank among its
+    # component's sorted vertices.
+    count = len(components)
+    incidence = np.unique(
+        np.concatenate([edge_component, edge_component]) * n
+        + np.concatenate([g.edge_u, g.edge_v])
+    )
+    cids, vids = np.divmod(incidence, n)  # n == 0 leaves both empty
+    comp_ptr = np.searchsorted(cids, np.arange(count + 1))
+    local = np.arange(cids.size) - comp_ptr[cids]
+    # Each self-loop has a one-vertex component of its own; every other
+    # component has two or more vertices.
+    multi = (np.diff(comp_ptr) > 1)[cids]
+    is_articulation = np.bincount(vids[multi], minlength=n) >= 2
+    ap_rank = np.full(n, -1, dtype=np.int64)
+    ap_rank[is_articulation] = np.arange(int(is_articulation.sum()))
+    # Home block: a non-AP vertex's one multi-vertex component, else the
+    # last of its self-loop components.
+    home = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(home, vids, cids)
+    plain = multi & ~is_articulation[vids]
+    home[vids[plain]] = cids[plain]
+    home[is_articulation] = -1
+    at_home = cids == home[vids]
+    home_local = np.full(n, -1, dtype=np.int64)
+    home_local[vids[at_home]] = local[at_home]
+    by_vertex = np.argsort(vids, kind="stable")
 
     return BCCDecomposition(
-        count=len(components),
+        count=count,
         edge_component=edge_component,
         component_edges=components,
-        component_vertices=comp_vertices,
+        component_vertices=[vids[s:e] for s, e in zip(comp_ptr[:-1], comp_ptr[1:])],
         is_articulation=is_articulation,
+        member_ptr=np.concatenate([[0], np.cumsum(np.bincount(vids, minlength=n))]),
+        member_comp=cids[by_vertex],
+        member_local=local[by_vertex],
+        ap_rank=ap_rank,
+        home=home,
+        home_local=home_local,
     )

@@ -27,46 +27,36 @@ class BlockCutTree:
 
     Node numbering: block nodes are ``0 .. n_blocks-1`` (matching component
     ids of the :class:`BCCDecomposition`), cut nodes are
-    ``n_blocks + k`` for the ``k``-th articulation point in sorted order.
+    ``n_blocks + k`` for the articulation point of ``bcc.ap_rank`` ``k``.
+    Both the block–cut edges and each vertex's node come from the
+    decomposition's vertex index; ``g`` is the decomposed graph.
     """
 
     def __init__(self, g: CSRGraph, bcc: BCCDecomposition) -> None:
         self.bcc = bcc
         self.n_blocks = bcc.count
         self.ap_ids = bcc.articulation_points
-        self.ap_index = {int(v): i for i, v in enumerate(self.ap_ids)}
         n_nodes = self.n_blocks + len(self.ap_ids)
         self.n_nodes = n_nodes
 
-        adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        for cid in range(bcc.count):
-            for v in bcc.component_vertices[cid]:
-                k = self.ap_index.get(int(v))
-                if k is not None:
-                    cut = self.n_blocks + k
-                    adj[cid].append(cut)
-                    adj[cut].append(cid)
+        # A block's neighbours are its cuts in vertex order, a cut's its
+        # blocks in ascending order.
+        ptr, _, rank = bcc.component_aps()
+        block_of = np.repeat(np.arange(self.n_blocks), np.diff(ptr))
+        by_cut = np.argsort(rank, kind="stable")
+        cut_ptr = np.searchsorted(rank[by_cut], np.arange(len(self.ap_ids) + 1))
+        adj: list[list[int]] = [
+            (self.n_blocks + rank[s:e]).tolist() for s, e in zip(ptr[:-1], ptr[1:])
+        ] + [block_of[by_cut[s:e]].tolist() for s, e in zip(cut_ptr[:-1], cut_ptr[1:])]
         self.adj = adj
-
-        # For every non-articulation vertex, its home block.  A vertex with
-        # self-loops additionally sits in one single-vertex block per loop;
-        # those never reach any other vertex, so the multi-vertex block (if
-        # any) must win — hence the two passes.
-        self._vertex_block = np.full(g.n, -1, dtype=np.int64)
-        for multi in (False, True):
-            for cid in range(bcc.count):
-                if (len(bcc.component_vertices[cid]) > 1) != multi:
-                    continue
-                for v in bcc.component_vertices[cid]:
-                    if not bcc.is_articulation[v]:
-                        self._vertex_block[v] = cid
+        # Each vertex's tree node: its cut node, else its home block.
+        self._node_of = np.where(bcc.ap_rank >= 0, self.n_blocks + bcc.ap_rank, bcc.home)
 
         # BFS forest + binary lifting tables.
         self.parent = np.full(n_nodes, -1, dtype=np.int64)
         self.depth = np.zeros(n_nodes, dtype=np.int64)
         self.tree_id = np.full(n_nodes, -1, dtype=np.int64)
         tid = 0
-        order: list[int] = []
         for root in range(n_nodes):
             if self.tree_id[root] != -1:
                 continue
@@ -74,7 +64,6 @@ class BlockCutTree:
             queue = [root]
             while queue:
                 u = queue.pop()
-                order.append(u)
                 for w in adj[u]:
                     if self.tree_id[w] == -1:
                         self.tree_id[w] = tid
@@ -102,13 +91,10 @@ class BlockCutTree:
         their unique block node.  Raises for isolated vertices (they belong
         to no block).
         """
-        k = self.ap_index.get(int(v))
-        if k is not None:
-            return self.n_blocks + k
-        b = int(self._vertex_block[v])
-        if b < 0:
+        node = int(self._node_of[v])
+        if node < 0:
             raise KeyError(f"vertex {v} is isolated — not in any block")
-        return b
+        return node
 
     def lca(self, a: int, b: int) -> int:
         """Lowest common ancestor of tree nodes ``a`` and ``b``.
@@ -190,10 +176,7 @@ class BlockCutTree:
 
     def node_for_vertices(self) -> np.ndarray:
         """``node_for_vertex`` for every graph vertex, ``-1`` for isolated."""
-        out = self._vertex_block.copy()
-        for v, k in self.ap_index.items():
-            out[v] = self.n_blocks + k
-        return out
+        return self._node_of
 
     def _lift(self, nodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Lift each tree node up by its own number of ``steps`` (binary)."""

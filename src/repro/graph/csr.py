@@ -30,17 +30,31 @@ class GraphError(ValueError):
     """Raised when graph construction or validation fails."""
 
 
-def check_vertex_ids(n: int, *ids: int) -> None:
-    """Raise ``ValueError`` for the first of ``ids`` outside ``[0, n)``.
+def check_vertex_ids(n: int, *ids: int | np.integer | np.ndarray) -> None:
+    """Raise for the first of ``ids`` that is not a vertex id in ``[0, n)``.
 
-    The one definition of a valid vertex id: the SSSP kernels pass their
-    sources (the bulk engine a source array's minimum and maximum, which
-    lie in range iff every source does) and the distance oracles their
-    query ids.  numpy and scipy would wrap a negative id silently.
+    The one definition of a valid vertex id: an integer in ``[0, n)``.
+    Each of ``ids`` is a Python or numpy integer, or an integer array whose
+    entries are all checked (an empty array of any dtype passes).  The
+    SSSP kernels pass their sources and the distance oracles their query
+    ids and pair arrays.  A non-integer raises ``TypeError`` (numpy would
+    truncate 1.5 to 1), an id outside the range ``ValueError`` (numpy and
+    scipy would wrap a negative one).
     """
     for vid in ids:
-        if not 0 <= vid < n:
-            raise ValueError(f"vertex id {vid} is outside [0, {n})")
+        if isinstance(vid, np.ndarray):
+            if not vid.size:
+                continue
+            if vid.dtype.kind not in "iu":
+                raise TypeError(f"vertex ids must be integers, not {vid.dtype}")
+            bounds = (int(vid.min()), int(vid.max()))
+        elif isinstance(vid, (int, np.integer)):
+            bounds = (vid,)
+        else:
+            raise TypeError(f"vertex id {vid!r} is not an integer")
+        for b in bounds:
+            if not 0 <= b < n:
+                raise ValueError(f"vertex id {b} is outside [0, {n})")
 
 
 class CSRGraph:

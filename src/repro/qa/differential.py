@@ -179,7 +179,6 @@ def _builtin_registrations() -> None:
     # (or cycle) for anyone importing repro.qa.strategies alone.
     from ..apsp import (
         bcc_apsp,
-        blocked_floyd_warshall,
         dijkstra_apsp,
         ear_apsp_full,
         floyd_warshall,
@@ -192,7 +191,6 @@ def _builtin_registrations() -> None:
     register_apsp("dijkstra-scipy", dijkstra_apsp, reference=True)
     register_apsp("dijkstra-python", lambda g: dijkstra_apsp(g, engine="python"))
     register_apsp("dense-fw", floyd_warshall, max_n=128)
-    register_apsp("blocked-fw", lambda g: blocked_floyd_warshall(g, block=8), max_n=128)
     register_apsp("ear", ear_apsp_full)
     # The traced drivers behind Table 2 and Figures 5-6.
     register_apsp("hetero-apsp", lambda g: apsp_with_trace(g)[0])

@@ -29,7 +29,8 @@ def dijkstra(
 
     With ``target`` given, stops as soon as the target is settled; the
     remaining entries are then upper bounds, not exact distances.  A
-    source outside ``[0, n)`` raises ``ValueError``.
+    non-integer source raises ``TypeError``, one outside ``[0, n)``
+    ``ValueError``.
     """
     check_vertex_ids(g.n, source)
     dist = np.full(g.n, np.inf, dtype=np.float64)
@@ -62,7 +63,8 @@ def dijkstra_tree(g: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray, np.
         the canonical edge id used.  Ties are broken by heap order, so the
         tree is deterministic for a given graph.
 
-    A source outside ``[0, n)`` raises ``ValueError``.
+    A non-integer source raises ``TypeError``, one outside ``[0, n)``
+    ``ValueError``.
     """
     check_vertex_ids(g.n, source)
     n = g.n

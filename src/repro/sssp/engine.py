@@ -192,17 +192,18 @@ def _dijkstra(
     """Every source's Dijkstra in one compiled ``csgraph.dijkstra`` call.
 
     Returns float64 distances of shape ``(len(sources), n)``, plus int64
-    predecessors when ``predecessors`` is set.  A source outside
-    ``[0, n)`` raises ``ValueError`` (scipy would wrap a negative one).
-    ``cache=False`` bypasses the adjacency cache (used by the
-    before/after benchmarks).
+    predecessors when ``predecessors`` is set.  A non-integer source raises
+    ``TypeError`` and one outside ``[0, n)`` ``ValueError``
+    (:func:`~repro.graph.csr.check_vertex_ids`).  ``cache=False`` bypasses
+    the adjacency cache (used by the before/after benchmarks).
     """
-    sources = np.asarray(sources, dtype=np.int64)
+    sources = np.asarray(sources)
     k = len(sources)
     if k == 0:
         dist = np.zeros((0, g.n))
         return (dist, np.zeros((0, g.n), dtype=np.int64)) if predecessors else dist
-    check_vertex_ids(g.n, int(sources.min()), int(sources.max()))
+    check_vertex_ids(g.n, sources)
+    sources = sources.astype(np.int64, copy=False)
     mat = _GLOBAL_CACHE.get(g) if cache else adjacency_matrix(g)
     _C_SOURCES.inc(k)
     _C_CHUNKS.inc()

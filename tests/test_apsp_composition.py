@@ -74,11 +74,19 @@ def test_path_graph_all_bridges():
 
 
 def test_vertex_local_memberships():
-    g = path_graph(4)
-    ct = build_component_tables(g)
-    assert len(ct.component_of(1)) == 2  # AP in two blocks
-    assert len(ct.component_of(0)) == 1
-    assert ct.component_of(99) == []
+    # The tables read memberships from the decomposition's vertex index:
+    # (component, local index) in ascending component order, the local
+    # index being the vertex's position in component_vertices.
+    g = CSRGraph(5, [0, 1, 2], [1, 2, 3])  # path 0-1-2-3, vertex 4 isolated
+    bcc = build_component_tables(g).bcc
+    assert len(bcc.memberships(1)) == 2  # AP in two blocks
+    assert len(bcc.memberships(0)) == 1
+    assert bcc.memberships(4) == []
+    for v in range(g.n):
+        comps = [c for c, _ in bcc.memberships(v)]
+        assert comps == sorted(comps)
+        for c, li in bcc.memberships(v):
+            assert bcc.component_vertices[c][li] == v
 
 
 def test_table_bytes_model():

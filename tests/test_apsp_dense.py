@@ -1,10 +1,10 @@
-"""Floyd–Warshall (naive and blocked) against repeated Dijkstra."""
+"""Floyd–Warshall against repeated Dijkstra."""
 
 import numpy as np
 import pytest
 
-from repro.apsp import blocked_floyd_warshall, dijkstra_apsp, floyd_warshall
-from repro.graph import CSRGraph, grid_graph, randomize_weights
+from repro.apsp import dijkstra_apsp, floyd_warshall
+from repro.graph import CSRGraph, grid_graph
 
 from _support import close, composite_graph
 
@@ -13,12 +13,6 @@ from _support import close, composite_graph
 def test_fw_matches_dijkstra(seed):
     g = composite_graph(seed, n=18, m=26)
     assert close(floyd_warshall(g), dijkstra_apsp(g, engine="python"))
-
-
-@pytest.mark.parametrize("block", [1, 3, 7, 16, 64])
-def test_blocked_fw_block_sizes(block):
-    g = randomize_weights(grid_graph(4, 5), seed=1)
-    assert close(blocked_floyd_warshall(g, block=block), floyd_warshall(g))
 
 
 def test_fw_empty_and_singleton():

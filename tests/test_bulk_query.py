@@ -107,6 +107,23 @@ class TestPairValidation:
         with pytest.raises(ValueError, match=rf"vertex id {bad} is outside \[0, 10\)"):
             oracle_cls(g).query(u, v)
 
+    def test_fractional_vertex_id_rejected(self, oracle_cls):
+        # Unchecked, 1.5 was truncated to vertex 1: query(1.5, 2) and
+        # query_many([[1.5, 2]]) answered d(1, 2).
+        o = oracle_cls(strategies.star_of_cycles(arms=3, cycle_len=4, seed=5))
+        for call in (
+            lambda: o.query(1.5, 2),
+            lambda: o.query(2, np.float64(1.0)),
+            lambda: o.query_many(np.array([[1.5, 2]])),
+            lambda: o.query_many([[0, 2], [2, 1.5]]),
+            lambda: o.query_many_scalar(np.array([[1.5, 2]])),
+        ):
+            with pytest.raises(TypeError, match="integer"):
+                call()
+        assert o.query(np.int32(1), np.uint8(2)) == o.query(1, 2)
+        assert o.query_many(np.array([[1, 2]], dtype=np.int32))[0] == o.query(1, 2)
+        assert o.query_many(np.empty((0, 2))).shape == (0,)
+
 
 class TestRegistry:
     def test_bulk_paths_enrolled(self):

@@ -90,6 +90,7 @@ def reference_assemble(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
     out = np.full((n, n), np.inf, dtype=np.float64)
     bcc = ct.bcc
     a = len(ct.ap_ids)
+    ap_index = {int(v): i for i, v in enumerate(ct.ap_ids)}
 
     # ap_to_all[k, v]: exact distance from AP k to every vertex v, built
     # per component as min over that component's APs.
@@ -97,7 +98,7 @@ def reference_assemble(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
     for cid in range(bcc.count):
         verts = bcc.component_vertices[cid]
         local_aps = [
-            (ct.ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ct.ap_index
+            (ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ap_index
         ]
         for gk, lk in local_aps:
             cand = ct.ap_matrix[:, gk : gk + 1] + ct.tables[cid][lk : lk + 1, :]
@@ -113,7 +114,7 @@ def reference_assemble(g: CSRGraph, ct: ComponentTables) -> np.ndarray:
         out[np.ix_(verts, verts)] = blk
         # Cross-component: exit through one of this component's APs.
         local_aps = [
-            (ct.ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ct.ap_index
+            (ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ap_index
         ]
         if not local_aps:
             continue

@@ -209,3 +209,29 @@ class TestSourceIdsAreRangeChecked:
         g = CSRGraph(0, [], [], [])
         with pytest.raises(ValueError, match=r"outside \[0, 0\)"):
             multi_source(g, np.array([0]))
+
+    def test_fractional_ids_raise_type_error(self):
+        # Unchecked, the engine truncated 1.5 to vertex 1 and returned its
+        # row; the reference heap raised a bare IndexError.
+        g = path_graph(4)
+        for call in (
+            lambda: sssp(g, 1.5),
+            lambda: multi_source(g, np.array([1.5])),
+            lambda: spt_forest(g, [0, 1.5]),
+            lambda: dijkstra(g, 1.5),
+            lambda: dijkstra_tree(g, np.float64(1.0)),
+            lambda: shortest_path(g, 0, 1.5),
+        ):
+            with pytest.raises(TypeError, match="integer"):
+                call()
+
+    def test_integer_ids_of_any_width_and_no_sources(self):
+        g = path_graph(4)
+        want = multi_source(g, np.array([1]))
+        for src in ([1], [np.int16(1)], np.array([1], dtype=np.int32), np.array([1], dtype=np.uint8)):
+            assert np.array_equal(multi_source(g, src), want)
+        assert np.array_equal(sssp(g, np.int32(1)), want[0])
+        assert np.array_equal(dijkstra(g, np.uint16(1)), want[0])
+        for empty in ([], np.array([])):
+            assert multi_source(g, empty).shape == (0, 4)
+            assert spt_forest(g, empty)[1].shape == (0, 4)
